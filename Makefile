@@ -6,7 +6,7 @@ LINT_TOOL     := $(or $(TMPDIR),/tmp)/rstknn-lint
 LINT_REPORT   ?= lint-report.json
 FUZZTIME      ?= 10s
 
-.PHONY: all build test race race-stress lint lint-json lint-selftest golangci fmt fuzz bench-baseline bench-views bench-mutate bench-batch check clean
+.PHONY: all build test race race-stress lint lint-json lint-selftest golangci fmt fuzz bench-module bench-baseline bench-views bench-mutate bench-batch check clean
 
 all: build
 
@@ -81,6 +81,13 @@ fuzz:
 	go test ./internal/textual/ -run '^$$' -fuzz FuzzTextualPersist  -fuzztime $(FUZZTIME)
 	go test .                   -run '^$$' -fuzz FuzzLoad            -fuzztime $(FUZZTIME)
 
+# Vet and test the benchmark module (benchmark/, its own go.mod). The
+# root ./... pattern never enters a nested module, yet benchmark/
+# compiles against the engine's internal packages, so API changes there
+# only show up here.
+bench-module:
+	cd benchmark && go vet ./... && go test ./...
+
 # Regenerate the checked-in benchmark-regression baseline. The seed and
 # workload are pinned so diffs reflect code changes, not input drift;
 # wall-clock columns are machine-dependent (see the machine block in the
@@ -109,7 +116,7 @@ bench-mutate:
 bench-batch:
 	go run ./cmd/rstknn-bench -batch batch -seed 7 -scale 0.25 -queries 64 -batchsizes 1,4,16,64 -benchiters 3
 
-check: lint build test race race-stress fuzz
+check: lint build test bench-module race race-stress fuzz
 
 clean:
 	rm -f $(LINT_TOOL)

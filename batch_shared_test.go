@@ -12,12 +12,10 @@ import (
 )
 
 // TestBatchSharedMatchesAblation pins the engine-level equivalence of
-// shared-traversal batch execution: against two identically built
-// engines — one with the shared path (the default), one forced onto the
-// independent fan-out via Options.SharedBatch — the same batch must
-// return identical per-request IDs and identical per-request logical
-// counters, while the shared BatchStats show strictly fewer physical
-// node reads.
+// shared-traversal batch execution: against the same requests answered
+// one by one through QueryCtx, a shared batch must return identical
+// per-request IDs and identical per-request logical counters, while its
+// BatchStats show strictly fewer physical node reads.
 func TestBatchSharedMatchesAblation(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	objs := genRestaurants(rng, 900)
@@ -27,19 +25,21 @@ func TestBatchSharedMatchesAblation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			indep, err := Build(objs, Options{Index: idx, Seed: 5, SharedBatch: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
 			reqs := make([]QueryRequest, 24)
 			for i := range reqs {
 				reqs[i] = QueryRequest{X: rng.Float64() * 100, Y: rng.Float64() * 100,
 					Text: menuTerms[i%len(menuTerms)], K: 1 + i%6}
 			}
 			ctx := context.Background()
-			iRes, iStats := indep.BatchQueryStatsCtx(ctx, reqs, 0)
-			if iStats.Shared {
-				t.Fatal("SharedBatch<0 engine reported a shared batch")
+			// The reference: every request answered alone, whose physical
+			// reads are its logical ones.
+			iRes := make([]*Result, len(reqs))
+			indepReads := 0
+			for i, r := range reqs {
+				if iRes[i], err = shared.QueryCtx(ctx, r.X, r.Y, r.Text, r.K); err != nil {
+					t.Fatalf("request %d: %v", i, err)
+				}
+				indepReads += iRes[i].Stats.NodesRead
 			}
 			for _, parallelism := range []int{1, 4} {
 				sRes, sStats := shared.BatchQueryStatsCtx(ctx, reqs, parallelism)
@@ -49,12 +49,12 @@ func TestBatchSharedMatchesAblation(t *testing.T) {
 				logical := 0
 				for i := range reqs {
 					tag := fmt.Sprintf("parallelism=%d request=%d", parallelism, i)
-					if sRes[i].Err != nil || iRes[i].Err != nil {
-						t.Fatalf("%s: shared=%v independent=%v", tag, sRes[i].Err, iRes[i].Err)
+					if sRes[i].Err != nil {
+						t.Fatalf("%s: %v", tag, sRes[i].Err)
 					}
-					ss, is := sRes[i].Result.Stats, iRes[i].Result.Stats
-					if !reflect.DeepEqual(sRes[i].Result.IDs, iRes[i].Result.IDs) {
-						t.Errorf("%s: IDs %v != independent %v", tag, sRes[i].Result.IDs, iRes[i].Result.IDs)
+					ss, is := sRes[i].Result.Stats, iRes[i].Stats
+					if !reflect.DeepEqual(sRes[i].Result.IDs, iRes[i].IDs) {
+						t.Errorf("%s: IDs %v != independent %v", tag, sRes[i].Result.IDs, iRes[i].IDs)
 					}
 					if ss.NodesRead != is.NodesRead || ss.ExactSims != is.ExactSims ||
 						ss.BoundEvals != is.BoundEvals || ss.GroupPruned != is.GroupPruned ||
@@ -76,9 +76,9 @@ func TestBatchSharedMatchesAblation(t *testing.T) {
 					}
 					logical += ss.NodesRead
 				}
-				if sStats.NodesRead >= iStats.NodesRead {
+				if sStats.NodesRead >= indepReads {
 					t.Errorf("parallelism=%d: shared physical reads %d not below independent %d",
-						parallelism, sStats.NodesRead, iStats.NodesRead)
+						parallelism, sStats.NodesRead, indepReads)
 				}
 				if sStats.SharedHits != logical-sStats.NodesRead {
 					t.Errorf("parallelism=%d: SharedHits %d != logical %d - physical %d",
@@ -93,6 +93,43 @@ func TestBatchSharedMatchesAblation(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBatchOneRequestMatchesQuery pins the one-request batch to the
+// QueryCtx path: same IDs, same QueryStats counters, an unshared
+// BatchStats whose physical reads are the query's own.
+func TestBatchOneRequestMatchesQuery(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	objs := genRestaurants(rng, 400)
+	for _, opt := range []Options{{}, {Index: CIUR, Seed: 5, Workers: 1}} {
+		eng, err := Build(objs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		for trial := 0; trial < 6; trial++ {
+			r := QueryRequest{X: rng.Float64() * 100, Y: rng.Float64() * 100,
+				Text: menuTerms[rng.Intn(len(menuTerms))], K: 1 + rng.Intn(6)}
+			want, err := eng.QueryCtx(ctx, r.X, r.Y, r.Text, r.K)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, bs := eng.BatchQueryStatsCtx(ctx, []QueryRequest{r}, 4)
+			if out[0].Err != nil {
+				t.Fatal(out[0].Err)
+			}
+			got := out[0].Result
+			got.Stats.Duration, want.Stats.Duration = 0, 0
+			if !reflect.DeepEqual(got.IDs, want.IDs) || got.Stats != want.Stats {
+				t.Fatalf("%v trial %d: batch %v %+v, QueryCtx %v %+v", opt.Index, trial,
+					got.IDs, got.Stats, want.IDs, want.Stats)
+			}
+			if bs.Shared || bs.Requests != 1 || bs.SharedHits != 0 ||
+				bs.NodesRead != want.Stats.NodesRead || bs.PageAccesses != want.Stats.PageAccesses {
+				t.Fatalf("%v trial %d: BatchStats %+v for stats %+v", opt.Index, trial, bs, want.Stats)
+			}
+		}
 	}
 }
 

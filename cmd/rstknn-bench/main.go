@@ -30,7 +30,7 @@
 // per query and the shared-hit amortization:
 //
 //	rstknn-bench -batch batch -seed 7                # BENCH_batch.json
-//	rstknn-bench -batch pr42 -batchsizes 1,16 -sharedbatch=false
+//	rstknn-bench -batch pr42 -batchsizes 1,16
 //
 // The -compare mode diffs two previously written benchmarks (scaling or
 // batch records — detected from the file's mode field) and exits
@@ -81,9 +81,8 @@ func run(args []string, out io.Writer) error {
 		mutateLabel = fs.String("mutate", "", "write the copy-on-write mutation benchmark to BENCH_<label>.json instead of running experiments")
 		mutateOps   = fs.Int("churn", 0, "steady-state delete+insert rounds in -mutate mode (0 = dataset size)")
 
-		batchLabel  = fs.String("batch", "", "write the shared-traversal batch benchmark to BENCH_<label>.json instead of running experiments")
-		batchSizes  = fs.String("batchsizes", "1,4,16,64", "comma-separated batch sizes for -batch mode")
-		sharedBatch = fs.Bool("sharedbatch", true, "measure the shared traversal in -batch mode; false records only the independent ablation")
+		batchLabel = fs.String("batch", "", "write the shared-traversal batch benchmark to BENCH_<label>.json instead of running experiments")
+		batchSizes = fs.String("batchsizes", "1,4,16,64", "comma-separated batch sizes for -batch mode")
 
 		comparePath = fs.String("compare", "", "compare two scaling benchmarks: -compare OLD.json NEW.json prints per-row deltas and exits non-zero on regressions past -threshold")
 		threshold   = fs.Float64("threshold", 10, "regression threshold in percent for -compare")
@@ -122,7 +121,7 @@ func run(args []string, out io.Writer) error {
 		return runMutate(cfg, out, *mutateLabel, *jsonDir, *mutateOps)
 	}
 	if *batchLabel != "" {
-		return runBatch(cfg, out, *batchLabel, *jsonDir, *batchSizes, *sharedBatch, *benchiters)
+		return runBatch(cfg, out, *batchLabel, *jsonDir, *batchSizes, *benchiters)
 	}
 	fmt.Fprintf(out, "rstknn-bench: scale=%g queries=%d seed=%d profile=%s\n",
 		*scale, *queries, *seed, p)
@@ -177,7 +176,7 @@ func runJSON(cfg bench.Config, out io.Writer, label, dir, workerList string, ite
 
 // runBatch executes the shared-traversal batch benchmark and writes
 // BENCH_<label>.json, echoing a human-readable summary to out.
-func runBatch(cfg bench.Config, out io.Writer, label, dir, sizeList string, shared bool, iters int) error {
+func runBatch(cfg bench.Config, out io.Writer, label, dir, sizeList string, iters int) error {
 	var sizes []int
 	for _, f := range strings.Split(sizeList, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
@@ -186,9 +185,9 @@ func runBatch(cfg bench.Config, out io.Writer, label, dir, sizeList string, shar
 		}
 		sizes = append(sizes, n)
 	}
-	fmt.Fprintf(out, "rstknn-bench: batch label=%s scale=%g queries=%d seed=%d sizes=%v shared=%v iters=%d\n",
-		label, cfg.Scale, cfg.Queries, cfg.Seed, sizes, shared, iters)
-	b, err := bench.RunBatchBench(cfg, label, sizes, shared, iters)
+	fmt.Fprintf(out, "rstknn-bench: batch label=%s scale=%g queries=%d seed=%d sizes=%v iters=%d\n",
+		label, cfg.Scale, cfg.Queries, cfg.Seed, sizes, iters)
+	b, err := bench.RunBatchBench(cfg, label, sizes, iters)
 	if err != nil {
 		return err
 	}

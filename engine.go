@@ -149,9 +149,6 @@ func Build(objects []Object, opt Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if resolved.NodeCache > 0 {
-		tree.SetNodeCache(resolved.NodeCache)
-	}
 	if resolved.BoundCache != 0 {
 		// 0 keeps the default-on cache; negative disables, positive
 		// resizes. Done before the first query so sizing never races a
@@ -159,8 +156,8 @@ func Build(objects []Object, opt Options) (*Engine, error) {
 		tree.SetBoundCache(resolved.BoundCache)
 	}
 	e.rec = storage.NewReclaimer(e.store)
-	// Successor snapshots share the decoded-node cache with the first
-	// one, so evicting through it covers every version.
+	// Successor snapshots share the bound cache with the first one, so
+	// evicting through it covers every version.
 	e.rec.SetOnFree(tree.InvalidateNode)
 	e.state.Store(&engineState{tree: tree, objects: objs, byID: byID})
 	e.build = time.Since(start)
@@ -206,7 +203,7 @@ type IndexStats struct {
 	BoundCacheMisses  int64
 	BoundCacheEntries int
 	// BufferPoolHits/Misses split the engine-wide node reads by whether
-	// the buffer pool (or decoded-node cache) served them: misses paid
+	// the buffer pool served them: misses paid
 	// simulated page I/O, hits did not. Both are zero-history counters
 	// since Build (or ResetIOStats).
 	BufferPoolHits   int64

@@ -15,7 +15,7 @@ import (
 func savePristineIndex(tb testing.TB) (dir string, files map[string][]byte) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(77))
-	eng, err := Build(genRestaurants(rng, 60), Options{NodeCache: 4})
+	eng, err := Build(genRestaurants(rng, 60), Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -14,9 +14,8 @@ import (
 
 // The shared-traversal batch benchmark: the evidence record behind
 // DESIGN.md §11. For each batch size it answers the same pinned query
-// workload twice — independently (one core.RSTkNN call per query, the
-// Options.SharedBatch ablation) and shared (one core.MultiRSTkNN
-// traversal per batch) — and records the physical nodes read per query.
+// workload twice — independently (one core.RSTkNN call per query) and
+// shared (one core.MultiRSTkNN traversal per batch) — and records the physical nodes read per query.
 // `rstknn-bench -batch <label>` writes BENCH_<label>.json;
 // `make bench-batch` regenerates the checked-in BENCH_batch.json with a
 // pinned seed. Wall-clock columns are machine-dependent; nodes-read,
@@ -35,7 +34,7 @@ type BatchBench struct {
 	Machine  BaselineMachine  `json:"machine"`
 	Workload BaselineWorkload `json:"workload"`
 	// Rows pair, per batch size, the independent measurement with the
-	// shared-traversal one (the latter absent under -sharedbatch=false).
+	// shared-traversal one.
 	Rows []BatchBenchRow `json:"rows"`
 }
 
@@ -63,10 +62,10 @@ type batchPass struct {
 }
 
 // RunBatchBench measures the batch workload at each batch size,
-// independent and (unless sharedEnabled is false — the ablation) shared,
-// with iters timed passes per cell after an untimed warm-up pass that
-// also verifies shared results are identical to independent ones.
-func RunBatchBench(cfg Config, label string, sizes []int, sharedEnabled bool, iters int) (*BatchBench, error) {
+// independent and shared, with iters timed passes per cell after an
+// untimed warm-up pass that also verifies shared results are identical
+// to independent ones.
+func RunBatchBench(cfg Config, label string, sizes []int, iters int) (*BatchBench, error) {
 	cfg = cfg.withDefaults()
 	if len(sizes) == 0 {
 		sizes = []int{1, 4, 16, 64}
@@ -129,9 +128,6 @@ func RunBatchBench(cfg Config, label string, sizes []int, sharedEnabled bool, it
 		indepRow.NsPerQuery = ns
 		b.Rows = append(b.Rows, indepRow)
 
-		if !sharedEnabled {
-			continue
-		}
 		sp, err := runSharedPass(bm, queries, size)
 		if err != nil {
 			return nil, err

@@ -25,7 +25,7 @@ func testBatchBench(label string, rows []BatchBenchRow) *BatchBench {
 // Reduction is their ratio.
 func TestRunBatchBench(t *testing.T) {
 	cfg := Config{Scale: 0.02, Queries: 6, Seed: 7}
-	b, err := RunBatchBench(cfg, "t", []int{1, 3}, true, 1)
+	b, err := RunBatchBench(cfg, "t", []int{1, 3}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,15 +53,6 @@ func TestRunBatchBench(t *testing.T) {
 		if sh.Results != ind.Results {
 			t.Errorf("batch=%d: results/query drifted %g vs %g", sh.BatchSize, sh.Results, ind.Results)
 		}
-	}
-
-	// The ablation records only independent rows.
-	b, err = RunBatchBench(cfg, "t", []int{2}, false, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Rows) != 1 || b.Rows[0].Shared {
-		t.Fatalf("ablation rows = %+v, want one independent row", b.Rows)
 	}
 }
 

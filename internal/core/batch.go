@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -15,10 +13,10 @@ import (
 // Answering N reverse queries independently reads the top levels of the
 // IUR-tree N times: every query descends through the same root fan-out,
 // and on clustered workloads the frontiers overlap far below that. The
-// multi-query driver in this file runs ONE branch-and-bound traversal for
-// the whole batch instead. Each frontier slot is a tree entry together
-// with its *active-query set* — the batch queries that still have
-// undecided groups below that entry. A node page is fetched (and its
+// multi-query search runs ONE branch-and-bound traversal for the whole
+// batch instead. Each frontier slot is a tree entry together with its
+// *active-query set* — the batch queries that still have undecided
+// groups below that entry. A node page is fetched (and its
 // NodeView parsed) at most once per batch, through a once-per-node view
 // table; the fetched node is then scored against every active query, and
 // each query's membership is pruned independently via the same
@@ -28,9 +26,9 @@ import (
 // kNN bounds are bit-identical to N independent RSTkNN calls — only the
 // physical I/O is amortized.
 //
-// Determinism contract: the driver keeps the round-based fan-out of the
-// single-query engine — workers split the frontier by node, never by
-// query — and every verdict depends only on the (query, group)'s own
+// RSTkNN runs the same traversal over a one-item batch without the view
+// table (see rstknn.go). Workers split the frontier by node, never by
+// query, and every verdict depends only on the (query, group)'s own
 // contribution list, so results and per-query Metrics are identical at
 // every worker count, and Workers:1 is bit-for-bit deterministic.
 //
@@ -123,165 +121,6 @@ func (b *batchTable) load(id storage.NodeID) (iurtree.NodeView, error) {
 	return s.view, s.err
 }
 
-// activeQuery is one batch query's stake in a frontier slot: its index
-// in the batch plus its still-undecided groups below the slot's entry.
-type activeQuery struct {
-	qi     int
-	groups []*group
-}
-
-// batchCandidate is one frontier slot of the shared traversal: a tree
-// entry plus the queries still active on it, kept in ascending query
-// order for determinism.
-type batchCandidate struct {
-	entry  iurtree.Entry
-	idx    int
-	active []activeQuery
-}
-
-// lane is one worker's private accumulator for one query. Totals are
-// order-independent sums, so adding the lanes of all workers yields the
-// same Metrics an independent run would report.
-type lane struct {
-	metrics Metrics
-	results []int32
-}
-
-// batchWorker wraps one search worker with per-query lanes. Before any
-// per-query work (deciding groups, charging a logical read, building
-// children) it retargets the worker's lane state to that query via
-// begin, and parks the accumulators back via end — so the entire
-// single-query decision machinery runs unmodified in between.
-type batchWorker struct {
-	w     *worker
-	items []BatchItem
-	lanes []lane
-	// e0/b0 snapshot the worker's scorer counters at begin so end can
-	// attribute the delta to the active query's lane.
-	e0, b0 int64
-}
-
-func newBatchWorker(s *searcher, table *batchTable, items []BatchItem) *batchWorker {
-	w := s.newWorker()
-	w.batch = table
-	return &batchWorker{w: w, items: items, lanes: make([]lane, len(items))}
-}
-
-// begin retargets the worker at query qi's lane.
-//
-//rstknn:hotpath per-query lane switch in the shared-traversal inner loop
-func (bw *batchWorker) begin(qi int) {
-	it := &bw.items[qi]
-	w := bw.w
-	w.k = it.K
-	w.trace = it.BoundTrace
-	w.qtr = it.Tracker
-	ln := &bw.lanes[qi]
-	w.metrics = ln.metrics
-	w.results = ln.results
-	bw.e0 = w.scorer.ExactCount
-	bw.b0 = w.scorer.BoundCount
-}
-
-// end parks the worker's accumulators back into query qi's lane,
-// folding the scorer-counter delta since begin into the lane's
-// similarity tallies.
-//
-//rstknn:hotpath per-query lane switch in the shared-traversal inner loop
-func (bw *batchWorker) end(qi int) {
-	w := bw.w
-	ln := &bw.lanes[qi]
-	ln.metrics = w.metrics
-	ln.metrics.ExactSims += w.scorer.ExactCount - bw.e0
-	ln.metrics.BoundEvals += w.scorer.BoundCount - bw.b0
-	bw.e0 = w.scorer.ExactCount
-	bw.b0 = w.scorer.BoundCount
-	ln.results = w.results
-}
-
-// release recycles the worker's scratch. Call only after the frontier is
-// fully drained AND the lanes have been harvested: live candidates of
-// any query may reference arena-backed bounds owned by this scratch.
-func (bw *batchWorker) release() {
-	bw.w.scratch.release()
-	bw.w.scratch = nil
-}
-
-// process drives one frontier slot: every active query's groups are
-// decided (or kept pending), then — if any query still needs the
-// subtree — the entry's node is expanded once and each pending query's
-// children are merged back into shared child slots by entry index.
-func (bw *batchWorker) process(bc *batchCandidate) ([]*batchCandidate, error) {
-	c := candidate{entry: bc.entry, idx: bc.idx}
-	var pending []activeQuery
-	for _, aq := range bc.active {
-		bw.begin(aq.qi)
-		var pend []*group
-		for _, g := range aq.groups {
-			v, err := bw.w.decideGroup(&c, g)
-			if err != nil {
-				return nil, err
-			}
-			if v == verdictExpand {
-				pend = append(pend, g)
-				continue
-			}
-			if err := bw.w.settle(&c, g, v); err != nil {
-				return nil, err
-			}
-		}
-		bw.end(aq.qi)
-		if len(pend) > 0 {
-			pending = append(pending, activeQuery{qi: aq.qi, groups: pend})
-		}
-	}
-	if len(pending) == 0 {
-		return nil, nil
-	}
-	// Expansion: every pending query charges one logical read (keeping
-	// its NodesRead identical to an independent run); the table fetches
-	// the node at most once for the whole batch.
-	var v iurtree.NodeView
-	for _, p := range pending {
-		bw.begin(p.qi)
-		var err error
-		v, err = bw.w.readView(bc.entry.Child)
-		bw.end(p.qi)
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Materialize the fan-out once; Entry values are pure copies whose
-	// Env/Clusters reference the shared cached decodes, so one slice
-	// serves every pending query's expansion.
-	children := v.AppendEntries(bw.w.scratch.entries[:0])
-	slots := make([]*batchCandidate, len(children))
-	for _, p := range pending {
-		bw.begin(p.qi)
-		qcs := bw.w.buildChildren(&bc.entry, children, p.groups, &bw.items[p.qi].Query)
-		bw.end(p.qi)
-		for _, qc := range qcs {
-			slot := slots[qc.c.idx]
-			if slot == nil {
-				slot = &batchCandidate{entry: qc.c.entry, idx: qc.c.idx}
-				slots[qc.c.idx] = slot
-			}
-			slot.active = append(slot.active, activeQuery{qi: p.qi, groups: qc.c.groups})
-		}
-	}
-	bw.w.scratch.entries = children[:0]
-	// Children enter the next round in entry order, active sets in
-	// ascending query order (pending preserves it) — deterministic
-	// regardless of which worker expanded the slot.
-	out := make([]*batchCandidate, 0, len(slots))
-	for _, slot := range slots {
-		if slot != nil {
-			out = append(out, slot)
-		}
-	}
-	return out, nil
-}
-
 // MultiRSTkNN answers a batch of reverse spatial-textual k nearest
 // neighbor queries in one shared tree traversal. Per-query inputs (the
 // query point/vector, K, BoundTrace, the attribution Tracker) come from
@@ -293,183 +132,5 @@ func (bw *batchWorker) process(bc *batchCandidate) ([]*batchCandidate, error) {
 // independent RSTkNN calls with the same per-query options, at every
 // worker count.
 func MultiRSTkNN(t *iurtree.Snapshot, items []BatchItem, opt Options) (*MultiOutcome, error) {
-	for i := range items {
-		if items[i].K <= 0 {
-			return nil, fmt.Errorf("core: item %d: K must be positive, got %d", i, items[i].K)
-		}
-	}
-	if opt.Alpha < 0 || opt.Alpha > 1 {
-		return nil, fmt.Errorf("core: Alpha must be in [0,1], got %g", opt.Alpha)
-	}
-	if err := checkCtx(opt.Ctx); err != nil {
-		return nil, err
-	}
-	mo := &MultiOutcome{Outcomes: make([]*Outcome, len(items))}
-	for i := range mo.Outcomes {
-		mo.Outcomes[i] = &Outcome{}
-	}
-	if len(items) == 0 || t.Len() == 0 {
-		return mo, nil
-	}
-
-	s := &searcher{tree: t, opt: opt, workers: effectiveWorkers(opt.Workers)}
-	table := newBatchTable(t, opt.Tracker)
-	bws := make([]*batchWorker, s.workers)
-	for i := range bws {
-		bws[i] = newBatchWorker(s, table, items)
-	}
-	// Scratches are recycled only after the frontier is fully drained
-	// and every lane harvested — candidates built by one worker may
-	// reference arena-backed bounds owned by another until decided.
-	defer func() {
-		for _, bw := range bws {
-			bw.release()
-		}
-	}()
-
-	frontier, err := seedBatch(bws[0], items)
-	if err != nil {
-		return nil, err
-	}
-	if err := runBatchRounds(s, bws, frontier); err != nil {
-		return nil, err
-	}
-
-	for _, bw := range bws {
-		for qi := range items {
-			mo.Outcomes[qi].Metrics.add(&bw.lanes[qi].metrics)
-			mo.Outcomes[qi].Results = append(mo.Outcomes[qi].Results, bw.lanes[qi].results...)
-		}
-	}
-	logical := 0
-	for _, o := range mo.Outcomes {
-		sort.Slice(o.Results, func(i, j int) bool { return o.Results[i] < o.Results[j] })
-		logical += o.Metrics.NodesRead
-	}
-	mo.Batch.NodesRead = int(table.phys.Load())
-	mo.Batch.SharedHits = logical - mo.Batch.NodesRead
-	return mo, nil
-}
-
-// seedBatch mirrors searcher.run's seed phase for every query at once:
-// the root's child node is fetched once, each query charges its logical
-// read, and the per-query seed candidates are merged into shared
-// frontier slots by entry index.
-func seedBatch(bw *batchWorker, items []BatchItem) ([]*batchCandidate, error) {
-	s := bw.w.s
-	root := s.tree.RootEntry()
-	if root.Count == 1 {
-		// A single object: no neighbors, k-th NN similarity -Inf, always
-		// a result — for every query of the batch.
-		for qi := range items {
-			bw.begin(qi)
-			v, err := bw.w.readView(root.Child)
-			if err != nil {
-				bw.end(qi)
-				return nil, err
-			}
-			bw.w.metrics.Candidates++
-			bw.w.results = append(bw.w.results, v.EntryObjID(0))
-			bw.end(qi)
-		}
-		return nil, nil
-	}
-
-	var rootView iurtree.NodeView
-	for qi := range items {
-		bw.begin(qi)
-		var err error
-		rootView, err = bw.w.readView(root.Child)
-		bw.end(qi)
-		if err != nil {
-			return nil, err
-		}
-	}
-	rootEntries := rootView.AppendEntries(bw.w.scratch.entries[:0])
-	// The pseudo parent groups carry empty contribution lists and are
-	// never mutated by buildChildren, so one seed slice serves every
-	// query.
-	seeds := make([]*group, 0, len(root.Clusters)+1)
-	if s.tree.Clustered() && len(root.Clusters) > 0 {
-		for _, cs := range root.Clusters {
-			seeds = append(seeds, &group{cluster: cs.Cluster})
-		}
-	} else {
-		seeds = append(seeds, &group{cluster: -1})
-	}
-	slots := make([]*batchCandidate, len(rootEntries))
-	for qi := range items {
-		bw.begin(qi)
-		qcs := bw.w.buildChildren(&root, rootEntries, seeds, &items[qi].Query)
-		bw.end(qi)
-		for _, qc := range qcs {
-			slot := slots[qc.c.idx]
-			if slot == nil {
-				slot = &batchCandidate{entry: qc.c.entry, idx: qc.c.idx}
-				slots[qc.c.idx] = slot
-			}
-			slot.active = append(slot.active, activeQuery{qi: qi, groups: qc.c.groups})
-		}
-	}
-	bw.w.scratch.entries = rootEntries[:0]
-	out := make([]*batchCandidate, 0, len(slots))
-	for _, slot := range slots {
-		if slot != nil {
-			out = append(out, slot)
-		}
-	}
-	return out, nil
-}
-
-// runBatchRounds drains the shared frontier exactly like the
-// single-query runRounds: whole frontier per round, slots fanned across
-// the worker pool by an atomic counter, children merged back in frontier
-// order. Every (query, group) verdict depends only on its own
-// contribution list, so the merged outcome is identical at every worker
-// count; the frontier-order merge keeps runs reproducible.
-func runBatchRounds(s *searcher, bws []*batchWorker, first []*batchCandidate) error {
-	round := first
-	var firstErr error
-	for len(round) > 0 && firstErr == nil {
-		children := make([][]*batchCandidate, len(round))
-		errs := make([]error, len(round))
-		if s.workers == 1 || len(round) < minFanoutRound {
-			// Small frontier (or a sequential pool): run inline on worker
-			// 0 — verdicts are order-independent, so this changes
-			// wall-clock only.
-			for j := range round {
-				children[j], errs[j] = bws[0].process(round[j])
-			}
-		} else {
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			spawn := s.workers
-			if spawn > len(round) {
-				spawn = len(round)
-			}
-			for i := 0; i < spawn; i++ {
-				wg.Add(1)
-				go func(bw *batchWorker) {
-					defer wg.Done()
-					for {
-						j := int(next.Add(1)) - 1
-						if j >= len(round) {
-							return
-						}
-						children[j], errs[j] = bw.process(round[j])
-					}
-				}(bws[i])
-			}
-			wg.Wait()
-		}
-		var next []*batchCandidate
-		for i := range children {
-			if errs[i] != nil && firstErr == nil {
-				firstErr = errs[i]
-			}
-			next = append(next, children[i]...)
-		}
-		round = next
-	}
-	return firstErr
+	return search(t, items, opt, true)
 }

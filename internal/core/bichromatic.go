@@ -44,6 +44,7 @@ func CountExceeding(t *iurtree.Snapshot, q Query, threshold float64, limit int, 
 		frontier.Push(root, b.hi)
 	}
 	count := 0
+	var offs []int32 // view offset buffer, recycled across reads
 	for !frontier.Empty() && count < limit {
 		e, _ := frontier.Pop()
 		if e.IsObject() {
@@ -55,17 +56,18 @@ func CountExceeding(t *iurtree.Snapshot, q Query, threshold float64, limit int, 
 		if err := checkCtx(opt.Ctx); err != nil {
 			return 0, m, err
 		}
-		node, err := t.ReadNodeTracked(e.Child, opt.Tracker)
+		v, err := t.ReadViewTracked(e.Child, opt.Tracker, offs)
 		if err != nil {
 			return 0, m, err
 		}
 		m.NodesRead++
-		for i := range node.Entries {
-			child := &node.Entries[i]
-			if b := sc.queryBounds(sideOf(child), &q); b.hi > threshold {
-				frontier.Push(*child, b.hi)
+		for i := 0; i < v.Len(); i++ {
+			child := v.Entry(i)
+			if b := sc.queryBounds(sideOf(&child), &q); b.hi > threshold {
+				frontier.Push(child, b.hi)
 			}
 		}
+		offs = v.RecycleBuf()
 	}
 	m.ExactSims = sc.ExactCount
 	m.BoundEvals = sc.BoundCount

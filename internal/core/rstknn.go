@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"rstknn/internal/iurtree"
-	"rstknn/internal/pq"
 	"rstknn/internal/storage"
 	"rstknn/internal/vector"
 )
@@ -69,7 +68,7 @@ type Options struct {
 	// is processed in rounds, fanning the per-candidate work (bound
 	// tightening, hit/prune decisions, node reads) across this many
 	// goroutines. Values <= 0 default to runtime.GOMAXPROCS(0); 1 runs
-	// the classic sequential best-first loop; values above GOMAXPROCS
+	// every round inline on one goroutine; values above GOMAXPROCS
 	// are clamped to it (idle goroutines on a saturated CPU only add
 	// scheduling overhead). Every verdict depends only on the
 	// candidate's own contribution list, so results and Metrics are
@@ -169,24 +168,20 @@ type group struct {
 	cl      contributionList
 }
 
-// candidate is a tree entry with its still-undecided groups. Keeping the
-// groups of one entry together means expansion reads the node exactly
-// once no matter how many clusters remain undecided.
+// candidate is one frontier slot: a tree entry plus the queries still
+// active on it, in ascending query order. Keeping every undecided group
+// of one entry together — across clusters and, in a batch, across
+// queries — means expansion reads the node exactly once.
 type candidate struct {
-	entry iurtree.Entry
-	// idx is the entry's position within its parent node. Single-query
-	// search never consults it; the shared-traversal batch driver uses it
-	// as the merge key that folds the per-query children of one expanded
-	// node back into one frontier slot per child (see batch.go).
-	idx    int
-	groups []*group
+	entry  iurtree.Entry
+	active []activeQuery
 }
 
-// queued is a candidate with its queue priority (the best query upper
-// bound among its groups).
-type queued struct {
-	c   *candidate
-	pri float64
+// activeQuery is one query's stake in a candidate: its index in the
+// batch plus its still-undecided groups below the candidate's entry.
+type activeQuery struct {
+	qi     int
+	groups []*group
 }
 
 // RSTkNN answers the reverse spatial-textual k nearest neighbor query on
@@ -194,9 +189,31 @@ type queued struct {
 // that SimST(o, q) >= SimST(o, o_k), where o_k is o's k-th most similar
 // indexed object (excluding o itself). Objects with fewer than k
 // neighbors are always results.
+//
+// It is MultiRSTkNN's traversal over a one-item batch, run without the
+// batch node table: every node read goes to the store and is charged to
+// opt.Tracker, so the query's physical reads are the algorithm's own.
 func RSTkNN(t *iurtree.Snapshot, q Query, opt Options) (*Outcome, error) {
 	if opt.K <= 0 {
 		return nil, fmt.Errorf("core: K must be positive, got %d", opt.K)
+	}
+	mo, err := search(t, []BatchItem{{Query: q, K: opt.K, BoundTrace: opt.BoundTrace}}, opt, false)
+	if err != nil {
+		return nil, err
+	}
+	return mo.Outcomes[0], nil
+}
+
+// search is the one branch-and-bound loop behind RSTkNN and
+// MultiRSTkNN: it seeds the frontier with the root's children, drains it
+// in rounds, and sums the per-worker lanes into one Outcome per item.
+// With shared set, node reads go through a batch table that fetches each
+// node once for the whole batch.
+func search(t *iurtree.Snapshot, items []BatchItem, opt Options, shared bool) (*MultiOutcome, error) {
+	for i := range items {
+		if items[i].K <= 0 {
+			return nil, fmt.Errorf("core: item %d: K must be positive, got %d", i, items[i].K)
+		}
 	}
 	if opt.Alpha < 0 || opt.Alpha > 1 {
 		return nil, fmt.Errorf("core: Alpha must be in [0,1], got %g", opt.Alpha)
@@ -204,58 +221,94 @@ func RSTkNN(t *iurtree.Snapshot, q Query, opt Options) (*Outcome, error) {
 	if err := checkCtx(opt.Ctx); err != nil {
 		return nil, err
 	}
-	out := &Outcome{}
-	if t.Len() == 0 {
-		return out, nil
+	mo := &MultiOutcome{Outcomes: make([]*Outcome, len(items))}
+	for i := range mo.Outcomes {
+		mo.Outcomes[i] = &Outcome{}
 	}
-	s := &searcher{
-		tree:    t,
-		opt:     opt,
-		out:     out,
-		workers: effectiveWorkers(opt.Workers),
+	if len(items) == 0 || t.Len() == 0 {
+		return mo, nil
 	}
-	if err := s.run(&q); err != nil {
+
+	s := &searcher{tree: t, opt: opt, items: items}
+	if shared {
+		s.table = newBatchTable(t, opt.Tracker)
+	}
+	ws := make([]*worker, effectiveWorkers(opt.Workers))
+	for i := range ws {
+		ws[i] = s.newWorker()
+	}
+	// Scratches are recycled only after the frontier is fully drained
+	// and every lane harvested: a candidate built by one worker may
+	// reference arena-backed bounds owned by another until it is decided.
+	defer func() {
+		for _, w := range ws {
+			w.release()
+		}
+	}()
+
+	frontier, err := s.seed(ws[0])
+	if err != nil {
 		return nil, err
 	}
-	sort.Slice(out.Results, func(i, j int) bool { return out.Results[i] < out.Results[j] })
-	return out, nil
+	if err := runRounds(ws, frontier); err != nil {
+		return nil, err
+	}
+
+	logical := 0
+	for qi, o := range mo.Outcomes {
+		for _, w := range ws {
+			o.Metrics.add(&w.lanes[qi].metrics)
+			o.Results = append(o.Results, w.lanes[qi].results...)
+		}
+		sort.Slice(o.Results, func(i, j int) bool { return o.Results[i] < o.Results[j] })
+		logical += o.Metrics.NodesRead
+	}
+	mo.Batch.NodesRead = logical
+	if s.table != nil {
+		mo.Batch.NodesRead = int(s.table.phys.Load())
+	}
+	mo.Batch.SharedHits = logical - mo.Batch.NodesRead
+	return mo, nil
 }
 
-// searcher coordinates one query: it seeds the candidate frontier, drives
-// it to exhaustion (sequentially or in parallel rounds), and merges the
-// per-worker tallies into the Outcome.
+// searcher is the read-only context of one traversal, shared by its
+// workers.
 type searcher struct {
-	tree    *iurtree.Snapshot
-	opt     Options
-	out     *Outcome
-	workers int
+	tree  *iurtree.Snapshot
+	opt   Options
+	items []BatchItem
+	// table, when non-nil, routes every node read through the batch's
+	// once-per-node view table instead of the store.
+	table *batchTable
 }
 
 // worker owns everything one goroutine touches while deciding candidates:
 // a private Scorer (so similarity counters need no synchronization), a
-// pooled scratch, and local result/metric accumulators. All cross-worker
-// aggregates are sums or sets, so the merge is order-independent and the
-// outcome identical to a sequential run.
+// pooled scratch, and one lane of result/metric accumulators per query.
+// All cross-worker aggregates are sums or sets, so the merge is
+// order-independent and the outcome identical at every worker count.
 type worker struct {
 	s       *searcher
 	scorer  Scorer
 	scratch *scratch
+	lanes   []lane
+
+	// The active query: begin loads item qi's lane into metrics and
+	// results and end parks them back.
+	qi      int
 	metrics Metrics
 	results []int32
+	// e0/b0 snapshot the scorer counters at begin so end can attribute
+	// the delta to the active lane.
+	e0, b0 int64
+}
 
-	// Per-query lane state. Single-query search fixes k and trace from
-	// the searcher's Options at newWorker time; the shared-traversal
-	// batch driver retargets all four fields per active query (see
-	// batchWorker.begin), so the decision machinery below never consults
-	// opt.K or opt.BoundTrace directly.
-	k     int
-	trace func(objID int32, knnl, knnu float64)
-	// qtr is the per-query tracker shared reads are attributed to in
-	// batch mode; single-query mode charges s.opt.Tracker via the store.
-	qtr *storage.Tracker
-	// batch, when non-nil, routes every node read through the batch's
-	// once-per-node view table instead of the store.
-	batch *batchTable
+// lane is one worker's private accumulator for one query. Totals are
+// order-independent sums, so adding the lanes of all workers yields the
+// same Metrics at every worker count.
+type lane struct {
+	metrics Metrics
+	results []int32
 }
 
 // newWorker prepares one worker for the searcher.
@@ -264,43 +317,62 @@ func (s *searcher) newWorker() *worker {
 		s:       s,
 		scorer:  *NewScorer(s.opt.Alpha, s.tree.MaxD(), s.opt.Sim),
 		scratch: getScratch(),
-		k:       s.opt.K,
-		trace:   s.opt.BoundTrace,
+		lanes:   make([]lane, len(s.items)),
 	}
 }
 
-// close merges the worker's tallies into the outcome and recycles its
-// scratch. Call only after every candidate referencing the scratch's
-// arenas is decided.
-func (w *worker) close() {
-	w.metrics.ExactSims += w.scorer.ExactCount
-	w.metrics.BoundEvals += w.scorer.BoundCount
-	w.s.out.Metrics.add(&w.metrics)
-	w.s.out.Results = append(w.s.out.Results, w.results...)
+// begin retargets the worker at query qi's lane.
+//
+//rstknn:hotpath per-query lane switch in the traversal inner loop
+func (w *worker) begin(qi int) {
+	w.qi = qi
+	ln := &w.lanes[qi]
+	w.metrics = ln.metrics
+	w.results = ln.results
+	w.e0 = w.scorer.ExactCount
+	w.b0 = w.scorer.BoundCount
+}
+
+// end parks the worker's accumulators back into query qi's lane,
+// folding the scorer-counter delta since begin into the lane's
+// similarity tallies.
+//
+//rstknn:hotpath per-query lane switch in the traversal inner loop
+func (w *worker) end(qi int) {
+	ln := &w.lanes[qi]
+	ln.metrics = w.metrics
+	ln.metrics.ExactSims += w.scorer.ExactCount - w.e0
+	ln.metrics.BoundEvals += w.scorer.BoundCount - w.b0
+	w.e0 = w.scorer.ExactCount
+	w.b0 = w.scorer.BoundCount
+	ln.results = w.results
+}
+
+// release recycles the worker's scratch. Call only after the frontier is
+// fully drained AND the lanes have been harvested.
+func (w *worker) release() {
 	w.scratch.release()
 	w.scratch = nil
 }
 
-// readView fetches a node through the zero-copy view path: same
-// simulated I/O and cancellation semantics as an eager read, but no
-// *Node materialization — fixed entry fields come straight from the page
-// bytes and the textual payload from the snapshot's bound cache. Pair
-// every successful read with doneView to recycle the offset buffer.
+// readView fetches a node through the zero-copy view path: fixed entry
+// fields come straight from the page bytes and the textual payload from
+// the snapshot's bound cache. Pair every successful read with doneView
+// to recycle the offset buffer.
 func (w *worker) readView(id storage.NodeID) (iurtree.NodeView, error) {
 	if err := checkCtx(w.s.opt.Ctx); err != nil {
 		return iurtree.NodeView{}, err
 	}
-	if w.batch != nil {
-		// Shared-traversal batch: the table fetches each node at most
-		// once per batch (charging the physical I/O to the batch
-		// tracker); this query records the logical read — NodesRead stays
-		// bit-identical to an independent run — plus one shared-read
-		// attribution on its own tracker.
-		v, err := w.batch.load(id)
+	if w.s.table != nil {
+		// The table fetches each node at most once per batch (charging
+		// the physical I/O to the batch tracker); this query records the
+		// logical read — NodesRead stays bit-identical to an independent
+		// run — plus one shared-read attribution on its own tracker.
+		v, err := w.s.table.load(id)
 		if err != nil {
 			return iurtree.NodeView{}, err
 		}
-		w.qtr.ChargeSharedRead()
+		w.s.items[w.qi].Tracker.ChargeSharedRead()
 		w.metrics.NodesRead++
 		return v, nil
 	}
@@ -317,41 +389,56 @@ func (w *worker) readView(id storage.NodeID) (iurtree.NodeView, error) {
 // owns them for the lifetime of the batch, and other queries may still
 // read through the same view.
 func (w *worker) doneView(v *iurtree.NodeView) {
-	if w.batch != nil {
+	if w.s.table != nil {
 		return
 	}
 	w.scratch.putViewBuf(v.RecycleBuf())
 }
 
-// run seeds the frontier with the root's children and drains it.
-func (s *searcher) run(q *Query) error {
+// readFor reads node id on behalf of every pending query: each charges
+// its own logical read, while the batch table (when there is one)
+// fetches the node at most once. Without a table there is one query, so
+// one read.
+func (w *worker) readFor(pending []activeQuery, id storage.NodeID) (iurtree.NodeView, error) {
+	var v iurtree.NodeView
+	for _, p := range pending {
+		w.begin(p.qi)
+		var err error
+		v, err = w.readView(id)
+		w.end(p.qi)
+		if err != nil {
+			return v, err
+		}
+	}
+	return v, nil
+}
+
+// seed reads the root node and returns its children as the first
+// frontier, every cluster group of every query undecided, each child
+// contributing to the others.
+func (s *searcher) seed(w *worker) ([]*candidate, error) {
 	root := s.tree.RootEntry()
-	w0 := s.newWorker()
 	if root.Count == 1 {
 		// A single object: it has no neighbors, so the k-th NN similarity
-		// is -Inf and the object is always a result.
-		v, err := w0.readView(root.Child)
-		if err != nil {
-			w0.close()
-			return err
+		// is -Inf and the object is a result of every query.
+		for qi := range s.items {
+			w.begin(qi)
+			v, err := w.readView(root.Child)
+			if err == nil {
+				w.metrics.Candidates++
+				w.results = append(w.results, v.EntryObjID(0))
+				w.doneView(&v)
+			}
+			w.end(qi)
+			if err != nil {
+				return nil, err
+			}
 		}
-		w0.metrics.Candidates++
-		w0.results = append(w0.results, v.EntryObjID(0))
-		w0.doneView(&v)
-		w0.close()
-		return nil
+		return nil, nil
 	}
-
-	// Seed: the root's children, every cluster group undecided, each
-	// child contributing to the others. The pseudo parent groups carry
-	// empty contribution lists.
-	rootView, err := w0.readView(root.Child)
-	if err != nil {
-		w0.close()
-		return err
-	}
-	rootEntries := rootView.AppendEntries(w0.scratch.entries[:0])
-	w0.doneView(&rootView)
+	// The pseudo parent groups carry empty contribution lists and are
+	// never mutated by buildChildren, so one seed slice serves every
+	// query.
 	seeds := make([]*group, 0, len(root.Clusters)+1)
 	if s.tree.Clustered() && len(root.Clusters) > 0 {
 		for _, cs := range root.Clusters {
@@ -360,35 +447,15 @@ func (s *searcher) run(q *Query) error {
 	} else {
 		seeds = append(seeds, &group{cluster: -1})
 	}
-	first := w0.buildChildren(&root, rootEntries, seeds, q)
-	w0.scratch.entries = rootEntries[:0]
-
-	if s.workers == 1 {
-		err = s.runSequential(w0, first, q)
-		w0.close()
-		return err
+	all := make([]activeQuery, len(s.items))
+	for qi := range all {
+		all[qi] = activeQuery{qi: qi, groups: seeds}
 	}
-	return s.runRounds(w0, first, q)
-}
-
-// runSequential is the classic best-first loop: one candidate at a time,
-// popped in descending query-upper-bound order.
-func (s *searcher) runSequential(w *worker, first []queued, q *Query) error {
-	queue := pq.NewMax[*candidate]()
-	for _, qc := range first {
-		queue.Push(qc.c, qc.pri)
+	v, err := w.readFor(all, root.Child)
+	if err != nil {
+		return nil, err
 	}
-	for !queue.Empty() {
-		c, _ := queue.Pop()
-		children, err := w.process(c, q)
-		if err != nil {
-			return err
-		}
-		for _, qc := range children {
-			queue.Push(qc.c, qc.pri)
-		}
-	}
-	return nil
+	return w.expand(&root, &v, all), nil
 }
 
 // minFanoutRound is the smallest frontier size a round fans out across
@@ -398,45 +465,29 @@ func (s *searcher) runSequential(w *worker, first []queued, q *Query) error {
 // baseline showed Workers=2 running 0.93x sequential on a 1-CPU machine.
 const minFanoutRound = 8
 
-// runRounds is the intra-query parallel engine: the whole frontier is
-// processed per round, with candidates fanned across the worker pool.
-// Every group's verdict depends only on its own contribution list — never
-// on another candidate or on processing order — so the only coordination
-// is the round barrier, and the merged outcome is bit-identical to the
-// sequential engine's. w0 (which already carries the seed-phase tallies)
-// serves as worker 0.
-func (s *searcher) runRounds(w0 *worker, first []queued, q *Query) error {
-	ws := make([]*worker, s.workers)
-	ws[0] = w0
-	for i := 1; i < len(ws); i++ {
-		ws[i] = s.newWorker()
-	}
-	// Workers are closed (merging tallies, recycling arenas) only after
-	// the frontier is fully drained: a candidate built by one worker may
-	// reference arena-backed bounds owned by another until it is decided.
-	defer func() {
-		for _, w := range ws {
-			w.close()
-		}
-	}()
-
+// runRounds drains the frontier: the whole frontier is processed per
+// round, with candidates fanned across the worker pool by an atomic
+// counter, and children merged back in frontier order. Every (query,
+// group) verdict depends only on its own contribution list — never on
+// another candidate or on processing order — so the only coordination is
+// the round barrier, and the outcome is identical at every worker count.
+// The error returned is the first by frontier position.
+func runRounds(ws []*worker, first []*candidate) error {
 	round := first
-	var firstErr error
-	for len(round) > 0 && firstErr == nil {
-		children := make([][]queued, len(round))
+	for len(round) > 0 {
+		children := make([][]*candidate, len(round))
 		errs := make([]error, len(round))
-		if len(round) < minFanoutRound {
-			// Small frontier: goroutine spawn plus the round barrier cost
-			// more than the candidates' work, so run them inline on
-			// worker 0. Verdicts depend only on each candidate's own
-			// contribution list, so this changes wall-clock only.
+		if len(ws) == 1 || len(round) < minFanoutRound {
+			// A sequential pool or a small frontier: goroutine spawn plus
+			// the round barrier cost more than the candidates' work, so
+			// run them inline on worker 0.
 			for j := range round {
-				children[j], errs[j] = ws[0].process(round[j].c, q)
+				children[j], errs[j] = ws[0].process(round[j])
 			}
 		} else {
 			var next atomic.Int64
 			var wg sync.WaitGroup
-			spawn := s.workers
+			spawn := len(ws)
 			if spawn > len(round) {
 				spawn = len(round)
 			}
@@ -449,25 +500,22 @@ func (s *searcher) runRounds(w0 *worker, first []queued, q *Query) error {
 						if j >= len(round) {
 							return
 						}
-						children[j], errs[j] = w.process(round[j].c, q)
+						children[j], errs[j] = w.process(round[j])
 					}
 				}(ws[i])
 			}
 			wg.Wait()
 		}
-		// Deterministic merge: children enter the next round in frontier
-		// order. (Order does not affect verdicts; it keeps runs
-		// reproducible for debugging.)
-		var next []queued
+		var next []*candidate
 		for i := range children {
-			if errs[i] != nil && firstErr == nil {
-				firstErr = errs[i]
+			if errs[i] != nil {
+				return errs[i]
 			}
 			next = append(next, children[i]...)
 		}
 		round = next
 	}
-	return firstErr
+	return nil
 }
 
 // clusterGroupOf returns the child's cluster summary matching the parent
@@ -491,26 +539,53 @@ func clusterGroupOf(e *iurtree.Entry, cluster int32) *iurtree.ClusterSummary {
 // contributor with a node's children) usually stay inside the carve.
 const contribHeadroom = 8
 
-// buildChildren turns the entries of an expanded node into candidates.
-// Each surviving parent group is projected onto every child that holds
-// objects of its cluster; the child group inherits the parent group's
-// contribution list and gains the child's siblings as contributors.
+// expand turns an expanded node into the next frontier: the node's
+// entries are materialized once, every pending query's groups are
+// projected onto them, and each child entry gets one candidate holding
+// its active queries in ascending query order, whichever worker expanded
+// the node. Entry values are pure copies whose Env/Clusters reference
+// the shared cached decodes, so one slice serves every pending query.
+func (w *worker) expand(parent *iurtree.Entry, v *iurtree.NodeView, pending []activeQuery) []*candidate {
+	children := v.AppendEntries(w.scratch.entries[:0])
+	w.doneView(v)
+	slots := make([]*candidate, len(children))
+	for _, p := range pending {
+		w.begin(p.qi)
+		w.buildChildren(parent, children, p, slots)
+		w.end(p.qi)
+	}
+	w.scratch.entries = children[:0]
+	out := slots[:0]
+	for _, c := range slots {
+		if c != nil {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// buildChildren projects one query's pending groups onto the entries of
+// an expanded node, adding the query to slots[i] for every child i that
+// keeps a group. Each parent group is projected onto every child that
+// holds objects of its cluster; the child group inherits the parent
+// group's contribution list and gains the child's siblings as
+// contributors.
 // Inherited and sibling bounds are kept at parent/node granularity and
 // marked stale — valid for the group because its objects are a subset of
 // what the bounds cover — and are tightened lazily when the group is
 // processed, keeping expansion cost linear in the fan-out.
 //
-// The returned candidates (and the arena-backed bounds they reference)
-// are only published to other workers through the round barrier, so the
+// The new groups (and the arena-backed bounds they reference) are only
+// published to other workers through the round barrier, so the
 // scratch-owning worker is the sole writer until then.
-func (w *worker) buildChildren(parent *iurtree.Entry, children []iurtree.Entry, parentGroups []*group, q *Query) []queued {
+func (w *worker) buildChildren(parent *iurtree.Entry, children []iurtree.Entry, p activeQuery, slots []*candidate) {
+	q := &w.s.items[p.qi].Query
 	parentSide := sideOf(parent)
 	sibParts := w.scratch.sibParts[:0] // lazily filled once, shared by all groups
-	var out []queued
 	for i := range children {
 		child := &children[i]
 		var groups []*group
-		for _, pg := range parentGroups {
+		for _, pg := range p.groups {
 			cs := clusterGroupOf(child, pg.cluster)
 			if cs == nil || cs.Count == 0 {
 				continue
@@ -554,16 +629,12 @@ func (w *worker) buildChildren(parent *iurtree.Entry, children []iurtree.Entry, 
 		if len(groups) == 0 {
 			continue
 		}
-		best := negInf
-		for _, g := range groups {
-			if g.q.hi > best {
-				best = g.q.hi
-			}
+		if slots[i] == nil {
+			slots[i] = &candidate{entry: *child}
 		}
-		out = append(out, queued{c: &candidate{entry: *child, idx: i, groups: groups}, pri: best})
+		slots[i].active = append(slots[i].active, activeQuery{qi: p.qi, groups: groups})
 	}
 	w.scratch.sibParts = sibParts[:0]
-	return out
 }
 
 // verdict is the outcome of deciding one group.
@@ -575,56 +646,70 @@ const (
 	verdictExpand
 )
 
-// process drives every group of a candidate to a decision, expanding the
-// entry (one node read) for the groups that stay undecided, and returns
-// the resulting child candidates.
-func (w *worker) process(c *candidate, q *Query) ([]queued, error) {
-	var pending []*group
-	for _, g := range c.groups {
-		v, err := w.decideGroup(c, g)
+// process drives every active query's groups of a candidate to a
+// decision, then — if any query still needs the subtree — expands the
+// entry once (one logical read per pending query) and returns the
+// resulting child candidates.
+func (w *worker) process(c *candidate) ([]*candidate, error) {
+	var pending []activeQuery
+	for _, aq := range c.active {
+		w.begin(aq.qi)
+		undecided, err := w.decideAll(&c.entry, aq.groups)
+		w.end(aq.qi)
 		if err != nil {
 			return nil, err
 		}
-		if v == verdictExpand {
-			pending = append(pending, g)
-			continue
-		}
-		if err := w.settle(c, g, v); err != nil {
-			return nil, err
+		if len(undecided) > 0 {
+			pending = append(pending, activeQuery{qi: aq.qi, groups: undecided})
 		}
 	}
 	if len(pending) == 0 {
 		return nil, nil
 	}
-	v, err := w.readView(c.entry.Child)
+	v, err := w.readFor(pending, c.entry.Child)
 	if err != nil {
 		return nil, err
 	}
-	children := v.AppendEntries(w.scratch.entries[:0])
-	w.doneView(&v)
-	out := w.buildChildren(&c.entry, children, pending, q)
-	w.scratch.entries = children[:0]
-	return out, nil
+	return w.expand(&c.entry, &v, pending), nil
+}
+
+// decideAll decides the active query's groups of entry e, settling every
+// pruned or reported group and returning the ones left to expand.
+func (w *worker) decideAll(e *iurtree.Entry, groups []*group) ([]*group, error) {
+	var undecided []*group
+	for _, g := range groups {
+		v, err := w.decideGroup(e, g)
+		if err != nil {
+			return nil, err
+		}
+		if v == verdictExpand {
+			undecided = append(undecided, g)
+			continue
+		}
+		if err := w.settle(e, g, v); err != nil {
+			return nil, err
+		}
+	}
+	return undecided, nil
 }
 
 // settle applies one decided group's verdict: the metrics bookkeeping,
-// result emission, and subtree collection shared by the single-query and
-// batch drivers, so their accounting is bit-identical by construction.
-func (w *worker) settle(c *candidate, g *group, v verdict) error {
+// result emission, and subtree collection.
+func (w *worker) settle(e *iurtree.Entry, g *group, v verdict) error {
 	switch v {
 	case verdictPruned:
-		if c.entry.IsObject() {
+		if e.IsObject() {
 			w.metrics.Candidates++
 		} else {
 			w.metrics.GroupPruned += int(g.count)
 		}
 	case verdictReported:
-		if c.entry.IsObject() {
+		if e.IsObject() {
 			w.metrics.Candidates++
-			w.results = append(w.results, c.entry.ObjID)
+			w.results = append(w.results, e.ObjID)
 		} else {
 			w.metrics.GroupReported += int(g.count)
-			return w.collect(&c.entry, g.cluster)
+			return w.collect(e, g.cluster)
 		}
 	}
 	return nil
@@ -636,26 +721,27 @@ func (w *worker) settle(c *candidate, g *group, v verdict) error {
 // replace a contributor node with its children (one node read each).
 // Object-level groups always reach a decision; internal groups may return
 // verdictExpand once rebounds and the refinement budget are exhausted.
-func (w *worker) decideGroup(c *candidate, g *group) (verdict, error) {
+func (w *worker) decideGroup(e *iurtree.Entry, g *group) (verdict, error) {
+	item := &w.s.items[w.qi]
 	groupBudget := w.s.opt.GroupRefine
-	gSide := side{rect: c.entry.Rect, env: g.env, exact: c.entry.IsObject()}
+	gSide := side{rect: e.Rect, env: g.env, exact: e.IsObject()}
 	sc := w.scratch
 	for {
-		sc.selLo.reset(w.k)
-		sc.selHi.reset(w.k)
+		sc.selLo.reset(item.K)
+		sc.selHi.reset(item.K)
 		g.cl.knnBoundsInto(&sc.selLo, &sc.selHi)
 		knnl, knnu := sc.selLo.kth(), sc.selHi.kth()
 		if g.q.hi < knnl {
 			// Rule 1: the query can never reach any member's top-k.
-			if c.entry.IsObject() && w.trace != nil {
-				w.trace(c.entry.ObjID, knnl, knnu)
+			if e.IsObject() && item.BoundTrace != nil {
+				item.BoundTrace(e.ObjID, knnl, knnu)
 			}
 			return verdictPruned, nil
 		}
 		if g.q.lo >= knnu {
 			// Rule 2: the query ranks within every member's top-k.
-			if c.entry.IsObject() && w.trace != nil {
-				w.trace(c.entry.ObjID, knnl, knnu)
+			if e.IsObject() && item.BoundTrace != nil {
+				item.BoundTrace(e.ObjID, knnl, knnu)
 			}
 			return verdictReported, nil
 		}
@@ -667,14 +753,14 @@ func (w *worker) decideGroup(c *candidate, g *group) (verdict, error) {
 			continue
 		}
 		idx := g.cl.refinable(w.s.opt.Strategy, w.s.tree.NumClusters(), knnu)
-		if c.entry.IsObject() {
+		if e.IsObject() {
 			// Undecided object: refine its contribution list. The loop
 			// is guaranteed to decide once every contributor is a fresh
 			// object, because then knnl == knnu and the two rules are
 			// exhaustive.
 			if idx < 0 {
 				return 0, fmt.Errorf("core: undecidable object %d with exact bounds [%g, %g], query %g",
-					c.entry.ObjID, knnl, knnu, g.q.lo)
+					e.ObjID, knnl, knnu, g.q.lo)
 			}
 			if err := w.refine(gSide, &g.cl, idx); err != nil {
 				return 0, err

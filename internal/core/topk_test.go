@@ -1,12 +1,15 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"rstknn/internal/cluster"
 	"rstknn/internal/core"
 	"rstknn/internal/iurtree"
+	"rstknn/internal/storage"
 	"rstknn/internal/vector"
 )
 
@@ -159,5 +162,87 @@ func TestTopKPrunesNodes(t *testing.T) {
 	}
 	if m.NodesRead >= totalNodes/2 {
 		t.Errorf("TopK read %d of %d nodes; expected strong pruning", m.NodesRead, totalNodes)
+	}
+}
+
+// TestTopKAndCountExceedingAccounting pins the I/O accounting of the two
+// best-first searches: every node counted in Metrics.NodesRead is exactly
+// one tracker charge — a read or a buffer-pool hit — on IUR and CIUR
+// trees, with and without a buffer pool, and the answers still match the
+// brute-force scans.
+func TestTopKAndCountExceedingAccounting(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	objs := genObjects(rng, 400, 30, 5)
+	docs := make([]vector.Vector, len(objs))
+	for i, o := range objs {
+		docs[i] = o.Doc
+	}
+	for _, clusters := range []int{0, 5} {
+		for _, pool := range []int{0, 32} {
+			var opts []storage.Option
+			if pool > 0 {
+				opts = append(opts, storage.WithBufferPool(pool))
+			}
+			cfg := iurtree.Config{Store: storage.NewStore(opts...)}
+			if clusters > 0 {
+				cfg.Clustering = cluster.Run(docs, cluster.Config{K: clusters, Seed: 7})
+			}
+			tree, err := iurtree.Build(objs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := core.NewScorer(0.5, tree.MaxD(), nil)
+			var hits int64
+			for trial := 0; trial < 8; trial++ {
+				tag := fmt.Sprintf("clusters=%d pool=%d trial=%d", clusters, pool, trial)
+				q := genQuery(rng, 30, 5)
+				k := 1 + rng.Intn(10)
+
+				var tk storage.Tracker
+				got, m, err := core.TopK(tree, q, core.TopKOptions{K: k, Alpha: 0.5, Exclude: -1, Tracker: &tk})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.NodesRead == 0 || tk.Reads()+tk.CacheHits() != int64(m.NodesRead) {
+					t.Errorf("%s: TopK NodesRead %d, tracker reads %d + hits %d",
+						tag, m.NodesRead, tk.Reads(), tk.CacheHits())
+				}
+				want := bruteTopK(objs, q, k, 0.5, tree.MaxD(), vector.EJ{}, -1)
+				if len(got) != len(want) {
+					t.Fatalf("%s: TopK returned %d neighbors, want %d", tag, len(got), len(want))
+				}
+				for i := range got {
+					if got[i].Sim != want[i].Sim {
+						t.Fatalf("%s rank %d: sim %g, want %g", tag, i, got[i].Sim, want[i].Sim)
+					}
+				}
+
+				ref := objs[rng.Intn(len(objs))]
+				threshold := sc.Exact(ref.Loc, ref.Doc, q.Loc, q.Doc)
+				wantCount := 0
+				for i := range objs {
+					if sc.Exact(objs[i].Loc, objs[i].Doc, q.Loc, q.Doc) > threshold {
+						wantCount++
+					}
+				}
+				var tc storage.Tracker
+				n, cm, err := core.CountExceeding(tree, q, threshold, len(objs)+1,
+					core.BichromaticOptions{Alpha: 0.5, Tracker: &tc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != wantCount {
+					t.Errorf("%s: CountExceeding = %d, want %d", tag, n, wantCount)
+				}
+				if tc.Reads()+tc.CacheHits() != int64(cm.NodesRead) {
+					t.Errorf("%s: CountExceeding NodesRead %d, tracker reads %d + hits %d",
+						tag, cm.NodesRead, tc.Reads(), tc.CacheHits())
+				}
+				hits += tk.CacheHits() + tc.CacheHits()
+			}
+			if (pool > 0) != (hits > 0) {
+				t.Errorf("clusters=%d pool=%d: %d buffer-pool hits", clusters, pool, hits)
+			}
+		}
 	}
 }

@@ -123,8 +123,23 @@ type Snapshot struct {
 	space       geom.Rect
 	maxD        float64
 	numClusters int         // 0 for plain IUR-trees
-	nodeCache   *nodeCache  // nil unless SetNodeCache enabled it
 	boundCache  *boundCache // textual bound cache; on by default, see SetBoundCache
+}
+
+// Fanout resolves a configured fan-out pair as Build does — a zero max
+// becomes rtree.DefaultMaxEntries, a zero min 40% of max — and checks
+// the result with rtree.CheckFanout.
+func Fanout(min, max int) (int, int, error) {
+	if max == 0 {
+		max = rtree.DefaultMaxEntries
+	}
+	if min == 0 {
+		min = max * 2 / 5
+	}
+	if err := rtree.CheckFanout(min, max); err != nil {
+		return 0, 0, err
+	}
+	return min, max, nil
 }
 
 // Build constructs the tree over the given objects and seals it to disk.
@@ -133,12 +148,9 @@ func Build(objects []Object, cfg Config) (*Snapshot, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("iurtree: Config.Store is required")
 	}
-	min, max := cfg.MinEntries, cfg.MaxEntries
-	if max == 0 {
-		max = rtree.DefaultMaxEntries
-	}
-	if min == 0 {
-		min = max * 2 / 5
+	min, max, err := Fanout(cfg.MinEntries, cfg.MaxEntries)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Clustering != nil && len(cfg.Clustering.Of) != len(objects) {
 		return nil, fmt.Errorf("iurtree: clustering covers %d objects, have %d",
@@ -287,24 +299,19 @@ func (t *Snapshot) ReadNode(id storage.NodeID) (*Node, error) {
 
 // ReadNodeTracked is ReadNode with per-query attribution: the simulated
 // I/O is charged to tr (when non-nil) in addition to the store's global
-// counters. When the decoded-node cache is enabled a hit skips both the
-// page I/O and the deserialization, and is charged to the tracker as a
-// cache hit. The returned node is shared with other queries when the
-// cache is on — treat it as read-only.
+// counters. It returns a private decoded copy, so the update paths may
+// edit its entries before re-encoding. Queries read through
+// ReadViewTracked instead.
 func (t *Snapshot) ReadNodeTracked(id storage.NodeID, tr *storage.Tracker) (*Node, error) {
-	if t.nodeCache != nil {
-		if n, ok := t.nodeCache.get(id); ok {
-			tr.ChargeCacheHit()
-			return n, nil
-		}
-	}
-	n, err := t.decodeFrom(id, tr)
+	blob, err := t.store.GetTracked(id, tr)
 	if err != nil {
 		return nil, err
 	}
-	if t.nodeCache != nil {
-		t.nodeCache.put(id, n)
+	n, err := decodeNode(blob)
+	if err != nil {
+		return nil, fmt.Errorf("iurtree: node %d: %w", id, err)
 	}
+	n.ID = id
 	return n, nil
 }
 
@@ -317,16 +324,8 @@ func (t *Snapshot) ReadNodeTracked(id storage.NodeID, tr *storage.Tracker) (*Nod
 //
 // The view aliases the stored blob. It is valid for as long as the
 // caller can rely on the node not being freed — for queries, the
-// lifetime of the snapshot pin. When the decoded-node cache is enabled
-// and hits, the view is backed by the cached decode instead and the read
-// is charged as a cache hit, exactly like ReadNodeTracked.
+// lifetime of the snapshot pin.
 func (t *Snapshot) ReadViewTracked(id storage.NodeID, tr *storage.Tracker, offs []int32) (NodeView, error) {
-	if t.nodeCache != nil {
-		if n, ok := t.nodeCache.get(id); ok {
-			tr.ChargeCacheHit()
-			return NodeView{id: id, node: n, offs: offs}, nil
-		}
-	}
 	blob, err := t.store.GetTracked(id, tr)
 	if err != nil {
 		return NodeView{offs: offs}, err
@@ -352,56 +351,18 @@ func (t *Snapshot) ReadViewTracked(id storage.NodeID, tr *storage.Tracker, offs 
 		if t.boundCache != nil {
 			t.boundCache.put(id, text)
 		}
-		if t.nodeCache != nil {
-			t.nodeCache.put(id, n)
-		}
 	}
 	return NodeView{id: id, blob: blob, offs: offs, text: text, leaf: leaf}, nil
-}
-
-// readNodeFresh fetches and decodes a private copy of the node, bypassing
-// the decoded-node cache in both directions. The update paths use it so
-// the entry slices they edit before re-encoding are never shared with
-// concurrent-reader cache entries; their read I/O is charged to tr.
-func (t *Snapshot) readNodeFresh(id storage.NodeID, tr *storage.Tracker) (*Node, error) {
-	return t.decodeFrom(id, tr)
-}
-
-func (t *Snapshot) decodeFrom(id storage.NodeID, tr *storage.Tracker) (*Node, error) {
-	blob, err := t.store.GetTracked(id, tr)
-	if err != nil {
-		return nil, err
-	}
-	n, err := decodeNode(blob)
-	if err != nil {
-		return nil, fmt.Errorf("iurtree: node %d: %w", id, err)
-	}
-	n.ID = id
-	return n, nil
-}
-
-// SetNodeCache enables (capacity > 0) or disables (capacity <= 0) an
-// in-memory LRU cache of up to capacity decoded nodes. Hot nodes then
-// skip the simulated page I/O and the per-read deserialization; hits are
-// charged to the reader's Tracker as cache hits. Because cache hits
-// bypass the storage layer, enable it for serving throughput, not when
-// reproducing the paper's cold I/O counts.
-func (t *Snapshot) SetNodeCache(capacity int) {
-	if capacity <= 0 {
-		t.nodeCache = nil
-		return
-	}
-	t.nodeCache = newNodeCache(capacity)
 }
 
 // SetBoundCache resizes (capacity > 0) or disables (capacity <= 0) the
 // textual bound cache: a per-NodeID memoization of decoded envelopes and
 // cluster summaries that the zero-copy read path (ReadViewTracked)
 // shares across queries and rounds. Build and Open enable it at
-// DefaultBoundCacheNodes. Unlike the decoded-node cache, hits never skip
-// the simulated page I/O, so results AND I/O counts are identical with
-// the cache on or off — disabling it only restores the eager per-read
-// decode (the DESIGN.md §10 ablation).
+// DefaultBoundCacheNodes. Hits never skip the simulated page I/O, so
+// results AND I/O counts are identical with the cache on or off —
+// disabling it only restores the eager per-read decode (the DESIGN.md
+// §10 ablation).
 //
 // Call it before the snapshot serves queries or derives successors: the
 // cache pointer is shared with derived snapshots at derive() time, and
@@ -435,15 +396,11 @@ func (t *Snapshot) BoundCacheStats() BoundCacheStats {
 	}
 }
 
-// InvalidateNode drops one node from the decoded-node cache and the
-// bound cache (both shared by every snapshot derived from this one). The
-// engine calls it from the reclaimer's on-free hook, so a recycled
-// NodeID can never serve a stale decode; a snapshot without caches
-// ignores the call.
+// InvalidateNode drops one node from the bound cache (shared by every
+// snapshot derived from this one). The engine calls it from the
+// reclaimer's on-free hook, so a recycled NodeID can never serve stale
+// bounds; a snapshot without the cache ignores the call.
 func (t *Snapshot) InvalidateNode(id storage.NodeID) {
-	if t.nodeCache != nil {
-		t.nodeCache.invalidate(id)
-	}
 	if t.boundCache != nil {
 		t.boundCache.invalidate(id)
 	}

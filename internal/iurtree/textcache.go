@@ -23,10 +23,10 @@ import (
 // node, so eviction can never race a live view: a pinned snapshot keeps
 // both the blob and its cached decode alive until unpin.
 //
-// Unlike the decoded-node cache (nodecache.go), a bound-cache hit does
-// NOT skip the simulated page I/O: ReadViewTracked still fetches the
-// blob and charges the read, so nodes-read and page-access accounting —
-// the paper's cost model — are bit-identical with the cache on or off.
+// A bound-cache hit does NOT skip the simulated page I/O:
+// ReadViewTracked still fetches the blob and charges the read, so
+// nodes-read and page-access accounting — the paper's cost model — are
+// bit-identical with the cache on or off.
 // Only the CPU and allocations of re-decoding are saved.
 //
 // The cache is shared by every snapshot derived from the one that
@@ -74,8 +74,8 @@ func decodeNodeText(blob []byte) (*nodeText, error) {
 	return newNodeText(n), nil
 }
 
-// boundCache memoizes nodeText by NodeID. Sharded like the decoded-node
-// cache so concurrent queries do not serialize on one mutex; the hit
+// boundCache memoizes nodeText by NodeID. Sharded by NodeID so
+// concurrent queries do not serialize on one mutex; the hit
 // path takes only a read lock and one atomic store (the second-chance
 // bit), keeping it provably allocation-free.
 type boundCache struct {

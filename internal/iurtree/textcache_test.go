@@ -44,8 +44,7 @@ func TestBoundCacheHitStillPaysIO(t *testing.T) {
 	if _, err := tr.ReadViewTracked(tr.RootID(), &tk, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Unlike the decoded-node cache, a bound cache hit re-decodes
-	// nothing but must still charge the simulated page I/O: the paper's
+	// A bound cache hit re-decodes nothing but must still charge the simulated page I/O: the paper's
 	// I/O counts may not depend on cache warmth.
 	if tk.Reads() != 2 || tk.CacheHits() != 0 {
 		t.Fatalf("tracker %+v, want 2 charged reads and no cache hits", tk.Stats())
@@ -103,7 +102,6 @@ func TestBoundCacheSurvivesPinnedChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.SetNodeCache(256) // exercise both caches under churn
 	rec := storage.NewReclaimer(store)
 	rec.SetOnFree(tr.InvalidateNode)
 
@@ -130,9 +128,6 @@ func TestBoundCacheSurvivesPinnedChurn(t *testing.T) {
 	for _, id := range retired {
 		if nt.boundCache.contains(id) {
 			t.Errorf("node %d still in bound cache after unpin", id)
-		}
-		if _, ok := nt.nodeCache.get(id); ok {
-			t.Errorf("node %d still in node cache after unpin", id)
 		}
 	}
 }

@@ -40,10 +40,10 @@ import (
 // ErrClustered is returned by Insert/Delete on CIUR-trees.
 var ErrClustered = errors.New("iurtree: clustered trees are sealed; rebuild to update")
 
-// derive returns a copy of the snapshot header sharing the store, the
-// decoded-node cache, and the bound cache; the update paths overwrite
-// the fields they change. Sharing the caches is what lets the on-free
-// eviction hook installed on the first snapshot cover every successor.
+// derive returns a copy of the snapshot header sharing the store and the
+// bound cache; the update paths overwrite the fields they change.
+// Sharing the cache is what lets the on-free eviction hook installed on
+// the first snapshot cover every successor.
 func (t *Snapshot) derive() *Snapshot {
 	cp := *t
 	return &cp
@@ -79,7 +79,7 @@ func (t *Snapshot) Insert(o Object, tr *storage.Tracker) (*Snapshot, []storage.N
 	var path []step
 	id := t.rootID
 	for {
-		node, err := t.readNodeFresh(id, tr)
+		node, err := t.ReadNodeTracked(id, tr)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -252,7 +252,7 @@ func (t *Snapshot) Delete(id int32, loc geom.Point, tr *storage.Tracker) (*Snaps
 	}
 	// Collapse a chain of single-child internal roots.
 	rootID := rootEntry.Child
-	rootNode, err := t.readNodeFresh(rootID, tr)
+	rootNode, err := t.ReadNodeTracked(rootID, tr)
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -261,7 +261,7 @@ func (t *Snapshot) Delete(id int32, loc geom.Point, tr *storage.Tracker) (*Snaps
 		retired = append(retired, rootID)
 		rootID = rootNode.Entries[0].Child
 		height--
-		rootNode, err = t.readNodeFresh(rootID, tr)
+		rootNode, err = t.ReadNodeTracked(rootID, tr)
 		if err != nil {
 			return nil, nil, false, err
 		}
@@ -278,7 +278,7 @@ func (t *Snapshot) Delete(id int32, loc geom.Point, tr *storage.Tracker) (*Snaps
 // became empty), and whether the node is now empty (so the parent
 // unlinks it). Nodes on the modified path are appended to retired.
 func (t *Snapshot) deleteRec(nid storage.NodeID, id int32, loc geom.Point, tr *storage.Tracker, retired *[]storage.NodeID) (found bool, newEntry Entry, empty bool, err error) {
-	node, err := t.readNodeFresh(nid, tr)
+	node, err := t.ReadNodeTracked(nid, tr)
 	if err != nil {
 		return false, Entry{}, false, err
 	}

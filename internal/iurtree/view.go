@@ -46,14 +46,13 @@ const entryFixedSize = 47
 
 // NodeView is a zero-copy reader over one stored node. Obtain one with
 // ReadViewTracked; the zero value is only returned alongside an error.
-// Views are cheap values — copying one copies five words — and are valid
+// Views are cheap values — copying one copies a few words — and are valid
 // while the reading query holds its snapshot pin.
 type NodeView struct {
 	id   storage.NodeID
 	blob []byte
 	offs []int32   // entry start offsets + end sentinel; len = Len()+1
 	text *nodeText // cached textual payload (envelopes, cluster summaries)
-	node *Node     // decoded-node-cache hit: accessors delegate to it
 	leaf bool
 }
 
@@ -64,9 +63,6 @@ func (v *NodeView) ID() storage.NodeID { return v.id }
 //
 //rstknn:hotpath fixed-offset view accessor on the zero-copy read path
 func (v *NodeView) Len() int {
-	if v.node != nil {
-		return len(v.node.Entries)
-	}
 	return len(v.offs) - 1
 }
 
@@ -74,9 +70,6 @@ func (v *NodeView) Len() int {
 //
 //rstknn:hotpath fixed-offset view accessor on the zero-copy read path
 func (v *NodeView) Leaf() bool {
-	if v.node != nil {
-		return v.node.Leaf
-	}
 	return v.leaf
 }
 
@@ -84,9 +77,6 @@ func (v *NodeView) Leaf() bool {
 //
 //rstknn:hotpath fixed-offset view accessor on the zero-copy read path
 func (v *NodeView) EntryRect(i int) geom.Rect {
-	if v.node != nil {
-		return v.node.Entries[i].Rect
-	}
 	b := v.blob[v.offs[i]:]
 	return geom.Rect{
 		Min: geom.Point{
@@ -104,9 +94,6 @@ func (v *NodeView) EntryRect(i int) geom.Rect {
 //
 //rstknn:hotpath fixed-offset view accessor on the zero-copy read path
 func (v *NodeView) EntryChild(i int) storage.NodeID {
-	if v.node != nil {
-		return v.node.Entries[i].Child
-	}
 	return storage.NodeID(binary.LittleEndian.Uint32(v.blob[v.offs[i]+32:]))
 }
 
@@ -114,9 +101,6 @@ func (v *NodeView) EntryChild(i int) storage.NodeID {
 //
 //rstknn:hotpath fixed-offset view accessor on the zero-copy read path
 func (v *NodeView) EntryObjID(i int) int32 {
-	if v.node != nil {
-		return v.node.Entries[i].ObjID
-	}
 	return int32(binary.LittleEndian.Uint32(v.blob[v.offs[i]+36:]))
 }
 
@@ -124,9 +108,6 @@ func (v *NodeView) EntryObjID(i int) int32 {
 //
 //rstknn:hotpath fixed-offset view accessor on the zero-copy read path
 func (v *NodeView) EntryCount(i int) int32 {
-	if v.node != nil {
-		return v.node.Entries[i].Count
-	}
 	return int32(binary.LittleEndian.Uint32(v.blob[v.offs[i]+40:]))
 }
 
@@ -138,14 +119,11 @@ func (v *NodeView) EntryIsObject(i int) bool {
 }
 
 // EntryEnv returns entry i's textual envelope. The vectors are owned by
-// the snapshot's bound cache (or the decoded-node cache) and shared
-// between queries — read-only, like everything reached through a view.
+// the snapshot's bound cache and shared between queries — read-only,
+// like everything reached through a view.
 //
 //rstknn:hotpath cached textual payload on the zero-copy read path
 func (v *NodeView) EntryEnv(i int) vector.Envelope {
-	if v.node != nil {
-		return v.node.Entries[i].Env
-	}
 	return v.text.entries[i].Env
 }
 
@@ -154,9 +132,6 @@ func (v *NodeView) EntryEnv(i int) vector.Envelope {
 //
 //rstknn:hotpath cached textual payload on the zero-copy read path
 func (v *NodeView) EntryClusters(i int) []ClusterSummary {
-	if v.node != nil {
-		return v.node.Entries[i].Clusters
-	}
 	return v.text.entries[i].Clusters
 }
 
@@ -167,9 +142,6 @@ func (v *NodeView) EntryClusters(i int) []ClusterSummary {
 //
 //rstknn:hotpath entry materialization for survivors of pruning
 func (v *NodeView) Entry(i int) Entry {
-	if v.node != nil {
-		return v.node.Entries[i]
-	}
 	t := &v.text.entries[i]
 	return Entry{
 		Rect:     v.EntryRect(i),

@@ -64,11 +64,20 @@ type Tree struct {
 // page for 2-D rectangles with a child pointer.
 const DefaultMaxEntries = 32
 
-// New returns an empty tree with fan-out in [min, max]. min must be at
-// least 2 and at most max/2 to keep splits well defined.
-func New(min, max int) *Tree {
+// CheckFanout reports whether New accepts the fan-out [min, max]: min
+// must be at least 2 and at most max/2 to keep splits well defined.
+func CheckFanout(min, max int) error {
 	if min < 2 || max < 4 || min > max/2 {
-		panic(fmt.Sprintf("rtree: invalid fan-out [%d, %d]", min, max))
+		return fmt.Errorf("rtree: invalid fan-out [%d, %d]", min, max)
+	}
+	return nil
+}
+
+// New returns an empty tree with fan-out in [min, max]. It panics when
+// CheckFanout rejects the pair.
+func New(min, max int) *Tree {
+	if err := CheckFanout(min, max); err != nil {
+		panic(err.Error())
 	}
 	return &Tree{
 		root:       &Node{Leaf: true},

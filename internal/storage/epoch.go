@@ -71,8 +71,8 @@ func NewReclaimer(store Blobs) *Reclaimer {
 }
 
 // SetOnFree installs a hook invoked for every node just before it is
-// freed — the engine uses it to drop decoded-node cache entries so a
-// recycled NodeID can never serve a stale decode. Call it before any
+// freed — the engine uses it to drop bound-cache entries so a recycled
+// NodeID can never serve a stale decode. Call it before any
 // concurrent use.
 func (r *Reclaimer) SetOnFree(hook func(NodeID)) {
 	r.mu.Lock()

@@ -158,7 +158,7 @@ func TestMutationsRejectedOnClusteredEngine(t *testing.T) {
 func TestPinnedSnapshotSurvivesDelete(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	objs := genRestaurants(rng, 200)
-	eng, err := Build(objs, Options{NodeCache: 128})
+	eng, err := Build(objs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestLiveBytesBoundedUnderChurn(t *testing.T) {
 func TestConcurrentQueryMutateRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	objs := genRestaurants(rng, 150)
-	eng, err := Build(objs, Options{NodeCache: 256, Workers: 2})
+	eng, err := Build(objs, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package rstknn
 import (
 	"fmt"
 
+	"rstknn/internal/iurtree"
 	"rstknn/internal/storage"
 	"rstknn/internal/textual"
 	"rstknn/internal/vector"
@@ -72,17 +73,11 @@ type Options struct {
 	// Large pools are sharded by node ID so concurrent queries do not
 	// contend on one cache mutex.
 	BufferPoolPages int
-	// NodeCache enables an in-memory cache of up to that many decoded
-	// tree nodes, shared by all queries: hot nodes skip both the
-	// simulated page I/O and the per-read deserialization (hits count as
-	// CacheHits in QueryStats). Enable it for serving throughput; leave
-	// it off to reproduce the paper's cold I/O counts.
-	NodeCache int
 	// BoundCache sizes the per-node textual bound cache backing the
 	// zero-copy read path: decoded envelopes and cluster summaries are
 	// memoized by NodeID so repeated visits (across rounds, queries, and
-	// BatchQuery fan-out) re-decode nothing. Unlike NodeCache, a bound
-	// cache hit still pays the full simulated page I/O, so QueryStats
+	// batches) re-decode nothing. A bound cache hit still pays the full
+	// simulated page I/O, so QueryStats
 	// and the paper's I/O counts are unchanged at any setting. 0 keeps
 	// the default capacity (iurtree.DefaultBoundCacheNodes), a negative
 	// value disables the cache (every read decodes eagerly — the
@@ -98,21 +93,10 @@ type Options struct {
 	// rounds with fewer candidates than the fan-out threshold run inline,
 	// so low-core machines never pay goroutine overhead for tiny rounds.
 	// Results and QueryStats are identical at every
-	// setting — parallelism only changes wall-clock time. Queries issued
-	// through BatchQuery multiply this with the batch parallelism, so
-	// consider Workers=1 for batch-heavy serving.
+	// setting — parallelism only changes wall-clock time. A
+	// multi-request BatchQuery sizes its shared traversal's pool with
+	// its own parallelism argument instead.
 	Workers int
-	// SharedBatch controls how BatchQuery answers multi-request batches.
-	// 0 (the default) and positive values share one branch-and-bound
-	// traversal across the whole batch: each tree node is physically
-	// read at most once per batch and scored against every query still
-	// active on it, so nodes-read-per-query shrinks as the batch grows
-	// while per-query results and QueryStats counters stay bit-identical
-	// to independent execution. A negative value forces the independent
-	// per-query fan-out (the DESIGN.md §11 ablation, exposed as
-	// -sharedbatch=false in rstknn-bench). Single-request batches always
-	// run independently — there is nothing to share.
-	SharedBatch int
 	// Seed fixes clustering randomness.
 	Seed int64
 }
@@ -122,20 +106,11 @@ func (o *Options) withDefaults() (Options, error) {
 	if out.Alpha == 0 && !out.AlphaSet {
 		out.Alpha = 0.5
 	}
-	if out.Alpha < 0 || out.Alpha > 1 {
-		return out, fmt.Errorf("rstknn: Alpha must be in [0,1], got %g", out.Alpha)
-	}
 	if out.Weighting == "" {
 		out.Weighting = "tfidf"
 	}
-	if _, err := textual.SchemeByName(out.Weighting); err != nil {
-		return out, err
-	}
 	if out.Measure == "" {
 		out.Measure = "ej"
-	}
-	if vector.ByName(out.Measure) == nil {
-		return out, fmt.Errorf("rstknn: unknown measure %q", out.Measure)
 	}
 	if out.Clusters == 0 {
 		out.Clusters = 8
@@ -143,5 +118,27 @@ func (o *Options) withDefaults() (Options, error) {
 	if out.PageSize == 0 {
 		out.PageSize = storage.DefaultPageSize
 	}
-	return out, nil
+	return out, out.validate()
+}
+
+// validate checks resolved options — what Build keeps and Save writes
+// to meta.json — so Build and Open return an error for inputs the
+// storage and R-tree layers would otherwise panic on.
+func (o *Options) validate() error {
+	if o.Alpha < 0 || o.Alpha > 1 {
+		return fmt.Errorf("rstknn: Alpha must be in [0,1], got %g", o.Alpha)
+	}
+	if _, err := textual.SchemeByName(o.Weighting); err != nil {
+		return err
+	}
+	if vector.ByName(o.Measure) == nil {
+		return fmt.Errorf("rstknn: unknown measure %q", o.Measure)
+	}
+	if o.PageSize <= 0 {
+		return fmt.Errorf("rstknn: PageSize must be positive, got %d", o.PageSize)
+	}
+	if _, _, err := iurtree.Fanout(o.FanoutMin, o.FanoutMax); err != nil {
+		return fmt.Errorf("rstknn: %w", err)
+	}
+	return nil
 }

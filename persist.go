@@ -130,6 +130,9 @@ func Open(dir string) (*Engine, error) {
 	if meta.Version != persistVersion {
 		return nil, fmt.Errorf("rstknn: unsupported index version %d", meta.Version)
 	}
+	if err := meta.Options.validate(); err != nil {
+		return nil, fmt.Errorf("rstknn: meta.json: %w", err)
+	}
 
 	vf, err := os.Open(filepath.Join(dir, "vocab.csv"))
 	if err != nil {
@@ -170,28 +173,16 @@ func Open(dir string) (*Engine, error) {
 	//rstknn:allow retirepub the store is private until Open returns: no snapshot pointer is published yet and no reader can hold a pin
 	fs.Retire(storage.NodeID(meta.HeaderID))
 	_ = fs.Free(storage.NodeID(meta.HeaderID)) //rstknn:allow errlost first free of a just-retired slot cannot fail
-	if meta.Options.NodeCache > 0 {
-		tree.SetNodeCache(meta.Options.NodeCache)
-	}
 	if meta.Options.BoundCache != 0 {
 		tree.SetBoundCache(meta.Options.BoundCache)
 	}
 	fs.ResetStats()
 
-	scheme, err := textual.SchemeByName(meta.Options.Weighting)
-	if err != nil {
-		fs.Close()
-		return nil, err
-	}
-	measure := vector.ByName(meta.Options.Measure)
-	if measure == nil {
-		fs.Close()
-		return nil, fmt.Errorf("rstknn: unknown measure %q in meta.json", meta.Options.Measure)
-	}
+	scheme, _ := textual.SchemeByName(meta.Options.Weighting) // checked by validate
 	e := &Engine{
 		opt:     meta.Options,
 		scheme:  scheme,
-		measure: measure,
+		measure: vector.ByName(meta.Options.Measure),
 		vocab:   vocab,
 		store:   fs,
 		build:   meta.BuildTime,

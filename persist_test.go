@@ -179,3 +179,39 @@ func TestSaveTwiceIsStable(t *testing.T) {
 		t.Error("two saves of the same engine disagree")
 	}
 }
+
+// TestOpenIgnoresRemovedOptions opens an index whose meta.json still
+// carries options older versions wrote ("NodeCache", "SharedBatch"): it
+// must open and answer exactly like the engine that saved it, down to
+// every QueryStats counter.
+func TestOpenIgnoresRemovedOptions(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	eng, err := Build(genRestaurants(rng, 300), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := saveWithPatchedMeta(t, eng, map[string]any{"NodeCache": 64, "SharedBatch": -1})
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for trial := 0; trial < 6; trial++ {
+		x, y := rng.Float64()*100, rng.Float64()*100
+		text := menuTerms[rng.Intn(len(menuTerms))]
+		k := 1 + rng.Intn(6)
+		a, err := eng.Query(x, y, text, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := re.Query(x, y, text, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Stats.Duration, b.Stats.Duration = 0, 0
+		if fmt.Sprint(a.IDs) != fmt.Sprint(b.IDs) || a.Stats != b.Stats {
+			t.Fatalf("trial %d: reopened engine answered %v %+v, saver %v %+v",
+				trial, b.IDs, b.Stats, a.IDs, a.Stats)
+		}
+	}
+}

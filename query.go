@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"rstknn/internal/baseline"
@@ -40,8 +37,8 @@ type QueryStats struct {
 	PageAccesses int64
 	CacheHits    int64
 	// SharedReads counts the node reads served by a shared batch
-	// traversal's once-per-batch physical fetch (always 0 outside
-	// BatchQuery's shared mode; equal to NodesRead inside it). The
+	// traversal's once-per-batch physical fetch (always 0 outside a
+	// multi-request BatchQuery; equal to NodesRead inside it). The
 	// physical I/O those reads amortize is reported on BatchStats, not
 	// here — see the tracker attribution rule in DESIGN.md §11.
 	SharedReads   int64
@@ -54,7 +51,7 @@ type QueryStats struct {
 }
 
 // CacheHitRatio returns the fraction of this query's node reads that
-// paid no simulated page I/O — buffer-pool/node-cache hits plus
+// paid no simulated page I/O — buffer-pool hits plus
 // batch-shared reads over all reads — or 0 when the query read nothing.
 func (s QueryStats) CacheHitRatio() float64 {
 	if s.NodesRead == 0 {
@@ -257,17 +254,18 @@ type BatchResult struct {
 // express once one physical node read serves many queries.
 type BatchStats struct {
 	// Requests is the batch size, Shared whether the shared-traversal
-	// path answered it (see Options.SharedBatch).
+	// path answered it (every multi-request batch; a one-request batch
+	// is a plain query).
 	Requests int
 	Shared   bool
 	// Duration is the whole batch's wall time.
 	Duration time.Duration
 	// NodesRead counts physical node fetches: each distinct node once in
-	// shared mode, the sum of per-query NodesRead in independent mode —
-	// so shared-vs-ablation runs compare directly on this field.
+	// shared mode, the query's own NodesRead for a one-request batch —
+	// so the two compare directly on this field.
 	NodesRead int
 	// SharedHits counts per-query logical reads served by a node the
-	// batch had already fetched (0 in independent mode): the sum of
+	// batch had already fetched (0 for a one-request batch): the sum of
 	// per-query NodesRead minus the physical NodesRead above.
 	SharedHits int
 	// NodesReadPerQuery is NodesRead divided by the number of requests —
@@ -277,39 +275,20 @@ type BatchStats struct {
 	PageAccesses int64
 }
 
-// batchParallelism resolves the caller's parallelism request for a batch
-// of n requests: values <= 0 default to runtime.GOMAXPROCS(0) (matching
-// the single-query Workers option), and the result is clamped to n so a
-// small batch never spawns goroutines with no request to serve.
-func batchParallelism(p, n int) int {
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > n {
-		p = n
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
-}
-
 // BatchQuery answers many reverse queries against one pinned snapshot:
 // concurrent Insert/Delete/Apply calls do not affect the batch, and
 // every request sees the same index version. Results are returned in
 // request order, each with its own per-query QueryStats.
 //
-// With Options.SharedBatch enabled (the default), a multi-request batch
-// runs as ONE shared branch-and-bound traversal: each tree node is
-// physically read at most once per batch and scored against every query
-// still active on it, so I/O per query shrinks as the batch grows while
-// per-request results and QueryStats counters stay bit-identical to
-// independent execution. parallelism then bounds the traversal's worker
-// pool (values <= 0 default to runtime.GOMAXPROCS(0), values above it
-// are clamped). With SharedBatch negative — or for single-request
-// batches — requests fan out independently over a worker pool of
-// min(parallelism, len(reqs)) goroutines, with <= 0 again defaulting to
-// GOMAXPROCS.
+// A multi-request batch runs as ONE shared branch-and-bound traversal:
+// each tree node is physically read at most once per batch and scored
+// against every query still active on it, so I/O per query shrinks as
+// the batch grows while per-request results and QueryStats counters
+// stay bit-identical to independent QueryCtx calls. parallelism bounds
+// the traversal's worker pool (values <= 0 default to
+// runtime.GOMAXPROCS(0), values above it are clamped). A one-request
+// batch is answered exactly as QueryCtx answers it, with
+// Options.Workers.
 func (e *Engine) BatchQuery(reqs []QueryRequest, parallelism int) []BatchResult {
 	return e.BatchQueryCtx(context.Background(), reqs, parallelism)
 }
@@ -334,10 +313,10 @@ func (e *Engine) BatchQueryStatsCtx(ctx context.Context, reqs []QueryRequest, pa
 	defer release()
 	start := time.Now()
 	var bs BatchStats
-	if e.opt.SharedBatch >= 0 && len(reqs) > 1 {
-		bs = e.batchShared(ctx, st, reqs, parallelism, out)
+	if len(reqs) == 1 {
+		bs = e.batchOne(ctx, st, reqs[0], out)
 	} else {
-		bs = e.batchIndependent(ctx, st, reqs, parallelism, out)
+		bs = e.batchShared(ctx, st, reqs, parallelism, out)
 	}
 	bs.Requests = len(reqs)
 	bs.Duration = time.Since(start)
@@ -424,45 +403,19 @@ func (e *Engine) batchShared(ctx context.Context, st *engineState, reqs []QueryR
 	return bs
 }
 
-// batchIndependent fans the requests over a worker pool, one standalone
-// query each — the pre-shared-traversal behavior, kept as the
-// SharedBatch ablation and the single-request path.
-func (e *Engine) batchIndependent(ctx context.Context, st *engineState, reqs []QueryRequest, parallelism int, out []BatchResult) BatchStats {
-	parallelism = batchParallelism(parallelism, len(reqs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(reqs) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					out[i] = BatchResult{Err: err}
-					continue
-				}
-				r := reqs[i]
-				if err := validateQuery(r.X, r.Y, r.K); err != nil {
-					out[i] = BatchResult{Err: err}
-					continue
-				}
-				res, err := e.queryVector(ctx, st, r.X, r.Y, e.vectorize(r.Text), r.K)
-				out[i] = BatchResult{Result: res, Err: err}
-			}
-		}()
+// batchOne answers a one-request batch as a plain query: there is
+// nothing to share, so its physical reads are the query's own.
+func (e *Engine) batchOne(ctx context.Context, st *engineState, r QueryRequest, out []BatchResult) BatchStats {
+	if err := validateQuery(r.X, r.Y, r.K); err != nil {
+		out[0] = BatchResult{Err: err}
+		return BatchStats{}
 	}
-	wg.Wait()
-	bs := BatchStats{}
-	for i := range out {
-		if out[i].Result != nil {
-			bs.NodesRead += out[i].Result.Stats.NodesRead
-			bs.PageAccesses += out[i].Result.Stats.PageAccesses
-		}
+	res, err := e.queryVector(ctx, st, r.X, r.Y, e.vectorize(r.Text), r.K)
+	out[0] = BatchResult{Result: res, Err: err}
+	if err != nil {
+		return BatchStats{}
 	}
-	return bs
+	return BatchStats{NodesRead: res.Stats.NodesRead, PageAccesses: res.Stats.PageAccesses}
 }
 
 // NaiveQuery answers the same reverse query by exhaustive scan — the

@@ -92,9 +92,9 @@ func TestConcurrentQueriesMatchSequential(t *testing.T) {
 	}{
 		// No cache at all: attribution must be bit-exact vs sequential.
 		{"cold", Options{}},
-		// Buffer pool + node cache: results still exact; I/O may shift
-		// between pages and cache hits depending on interleaving.
-		{"cached", Options{BufferPoolPages: 512, NodeCache: 256}},
+		// Buffer pool: results still exact; I/O may shift between pages
+		// and cache hits depending on interleaving.
+		{"cached", Options{BufferPoolPages: 512}},
 	}
 	for _, ec := range engines {
 		t.Run(ec.name, func(t *testing.T) {
