@@ -25,10 +25,11 @@ race:
 race-stress:
 	go test -race -run 'TestConcurrentQueryMutateRace|TestPinnedSnapshotSurvivesDelete' -count=3 .
 
-# Domain-specific analyzers (trackedio, ctxflow, locksafe, floatcmp,
-# hotalloc, sharedmut, errlost, pinsafe, retirepub, lockorder,
-# untrustedlen) driven through the go vet vettool protocol with
-# cross-package fact propagation, plus standard go vet. The ./...
+# The nine domain-specific analyzers (ctxflow, locksafe, floatcmp,
+# hotalloc, errlost, pinsafe, retirepub, lockorder, untrustedlen)
+# driven through the go vet vettool protocol with cross-package fact
+# propagation, plus standard go vet (whose copylocks check covers
+# copies of lock-bearing structs). The ./...
 # pattern spans every package — the root engine, internal/...,
 # cmd/..., and examples/... — so the CLIs and examples are held to the
 # same lifecycle rules as the engine.

@@ -43,7 +43,7 @@ func TestQueryStorageErrorReleasesPin(t *testing.T) {
 	if p := eng.rec.Stats().Pending; p != 0 {
 		t.Fatalf("pending = %d after retire with no pins, want 0", p)
 	}
-	if _, err := store.Get(doomed); err == nil {
+	if _, err := store.GetTracked(doomed, nil); err == nil {
 		t.Fatal("retired node is still readable; it should have been freed")
 	}
 

@@ -5,27 +5,22 @@
 // propagates behavioral facts across packages (summary.go, facts.go),
 // an intraprocedural CFG constructor with a generic forward dataflow
 // solver (cfg.go, dataflow.go), an SSA-lite def-use layer with value
-// numbering and phi-merging (ssa.go), and eleven domain analyzers that
-// enforce invariants the compiler cannot:
+// numbering and phi-merging (ssa.go), and nine domain analyzers that
+// enforce invariants the compiler and go vet cannot:
 //
-//   - trackedio: no raw Store.Get / Tree.ReadNode in library code — query
-//     and traversal paths must use the *Tracked variants so per-query I/O
-//     attribution (the paper's cost metric) is never silently dropped.
 //   - ctxflow: context.Context parameters come first, exported *Ctx entry
 //     points really take a context, and library internals never mint their
 //     own context.Background()/TODO().
-//   - locksafe: mutex-bearing structs (pool shards, cache shards) are not
-//     copied, and no simulated-I/O call runs while a lock is held — even
-//     when the I/O hides behind a helper, via the PerformsIO fact.
+//   - locksafe: no simulated-I/O call runs while a lock is held — even
+//     when the I/O hides behind a helper, via the PerformsIO fact. It
+//     reads lockorder's path-sensitive must-held lockset; copies of
+//     lock-bearing structs are go vet's copylocks check.
 //   - floatcmp: no ==/!= between two non-constant floats (similarity
 //     scores) outside the approved internal/geom and internal/vector
 //     epsilon-helper packages.
 //   - hotalloc: every function reachable from a //rstknn:hotpath root is
 //     transitively allocation-free — appends need a capacity proof, and
 //     cross-package calls are judged by the callee's Allocates fact.
-//   - sharedmut: goroutine closures (the worker fan-out) write no
-//     package-level or captured shared state except through the
-//     closure-indexed merge path.
 //   - errlost: error results in internal/core, internal/storage, and
 //     internal/iurtree are never dropped or shadowed away.
 //   - pinsafe: every snapshot Pin is paired with Release on all paths
@@ -179,7 +174,7 @@ func (p *Pass) SourceFiles() []*ast.File {
 
 // All returns every domain analyzer, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{TrackedIO, CtxFlow, LockSafe, FloatCmp, HotAlloc, SharedMut, ErrLost,
+	return []*Analyzer{CtxFlow, LockSafe, FloatCmp, HotAlloc, ErrLost,
 		PinSafe, RetirePub, LockOrder, UntrustedLen}
 }
 

@@ -5,8 +5,8 @@
 //
 // A fixture line expecting a diagnostic carries a trailing comment
 //
-//	x.ReadNode(0) // want `untracked`
-//	a == b        // want "exact =="
+//	s.GetTracked(0, nil) // want `called while holding a lock`
+//	a == b               // want "exact =="
 //
 // where the quoted or backquoted string is a regexp that must match the
 // diagnostic message reported on that line. Lines without a want comment

@@ -13,10 +13,10 @@ func TestErrLost(t *testing.T) {
 
 // TestErrLostScopedToStoragePackages: the analyzer must stay silent
 // outside internal/core, internal/storage, and internal/iurtree — the
-// sharedmut fixture drops errors freely and must produce no errlost
-// findings.
+// locksafe fixture drops GetTracked errors freely and must produce no
+// errlost findings.
 func TestErrLostScopedToStoragePackages(t *testing.T) {
-	if ds := analysistest.Diagnostics(t, analysis.ErrLost, "sharedmut", true); len(ds) != 0 {
+	if ds := analysistest.Diagnostics(t, analysis.ErrLost, "locksafe", true); len(ds) != 0 {
 		t.Errorf("errlost reported outside its package scope: %v", ds)
 	}
 }

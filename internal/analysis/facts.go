@@ -23,8 +23,10 @@ import (
 // the binary changes, so stale files only appear across tool versions).
 // Version 2 added the lifecycle facts (Publishes/Retires) and the
 // lock-order facts (LockClasses/LockPairs). Version 3 added the taint
-// facts (TaintResults/SinkParams) for untrustedlen.
-const factsVersion = 3
+// facts (TaintResults/SinkParams) for untrustedlen. Version 4 dropped
+// the never-read lock-acquisition bit and the shared-write facts of the
+// retired goroutine-closure analyzer.
+const factsVersion = 4
 
 // FuncSummary is the behavioral summary of one function: everything a
 // caller-side analyzer needs to know without the function's source.
@@ -43,20 +45,10 @@ type FuncSummary struct {
 	AllocWhy  string `json:"alloc_why,omitempty"`
 
 	// PerformsIO reports that the function may perform simulated
-	// node/blob I/O (ReadNode/Get and their Tracked variants). IOWhy
-	// names the evidence. locksafe uses it to see through helpers.
+	// node/blob I/O (a store GetTracked, itself or through a callee).
+	// IOWhy names the evidence. locksafe uses it to see through helpers.
 	PerformsIO bool   `json:"performs_io,omitempty"`
 	IOWhy      string `json:"io_why,omitempty"`
-
-	// AcquiresLock reports that the function may lock a mutex-bearing
-	// struct (pool shard, cache shard).
-	AcquiresLock bool `json:"acquires_lock,omitempty"`
-
-	// WritesShared reports that the function may write package-level
-	// state. Writes suppressed with //rstknn:allow sharedmut do not
-	// count. sharedmut uses it to keep worker fan-out closures pure.
-	WritesShared bool   `json:"writes_shared,omitempty"`
-	SharedWhy    string `json:"shared_why,omitempty"`
 
 	// CapBacked reports that the function returns a zero-length slice
 	// backed by explicitly reserved capacity (an arena carve or
@@ -131,7 +123,7 @@ type SinkSpec struct {
 // interesting reports whether the summary carries any information worth
 // serializing; all-false summaries are omitted from the facts file.
 func (s *FuncSummary) interesting() bool {
-	return s.Allocates || s.PerformsIO || s.AcquiresLock || s.WritesShared || s.CapBacked ||
+	return s.Allocates || s.PerformsIO || s.CapBacked ||
 		s.Publishes || s.Retires || len(s.LockClasses) > 0 || len(s.LockPairs) > 0 ||
 		len(s.TaintResults) > 0 || len(s.SinkParams) > 0
 }

@@ -16,16 +16,10 @@ func sampleStore() *FactStore {
 		Allocates: true,
 		AllocWhy:  "make([]int) allocates at a.go:10",
 	})
-	s.add("pkg/a.(Tree).ReadAll", &FuncSummary{
-		Func:       "Tree.ReadAll",
+	s.add("pkg/a.(Snapshot).ReadAll", &FuncSummary{
+		Func:       "Snapshot.ReadAll",
 		PerformsIO: true,
-		IOWhy:      "calls Tree.ReadNode",
-	})
-	s.add("pkg/b.(Pool).reset", &FuncSummary{
-		Func:         "Pool.reset",
-		AcquiresLock: true,
-		WritesShared: true,
-		SharedWhy:    "writes package-level stats",
+		IOWhy:      "calls Blobs.GetTracked",
 	})
 	s.add("pkg/b.carve", &FuncSummary{Func: "carve", CapBacked: true})
 	s.add("pkg/c.(Engine).publish", &FuncSummary{Func: "Engine.publish", Publishes: true})

@@ -31,6 +31,11 @@ package analysis
 // stays held until function exit, so later acquisitions on the path
 // still order after it — and a second Lock after `defer mu.Unlock()`
 // is still a real self-deadlock.
+//
+// The walk runs once per function, in the summarizer, and is kept on
+// the call-graph node. It also records every call made while the
+// must-held lockset is non-empty; locksafe reads those for simulated
+// I/O under a lock.
 
 import (
 	"go/ast"
@@ -73,6 +78,44 @@ type lockDouble struct {
 
 // ------------------------------------------------------------------
 // Classification
+
+// containsLock reports whether a value of type t embeds a no-copy
+// synchronization primitive anywhere in its flat (non-pointer) layout.
+func containsLock(t types.Type, seen map[types.Type]bool) bool {
+	if t == nil || seen[t] {
+		return false
+	}
+	seen[t] = true
+	switch t := t.(type) {
+	case *types.Named:
+		if obj := t.Obj(); obj.Pkg() != nil {
+			switch obj.Pkg().Path() {
+			case "sync":
+				switch obj.Name() {
+				case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Pool", "Map":
+					return true
+				}
+			case "sync/atomic":
+				// Every named value type in sync/atomic is no-copy.
+				return true
+			}
+		}
+		return containsLock(t.Underlying(), seen)
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			if containsLock(t.Field(i).Type(), seen) {
+				return true
+			}
+		}
+	case *types.Array:
+		return containsLock(t.Elem(), seen)
+	}
+	return false
+}
+
+func lockBearing(t types.Type) bool {
+	return containsLock(t, make(map[types.Type]bool))
+}
 
 // lockAcquire returns the receiver expression of a Lock/RLock call on a
 // lock-bearing type, or nil. TryLock is ignored: a must-analysis cannot
@@ -202,16 +245,16 @@ func lockFlow(info *types.Info, pkg *types.Package, pf *PkgFacts, fnName string)
 			return true
 		},
 		Transfer: func(n ast.Node, s lockState) lockState {
-			return lockStmtScan(info, pkg, pf, fnName, n, s, nil, nil)
+			return lockStmtScan(info, pkg, pf, fnName, n, s, nil)
 		},
 	}
 }
 
 // lockStmtScan applies one node's lock effects in source order. When
-// onEdge/onDouble are non-nil (the Walk pass) they receive the ordering
-// edges and double acquisitions observed at this node.
+// out is non-nil (the Walk pass) it collects the ordering edges, double
+// acquisitions and locked calls observed at this node.
 func lockStmtScan(info *types.Info, pkg *types.Package, pf *PkgFacts, fnName string, n ast.Node,
-	s lockState, onEdge func(lockEdge), onDouble func(lockDouble)) lockState {
+	s lockState, out *lockScan) lockState {
 	// A deferred Unlock keeps the lock held for the rest of the
 	// function; a deferred anything-else has no lock effect here.
 	if _, ok := n.(*ast.DeferStmt); ok {
@@ -225,13 +268,13 @@ func lockStmtScan(info *types.Info, pkg *types.Package, pf *PkgFacts, fnName str
 			if recv := lockAcquire(info, m); recv != nil {
 				class, local := lockClassOf(info, pkg, fnName, recv)
 				expr := types.ExprString(recv)
-				for _, h := range s.held {
-					if h.class == class && h.expr == expr {
-						if onDouble != nil {
-							onDouble(lockDouble{class: class, pos: m.Pos()})
+				if out != nil {
+					for _, h := range s.held {
+						if h.class == class && h.expr == expr {
+							out.doubles = append(out.doubles, lockDouble{class: class, pos: m.Pos()})
+						} else if h.class != class && !h.local && !local {
+							out.edges = append(out.edges, lockEdge{from: h.class, to: class, pos: m.Pos()})
 						}
-					} else if h.class != class && !h.local && !local && onEdge != nil {
-						onEdge(lockEdge{from: h.class, to: class, pos: m.Pos()})
 					}
 				}
 				s.held = append(s.held, heldLock{class: class, expr: expr, local: local})
@@ -247,18 +290,20 @@ func lockStmtScan(info *types.Info, pkg *types.Package, pf *PkgFacts, fnName str
 				}
 				return false
 			}
+			if len(s.held) == 0 || out == nil {
+				return true
+			}
+			out.locked = append(out.locked, m)
 			// A callee that acquires locks orders them after everything
 			// held here (the callee releases what it takes, so the
 			// lockset itself is unchanged). Same-class entries are
 			// skipped, as for direct acquisitions.
-			if len(s.held) > 0 && onEdge != nil {
-				if fn := staticCallee(info, m); fn != nil {
-					if cs := pf.SummaryOf(fn); cs != nil {
-						for _, c := range cs.LockClasses {
-							for _, h := range s.held {
-								if !h.local && h.class != c {
-									onEdge(lockEdge{from: h.class, to: c, pos: m.Pos()})
-								}
+			if fn := staticCallee(info, m); fn != nil {
+				if cs := pf.SummaryOf(fn); cs != nil {
+					for _, c := range cs.LockClasses {
+						for _, h := range s.held {
+							if !h.local && h.class != c {
+								out.edges = append(out.edges, lockEdge{from: h.class, to: c, pos: m.Pos()})
 							}
 						}
 					}
@@ -270,32 +315,57 @@ func lockStmtScan(info *types.Info, pkg *types.Package, pf *PkgFacts, fnName str
 	return s
 }
 
+// lockScan is one function's solved lockset walk: the positioned
+// ordering edges and double acquisitions lockorder reports, and every
+// call made while the must-held lockset is non-empty, which locksafe
+// checks for simulated I/O.
+type lockScan struct {
+	edges   []lockEdge
+	doubles []lockDouble
+	locked  []*ast.CallExpr
+}
+
 // scanLockOrder solves the lockset dataflow for n and collects its
-// positioned ordering edges and double acquisitions.
-func scanLockOrder(pf *PkgFacts, info *types.Info, n *FuncNode) ([]lockEdge, []lockDouble) {
-	// Fast path: no lock acquisition anywhere in the body.
-	any := false
+// lockScan, or nil when the body acquires no lock. Each func literal in
+// the body is solved as its own CFG from an empty lockset — a closure
+// runs on its own schedule, not under the locks held where it is
+// written — and contributes only its locked calls: lockorder's edges
+// and double acquisitions stay the enclosing function's own.
+func scanLockOrder(pf *PkgFacts, info *types.Info, n *FuncNode) *lockScan {
+	if !acquiresLock(info, n.Decl.Body) {
+		return nil
+	}
+	fnName := n.Summary.Func
+	solve := func(body *ast.BlockStmt, out *lockScan) {
+		sol := Solve(NewCFG(body), lockFlow(info, pf.pkg, pf, fnName))
+		sol.Walk(func(node ast.Node, before lockState) {
+			lockStmtScan(info, pf.pkg, pf, fnName, node, before, out)
+		})
+	}
+	out := &lockScan{}
+	solve(n.Decl.Body, out)
 	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
-		if call, ok := node.(*ast.CallExpr); ok && lockAcquire(info, call) != nil {
-			any = true
-			return false
+		if lit, ok := node.(*ast.FuncLit); ok && acquiresLock(info, lit.Body) {
+			var own lockScan
+			solve(lit.Body, &own)
+			out.locked = append(out.locked, own.locked...)
 		}
 		return true
 	})
-	if !any {
-		return nil, nil
-	}
-	fnName := n.Summary.Func
-	g := NewCFG(n.Decl.Body)
-	sol := Solve(g, lockFlow(info, pf.pkg, pf, fnName))
-	var edges []lockEdge
-	var doubles []lockDouble
-	sol.Walk(func(node ast.Node, before lockState) {
-		lockStmtScan(info, pf.pkg, pf, fnName, node, before,
-			func(e lockEdge) { edges = append(edges, e) },
-			func(d lockDouble) { doubles = append(doubles, d) })
+	return out
+}
+
+// acquiresLock reports whether body, closures included, contains a
+// lock acquisition.
+func acquiresLock(info *types.Info, body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(node ast.Node) bool {
+		if call, ok := node.(*ast.CallExpr); ok && lockAcquire(info, call) != nil {
+			found = true
+		}
+		return !found
 	})
-	return edges, doubles
+	return found
 }
 
 // ------------------------------------------------------------------
@@ -315,11 +385,7 @@ func runLockOrder(pass *Pass) error {
 		}
 		succs[from] = append(succs[from], to)
 	}
-	type posEdge struct {
-		lockEdge
-		fn string
-	}
-	var positioned []posEdge
+	var positioned []lockEdge
 	var doubles []lockDouble
 	for _, n := range pf.Nodes() {
 		for _, p := range n.Summary.LockPairs {
@@ -327,12 +393,14 @@ func runLockOrder(pass *Pass) error {
 				addPair(from, to)
 			}
 		}
-		edges, dbl := scanLockOrder(pf, pass.TypesInfo, n)
-		for _, e := range edges {
-			addPair(e.from, e.to)
-			positioned = append(positioned, posEdge{lockEdge: e, fn: n.Summary.Func})
+		if n.locks == nil {
+			continue
 		}
-		doubles = append(doubles, dbl...)
+		for _, e := range n.locks.edges {
+			addPair(e.from, e.to)
+		}
+		positioned = append(positioned, n.locks.edges...)
+		doubles = append(doubles, n.locks.doubles...)
 	}
 
 	for _, d := range doubles {
@@ -444,14 +512,18 @@ func (pf *PkgFacts) fixLockOrder(info *types.Info) {
 		}
 	}
 
-	// Phase 2: ordering pairs. Own edges are computed once (the lockset
-	// is intra-function and classes are now final), callee pairs union
-	// in to a fixed point.
+	// Phase 2: ordering pairs. Own scans run once (the lockset is
+	// intra-function and classes are now final) and are kept on the node
+	// for the lockorder and locksafe passes; callee pairs union in to a
+	// fixed point.
 	ownPairs := make(map[*FuncNode][]string)
 	for _, n := range pf.own {
+		n.locks = scanLockOrder(pf, info, n)
+		if n.locks == nil {
+			continue
+		}
 		set := make(map[string]bool)
-		edges, _ := scanLockOrder(pf, info, n)
-		for _, e := range edges {
+		for _, e := range n.locks.edges {
 			set[e.from+lockPairSep+e.to] = true
 		}
 		ownPairs[n] = sortedKeys(set)

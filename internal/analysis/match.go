@@ -5,11 +5,10 @@ import (
 	"go/types"
 )
 
-// The storage and tree layers expose raw read methods (Get, ReadNode)
-// purely as conveniences over their *Tracked variants. The matchers below
-// classify method calls by receiver type name + method name rather than
-// by import path, so the same analyzers run both on the real packages and
-// on the self-contained analysistest fixtures.
+// The matchers below classify method calls by receiver type name +
+// method name rather than by import path, so the same analyzers run
+// both on the real packages and on the self-contained analysistest
+// fixtures.
 
 // methodCall resolves a call expression to (receiver named type, method
 // name). It reports false for plain function calls and unresolved code.
@@ -36,41 +35,14 @@ func methodCall(info *types.Info, call *ast.CallExpr) (*types.Named, string, boo
 // storeTypeNames are the named types acting as blob stores.
 var storeTypeNames = map[string]bool{"Store": true, "FileStore": true, "Blobs": true}
 
-// rawReadCall reports whether call is an untracked simulated-I/O read:
-// Tree.ReadNode or a Get on a store type. These drop per-query I/O
-// attribution and are what the trackedio analyzer flags.
-func rawReadCall(info *types.Info, call *ast.CallExpr) (string, bool) {
-	named, method, ok := methodCall(info, call)
-	if !ok {
-		return "", false
-	}
-	name := named.Obj().Name()
-	switch {
-	case method == "ReadNode" && name == "Tree":
-		return name + ".ReadNode", true
-	case method == "Get" && storeTypeNames[name]:
-		return name + ".Get", true
-	}
-	return "", false
-}
-
-// ioReadCall reports whether call performs simulated node/blob I/O at
-// all, tracked or not. The locksafe analyzer forbids these while a lock
-// is held.
+// ioReadCall reports whether call is a simulated node/blob read: a
+// GetTracked on a store type, the one read primitive every store
+// exposes. Tree reads (Snapshot.ReadNodeTracked, view parsing) reach it
+// through their PerformsIO fact.
 func ioReadCall(info *types.Info, call *ast.CallExpr) (string, bool) {
-	if name, ok := rawReadCall(info, call); ok {
-		return name, true
-	}
 	named, method, ok := methodCall(info, call)
-	if !ok {
+	if !ok || method != "GetTracked" || !storeTypeNames[named.Obj().Name()] {
 		return "", false
 	}
-	name := named.Obj().Name()
-	switch {
-	case method == "ReadNodeTracked" && name == "Tree":
-		return name + ".ReadNodeTracked", true
-	case method == "GetTracked" && storeTypeNames[name]:
-		return name + ".GetTracked", true
-	}
-	return "", false
+	return named.Obj().Name() + ".GetTracked", true
 }

@@ -3,20 +3,19 @@ package analysis
 // The function-level dataflow engine. Summarize builds an intra-package
 // call graph over the typed ASTs of one package, scans every function
 // body for behavioral evidence (allocation sites, simulated-I/O calls,
-// lock acquisitions, package-level writes, capacity-backed returns),
-// and propagates the resulting properties to a fixed point across the
-// call graph — consulting the FactStore of imported packages at every
-// cross-package call, so the properties are transitive across the whole
-// module (facts ride the unitchecker .vetx files, see facts.go).
+// capacity-backed returns), and propagates the resulting properties to
+// a fixed point across the call graph — consulting the FactStore of
+// imported packages at every cross-package call, so the properties are
+// transitive across the whole module (facts ride the unitchecker .vetx
+// files, see facts.go).
 //
-// Three kinds of roots/annotations steer the analyzers built on top:
+// Two annotations steer the analyzers built on top:
 //
 //	//rstknn:hotpath [reason]       (function doc comment)
 //	    marks a hot-path root: hotalloc requires the function and
 //	    everything statically reachable from it to be allocation-free.
 //	//rstknn:allow hotalloc <why>   clears an allocation site — and the
 //	    Allocates fact, so blessed warm-up growth does not taint callers.
-//	//rstknn:allow sharedmut <why>  likewise for package-level writes.
 
 import (
 	"fmt"
@@ -40,13 +39,6 @@ type allocSite struct {
 	allowed bool
 }
 
-// sharedWrite is one write to package-level state.
-type sharedWrite struct {
-	pos     token.Pos
-	name    string
-	allowed bool
-}
-
 // callSite is one statically resolved outgoing call.
 type callSite struct {
 	pos    token.Pos
@@ -61,14 +53,11 @@ type FuncNode struct {
 	// Hot marks a //rstknn:hotpath root.
 	Hot bool
 
-	sites   []allocSite
-	writes  []sharedWrite
-	calls   []callSite
-	proven  map[*types.Var]bool // locals with a capacity proof
-	ioWhy   string
-	ioEvid  bool
-	lockEv  bool
-	retsCap bool // every return is a capacity-backed slice
+	sites []allocSite
+	calls []callSite
+	// locks is the solved lockset walk (nil when the body acquires no
+	// lock), shared by the lockorder and locksafe passes.
+	locks *lockScan
 
 	// ssa caches the SSA-lite form for the taint scan (built once;
 	// ssaTried distinguishes "not built yet" from "bodiless").
@@ -295,7 +284,7 @@ func Summarize(fset *token.FileSet, files []*ast.File, pkg *types.Package, info 
 	pf.fixCapBacked(info)
 	for _, n := range pf.own {
 		scanSites(pf, n, info, dirs)
-		scanBehavior(pf, n, info, dirs)
+		scanBehavior(pf, n, info)
 	}
 	pf.fixBehavior()
 
@@ -765,61 +754,18 @@ func isStringType(t types.Type) bool {
 // ------------------------------------------------------------------
 // Behavioral evidence and propagation
 
-// scanBehavior records the node's intrinsic I/O, lock, and shared-write
-// evidence.
-func scanBehavior(pf *PkgFacts, n *FuncNode, info *types.Info, dirs *directiveIndex) {
-	addWrite := func(pos token.Pos, name string) {
-		n.writes = append(n.writes, sharedWrite{
-			pos:     pos,
-			name:    name,
-			allowed: dirs.allows(SharedMut.Name, pf.fset.Position(pos)),
-		})
-	}
-	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
-		switch e := node.(type) {
-		case *ast.CallExpr:
-			if !n.ioEvid {
-				if name, ok := ioReadCall(info, e); ok {
-					n.ioEvid = true
-					n.ioWhy = "calls " + name
-				}
-			}
-			if !n.lockEv {
-				if sel, ok := e.Fun.(*ast.SelectorExpr); ok &&
-					(sel.Sel.Name == "Lock" || sel.Sel.Name == "RLock") && len(e.Args) == 0 {
-					t := info.TypeOf(sel.X)
-					if ptr, isPtr := t.(*types.Pointer); isPtr {
-						t = ptr.Elem()
-					}
-					if t != nil && lockBearing(t) {
-						n.lockEv = true
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range e.Lhs {
-				if v := packageLevelTarget(info, pf.pkg, lhs); v != nil {
-					addWrite(lhs.Pos(), v.Name())
-				}
-			}
-		case *ast.IncDecStmt:
-			if v := packageLevelTarget(info, pf.pkg, e.X); v != nil {
-				addWrite(e.X.Pos(), v.Name())
-			}
-		}
-		return true
-	})
-
+// scanBehavior records the node's intrinsic I/O evidence and seeds the
+// may-allocate fact from its unsuppressed allocation sites.
+func scanBehavior(pf *PkgFacts, n *FuncNode, info *types.Info) {
 	s := n.Summary
-	s.PerformsIO, s.IOWhy = n.ioEvid, n.ioWhy
-	s.AcquiresLock = n.lockEv
-	for _, w := range n.writes {
-		if !w.allowed {
-			s.WritesShared = true
-			s.SharedWhy = "writes package-level " + w.name
-			break
+	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
+		if call, ok := node.(*ast.CallExpr); ok && !s.PerformsIO {
+			if name, ok := ioReadCall(info, call); ok {
+				s.PerformsIO, s.IOWhy = true, "calls "+name
+			}
 		}
-	}
+		return !s.PerformsIO
+	})
 	for _, site := range n.sites {
 		if !site.allowed {
 			s.Allocates = true
@@ -829,45 +775,14 @@ func scanBehavior(pf *PkgFacts, n *FuncNode, info *types.Info, dirs *directiveIn
 	}
 }
 
-// packageLevelTarget resolves an assignment target to the package-level
-// variable it writes (directly, through a field, or through an index),
-// or nil.
-func packageLevelTarget(info *types.Info, pkg *types.Package, e ast.Expr) *types.Var {
-	for {
-		switch t := ast.Unparen(e).(type) {
-		case *ast.IndexExpr:
-			e = t.X
-		case *ast.SelectorExpr:
-			// pkgname.Var writes a foreign package-level var.
-			if id, ok := t.X.(*ast.Ident); ok {
-				if _, isPkg := info.Uses[id].(*types.PkgName); isPkg {
-					if v, ok := info.Uses[t.Sel].(*types.Var); ok {
-						return v
-					}
-					return nil
-				}
-			}
-			e = t.X
-		case *ast.Ident:
-			v, ok := info.Uses[t].(*types.Var)
-			if ok && !v.IsField() && v.Parent() == pkg.Scope() {
-				return v
-			}
-			return nil
-		default:
-			return nil
-		}
-	}
-}
-
 func shortPos(fset *token.FileSet, pos token.Pos) string {
 	p := fset.Position(pos)
 	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
 }
 
-// fixBehavior propagates Allocates / PerformsIO / AcquiresLock /
-// WritesShared across the package call graph to a fixed point,
-// consulting imported facts and stdlib assumptions at every call.
+// fixBehavior propagates Allocates / PerformsIO across the package
+// call graph to a fixed point, consulting imported facts and stdlib
+// assumptions at every call.
 func (pf *PkgFacts) fixBehavior() {
 	for changed := true; changed; {
 		changed = false
@@ -882,21 +797,10 @@ func (pf *PkgFacts) fixBehavior() {
 						changed = true
 					}
 				}
-				if cs := pf.SummaryOf(c.callee); cs != nil {
-					if !s.PerformsIO && cs.PerformsIO {
-						s.PerformsIO = true
-						s.IOWhy = "calls " + display + " (" + cs.IOWhy + ")"
-						changed = true
-					}
-					if !s.AcquiresLock && cs.AcquiresLock {
-						s.AcquiresLock = true
-						changed = true
-					}
-					if !s.WritesShared && cs.WritesShared {
-						s.WritesShared = true
-						s.SharedWhy = "calls " + display + " (" + cs.SharedWhy + ")"
-						changed = true
-					}
+				if cs := pf.SummaryOf(c.callee); cs != nil && !s.PerformsIO && cs.PerformsIO {
+					s.PerformsIO = true
+					s.IOWhy = "calls " + display + " (" + cs.IOWhy + ")"
+					changed = true
 				}
 			}
 		}

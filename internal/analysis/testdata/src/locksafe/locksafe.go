@@ -1,6 +1,6 @@
 // Package locksafe is an analysistest fixture for the locksafe analyzer:
-// shard-like structs with embedded locks, plus store stand-ins whose
-// Get/GetTracked count as simulated I/O.
+// a store stand-in whose GetTracked counts as simulated I/O, read with
+// and without its lock held.
 package locksafe
 
 import "sync"
@@ -11,45 +11,16 @@ type Tracker struct{}
 
 type Store struct{ mu sync.RWMutex }
 
-func (s *Store) Get(id NodeID) ([]byte, error)                     { return nil, nil }
 func (s *Store) GetTracked(id NodeID, tr *Tracker) ([]byte, error) { return nil, nil }
-
-type shard struct {
-	mu    sync.Mutex
-	items map[NodeID][]byte
-}
-
-type pool struct{ shards []shard }
-
-func copyParam(s shard) {} // want `passes a lock-bearing`
-
-func (s shard) valueReceiver() {} // want `passes a lock-bearing`
-
-func ptrParam(s *shard) {} // clean
-
-func rangeCopy(p *pool) {
-	for _, sh := range p.shards { // want `range copies a lock-bearing`
-		_ = sh.items
-	}
-	for i := range p.shards { // by-index iteration: clean
-		sh := &p.shards[i]
-		_ = sh.items
-	}
-}
-
-func derefCopy(sh *shard) {
-	cp := *sh // want `assignment copies a lock-bearing`
-	_ = cp
-}
 
 func lockedIO(s *Store) {
 	s.mu.Lock()
-	s.Get(0) // want `Store\.Get called while holding a lock`
+	s.GetTracked(0, nil) // want `Store\.GetTracked called while holding a lock`
 	s.mu.Unlock()
 
 	s.mu.Lock()
 	s.mu.Unlock()
-	s.Get(0) // released before the read: clean
+	s.GetTracked(0, nil) // released before the read: clean
 }
 
 func deferredLockedIO(s *Store, tr *Tracker) ([]byte, error) {
@@ -65,22 +36,35 @@ func lookupThenRead(s *Store) ([]byte, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	return s.Get(0) // clean: lock released
+	return s.GetTracked(0, nil) // clean: lock released
 }
 
 func (s *Store) trailer() []byte { return nil }
 
+// unlockThenRead releases the lock inside the early-exit branch, before
+// the read: the must-held lockset is empty there, so the read is clean
+// even though the lock is still held after the branch.
+func unlockThenRead(s *Store, c bool) ([]byte, error) {
+	s.mu.Lock()
+	if c {
+		s.mu.Unlock()
+		return s.GetTracked(0, nil) // clean: released on this path
+	}
+	s.mu.Unlock()
+	return nil, nil
+}
+
 func allowedLockedIO(s *Store) {
 	s.mu.Lock()
 	//rstknn:allow locksafe single-threaded recovery path
-	s.Get(0)
+	s.GetTracked(0, nil)
 	s.mu.Unlock()
 }
 
 // readAll hides the simulated I/O behind a helper; its PerformsIO fact
 // makes the locked call below visible transitively.
 func (s *Store) readAll() [][]byte {
-	b, err := s.Get(0)
+	b, err := s.GetTracked(0, nil)
 	if err != nil {
 		return nil
 	}
@@ -92,4 +76,24 @@ func transitiveLockedIO(s *Store) {
 	s.readAll() // want `Store\.readAll performs simulated I/O .* while a lock is held`
 	s.mu.Unlock()
 	s.readAll() // clean: lock released
+}
+
+// closureLockedIO locks and reads inside a func literal: the closure's
+// body is solved as its own CFG, so the read under its lock is flagged.
+func closureLockedIO(s *Store, done chan struct{}) {
+	go func() {
+		s.mu.Lock()
+		s.GetTracked(0, nil) // want `Store\.GetTracked called while holding a lock`
+		s.mu.Unlock()
+		close(done)
+	}()
+}
+
+// closureWrittenUnderLock is written while the lock is held but runs
+// later, on its own schedule: its read is clean.
+func closureWrittenUnderLock(s *Store) func() {
+	s.mu.Lock()
+	f := func() { s.GetTracked(0, nil) }
+	s.mu.Unlock()
+	return f
 }

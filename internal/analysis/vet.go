@@ -84,7 +84,6 @@ func VetMain(analyzers ...*Analyzer) {
 	printVersion := flag.String("V", "", "print version and exit (-V=full)")
 	printFlags := flag.Bool("flags", false, "print analyzer flags in JSON")
 	jsonOut := flag.Bool("json", false, "emit JSON output")
-	baseline := flag.String("baseline", "", "file of known diagnostics to filter out")
 	flag.Parse()
 
 	switch {
@@ -93,10 +92,9 @@ func VetMain(analyzers ...*Analyzer) {
 		return
 	case *printFlags:
 		// Declare the tool's flags so the go command forwards matching
-		// command-line flags (go vet -vettool=… -json -baseline=…) to
-		// every unit invocation.
-		fmt.Print(`[{"Name":"json","Bool":true,"Usage":"emit JSON output"},` +
-			`{"Name":"baseline","Bool":false,"Usage":"file of known diagnostics to filter out"}]`)
+		// command-line flags (go vet -vettool=… -json) to every unit
+		// invocation.
+		fmt.Print(`[{"Name":"json","Bool":true,"Usage":"emit JSON output"}]`)
 		return
 	}
 
@@ -104,7 +102,7 @@ func VetMain(analyzers ...*Analyzer) {
 	if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
 		log.Fatalf("usage: run via go vet -vettool=%s ./... (direct invocation takes a single unit.cfg)", progname)
 	}
-	os.Exit(runUnit(args[0], analyzers, *jsonOut, *baseline, os.Stdout, os.Stderr))
+	os.Exit(runUnit(args[0], analyzers, *jsonOut, os.Stdout, os.Stderr))
 }
 
 // versionFingerprint implements the -V=full handshake: the go command
@@ -132,7 +130,7 @@ func versionFingerprint(mode string) {
 
 // runUnit analyzes the compilation unit described by cfgPath and returns
 // the process exit code.
-func runUnit(cfgPath string, analyzers []*Analyzer, jsonOut bool, baselinePath string, stdout, stderr io.Writer) int {
+func runUnit(cfgPath string, analyzers []*Analyzer, jsonOut bool, stdout, stderr io.Writer) int {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
 		log.Fatal(err)
@@ -230,14 +228,6 @@ func runUnit(cfgPath string, analyzers []*Analyzer, jsonOut bool, baselinePath s
 		}
 	}
 
-	if baselinePath != "" {
-		known, err := readBaseline(baselinePath)
-		if err != nil {
-			log.Fatalf("reading baseline: %v", err)
-		}
-		applyBaseline(known, fset, analyzers, diags)
-	}
-
 	if jsonOut {
 		printJSONDiagnostics(stdout, fset, cfg.ID, analyzers, diags, suppressed, elapsed)
 		return 0
@@ -265,61 +255,6 @@ func standardUnit(cfg *vetConfig) bool {
 		}
 	}
 	return true
-}
-
-// readBaseline parses a baseline file: one "file:line[:col]: message"
-// diagnostic per line, as written by redirecting a vet run's stderr
-// (# comments and blank lines ignored). Matching is by base filename
-// and message — line numbers shift too easily to key on — and counted:
-// an entry appearing N times suppresses at most N matching findings,
-// so when a baselined problem multiplies, the new occurrences still
-// surface.
-func readBaseline(path string) (map[string]int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	known := make(map[string]int)
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		posn, msg, ok := strings.Cut(line, ": ")
-		if !ok {
-			continue
-		}
-		file := posn
-		if i := strings.Index(posn, ":"); i >= 0 {
-			file = posn[:i]
-		}
-		known[baselineKey(filepath.Base(file), msg)]++
-	}
-	return known, nil
-}
-
-// applyBaseline removes findings covered by the baseline, consuming one
-// count per match. Analyzers are processed in registration order and
-// findings in report order, so a short-counted baseline suppresses the
-// same occurrences on every run.
-func applyBaseline(known map[string]int, fset *token.FileSet, analyzers []*Analyzer, diags map[string][]Diagnostic) {
-	for _, a := range analyzers {
-		ds := diags[a.Name]
-		kept := ds[:0]
-		for _, d := range ds {
-			key := baselineKey(filepath.Base(fset.Position(d.Pos).Filename), d.Message)
-			if known[key] > 0 {
-				known[key]--
-				continue
-			}
-			kept = append(kept, d)
-		}
-		diags[a.Name] = kept
-	}
-}
-
-func baselineKey(file, message string) string {
-	return file + "\x00" + message
 }
 
 // newTypesInfo allocates every map go/types can fill; the analyzers need

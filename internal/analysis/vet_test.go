@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"encoding/json"
-	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,7 +48,7 @@ func exact(a, b float64) bool { return a == b }
 	cfgPath, vetxPath := writeUnitConfig(t, dir, []string{src}, false)
 
 	var stdout, stderr strings.Builder
-	exit := runUnit(cfgPath, All(), false, "", &stdout, &stderr)
+	exit := runUnit(cfgPath, All(), false, &stdout, &stderr)
 	if exit != 1 {
 		t.Fatalf("exit = %d, want 1; stderr: %s", exit, stderr.String())
 	}
@@ -74,7 +73,7 @@ func fine(a, b float64) bool { return a < b }
 	cfgPath, _ := writeUnitConfig(t, dir, []string{src}, false)
 
 	var stdout, stderr strings.Builder
-	if exit := runUnit(cfgPath, All(), false, "", &stdout, &stderr); exit != 0 {
+	if exit := runUnit(cfgPath, All(), false, &stdout, &stderr); exit != 0 {
 		t.Fatalf("exit = %d, want 0; stderr: %s", exit, stderr.String())
 	}
 }
@@ -114,7 +113,7 @@ func blessed(a, b float64) bool {
 	cfgPath, _ := writeUnitConfig(t, dir, []string{src}, false)
 
 	var stdout, stderr strings.Builder
-	if exit := runUnit(cfgPath, All(), true, "", &stdout, &stderr); exit != 0 {
+	if exit := runUnit(cfgPath, All(), true, &stdout, &stderr); exit != 0 {
 		t.Fatalf("exit = %d, want 0 in JSON mode; stderr: %s", exit, stderr.String())
 	}
 	var tree map[string]jsonUnitReport
@@ -183,7 +182,7 @@ func exact(a, b float64) bool { return a == b }
 		tick = 0
 		cfgPath, _ := writeUnitConfig(t, t.TempDir(), []string{src}, false)
 		var stdout, stderr strings.Builder
-		if exit := runUnit(cfgPath, All(), true, "", &stdout, &stderr); exit != 0 {
+		if exit := runUnit(cfgPath, All(), true, &stdout, &stderr); exit != 0 {
 			t.Fatalf("exit = %d; stderr: %s", exit, stderr.String())
 		}
 		return stdout.String()
@@ -220,7 +219,7 @@ func Carve() []int { return make([]int, 0, 8) }
 	cfgPath, vetxPath := writeUnitConfig(t, dir, []string{src}, true)
 
 	var stdout, stderr strings.Builder
-	if exit := runUnit(cfgPath, All(), false, "", &stdout, &stderr); exit != 0 {
+	if exit := runUnit(cfgPath, All(), false, &stdout, &stderr); exit != 0 {
 		t.Fatalf("exit = %d, want 0 in VetxOnly mode; stderr: %s", exit, stderr.String())
 	}
 	store, err := ReadFactsFile(vetxPath)
@@ -271,7 +270,7 @@ func TestRunUnitStandardFastPath(t *testing.T) {
 	}
 
 	var stdout, stderr strings.Builder
-	if exit := runUnit(cfgPath, All(), false, "", &stdout, &stderr); exit != 0 {
+	if exit := runUnit(cfgPath, All(), false, &stdout, &stderr); exit != 0 {
 		t.Fatalf("exit = %d, want 0 for a standard unit", exit)
 	}
 	store, err := ReadFactsFile(vetxPath)
@@ -283,144 +282,16 @@ func TestRunUnitStandardFastPath(t *testing.T) {
 	}
 }
 
-// TestRunUnitBaseline checks that -baseline filters known diagnostics by
-// file basename and message, letting new findings through.
-func TestRunUnitBaseline(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "p.go")
-	code := `package fixture
-
-func exact(a, b float64) bool { return a == b }
-
-func fresh(a, b float64) bool { return a != b }
-`
-	if err := os.WriteFile(src, []byte(code), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	cfgPath, _ := writeUnitConfig(t, dir, []string{src}, false)
-
-	// First run, no baseline: both findings reported.
-	var stdout, stderr strings.Builder
-	if exit := runUnit(cfgPath, All(), false, "", &stdout, &stderr); exit != 1 {
-		t.Fatalf("exit = %d, want 1 without baseline", exit)
-	}
-	lines := strings.Split(strings.TrimSpace(stderr.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("want 2 diagnostics without baseline, got %q", stderr.String())
-	}
-
-	// Baseline the first finding (note: a different directory prefix —
-	// matching must be by basename, not full path).
-	baseline := filepath.Join(dir, "lint.baseline")
-	content := "# known findings\nsomewhere/else/p.go:3:39: " +
-		strings.SplitN(lines[0], ": ", 2)[1] + "\n"
-	if err := os.WriteFile(baseline, []byte(content), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if exit := runUnit(cfgPath, All(), false, baseline, &stdout, &stderr); exit != 1 {
-		t.Fatalf("exit = %d, want 1 with baseline (new finding remains)", exit)
-	}
-	out := strings.TrimSpace(stderr.String())
-	if strings.Count(out, "\n") != 0 || !strings.Contains(out, "!=") {
-		t.Fatalf("baseline filtering wrong; stderr: %q", out)
-	}
-}
-
-// TestBaselineCountsDuplicates pins the counted semantics of baseline
-// matching: an entry appearing N times suppresses at most N findings
-// with that (basename, message) key, so a baselined problem that
-// multiplies still surfaces the new occurrences.
-func TestBaselineCountsDuplicates(t *testing.T) {
-	dir := t.TempDir()
-	baseline := filepath.Join(dir, "lint.baseline")
-	content := "# two known copies of the same finding\n" +
-		"old/path/p.go:3:1: dup message\n" +
-		"p.go:9:1: dup message\n"
-	if err := os.WriteFile(baseline, []byte(content), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	known, err := readBaseline(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := known[baselineKey("p.go", "dup message")]; got != 2 {
-		t.Fatalf("baseline count = %d, want 2 (duplicates must not collapse)", got)
-	}
-
-	fset := token.NewFileSet()
-	f := fset.AddFile(filepath.Join(dir, "p.go"), -1, 100)
-	az := &Analyzer{Name: "fake"}
-	diag := func(off int, msg string) Diagnostic {
-		return Diagnostic{Pos: f.Pos(off), Message: msg, Analyzer: az.Name}
-	}
-	diags := map[string][]Diagnostic{az.Name: {
-		diag(1, "dup message"),
-		diag(2, "dup message"),
-		diag(3, "dup message"), // third copy: beyond the baselined count
-		diag(4, "fresh message"),
-	}}
-	applyBaseline(known, fset, []*Analyzer{az}, diags)
-	kept := diags[az.Name]
-	if len(kept) != 2 {
-		t.Fatalf("kept %d findings, want 2 (one dup over budget + one fresh): %v", len(kept), kept)
-	}
-	if kept[0].Message != "dup message" || kept[1].Message != "fresh message" {
-		t.Fatalf("kept the wrong findings: %v", kept)
-	}
-}
-
-// TestRunUnitBaselineDuplicateFindings drives the same semantics end to
-// end: two identical diagnostics in one file, one baseline entry — the
-// second occurrence must still be reported.
-func TestRunUnitBaselineDuplicateFindings(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "p.go")
-	code := `package fixture
-
-func one(a, b float64) bool { return a == b }
-
-func two(a, b float64) bool { return a == b }
-`
-	if err := os.WriteFile(src, []byte(code), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	cfgPath, _ := writeUnitConfig(t, dir, []string{src}, false)
-
-	var stdout, stderr strings.Builder
-	if exit := runUnit(cfgPath, All(), false, "", &stdout, &stderr); exit != 1 {
-		t.Fatalf("exit = %d, want 1; stderr: %s", exit, stderr.String())
-	}
-	lines := strings.Split(strings.TrimSpace(stderr.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("want 2 identical findings without baseline, got %q", stderr.String())
-	}
-
-	baseline := filepath.Join(dir, "lint.baseline")
-	if err := os.WriteFile(baseline, []byte(lines[0]+"\n"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if exit := runUnit(cfgPath, All(), false, baseline, &stdout, &stderr); exit != 1 {
-		t.Fatalf("exit = %d, want 1: only one of the two copies is baselined", exit)
-	}
-	if n := strings.Count(strings.TrimSpace(stderr.String()), "\n") + 1; n != 1 {
-		t.Fatalf("want exactly 1 surviving finding, got %d: %q", n, stderr.String())
-	}
-}
-
 // TestDirectiveParsing pins the allow-directive grammar.
 func TestDirectiveParsing(t *testing.T) {
 	cases := []struct {
 		comment string
 		names   []string
 	}{
-		{"//rstknn:allow trackedio maintenance copy", []string{"trackedio"}},
-		{"//rstknn:allow trackedio,floatcmp reason here", []string{"trackedio", "floatcmp"}},
+		{"//rstknn:allow locksafe writer path", []string{"locksafe"}},
+		{"//rstknn:allow locksafe,floatcmp reason here", []string{"locksafe", "floatcmp"}},
 		{"//rstknn:allow", nil},
-		{"// rstknn:allow trackedio", nil}, // directives must not have a space
+		{"// rstknn:allow locksafe", nil}, // directives must not have a space
 		{"// regular comment", nil},
 	}
 	for _, c := range cases {

@@ -119,30 +119,11 @@ func BichromaticRSTkNN(facilities *iurtree.Snapshot, users []iurtree.Object, q Q
 	if workers > len(users) {
 		workers = len(users)
 	}
-	if workers <= 1 {
-		sc := NewScorer(opt.Alpha, facilities.MaxD(), opt.Sim)
-		for i := range users {
-			if err := checkCtx(opt.Ctx); err != nil {
-				return nil, err
-			}
-			influenced, m, err := testUser(facilities, &users[i], &q, sc, opt)
-			if err != nil {
-				return nil, err
-			}
-			out.Metrics.add(&m)
-			if influenced {
-				out.UserIDs = append(out.UserIDs, users[i].ID)
-			}
-		}
-		out.Metrics.ExactSims += sc.ExactCount
-		sort.Slice(out.UserIDs, func(i, j int) bool { return out.UserIDs[i] < out.UserIDs[j] })
-		return out, nil
-	}
-
 	// Each user's influence test is independent, so the loop fans out
-	// across a worker pool. Every worker has a private scorer and private
-	// accumulators; metrics are sums and the ID set is sorted, so the
-	// merged outcome is identical to the sequential loop's.
+	// across a worker pool (one goroutine when Workers is 1). Every
+	// worker has a private scorer and private accumulators; metrics are
+	// sums and the ID set is sorted, so the merged outcome does not
+	// depend on the worker count.
 	type tally struct {
 		ids     []int32
 		metrics Metrics

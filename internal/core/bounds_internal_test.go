@@ -66,7 +66,7 @@ func TestKNNBoundsBracketTruth(t *testing.T) {
 			truth[i] = wbKth(sc, objs, i, k)
 		}
 
-		rootNode, err := tree.ReadNode(tree.RootEntry().Child)
+		rootNode, err := tree.ReadNodeTracked(tree.RootEntry().Child, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func wbCheckSubtree(tree *iurtree.Snapshot, e *iurtree.Entry, truth []float64, k
 		}
 		return nil
 	}
-	n, err := tree.ReadNode(e.Child)
+	n, err := tree.ReadNodeTracked(e.Child, nil)
 	if err != nil {
 		return err
 	}

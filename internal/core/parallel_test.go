@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -33,6 +34,12 @@ func (r *boundRecorder) trace(objID int32, knnl, knnu float64) {
 // the bichromatic per-user fan-out: influenced-user sets and summed
 // Metrics are identical at every worker count.
 func TestBichromaticParallelMatchesSequential(t *testing.T) {
+	// Workers is clamped to GOMAXPROCS; raise it so workers 2/4/8 spawn
+	// real goroutines on a 1-CPU machine and -race sees the fan-out.
+	if runtime.GOMAXPROCS(0) < 4 {
+		prev := runtime.GOMAXPROCS(4)
+		defer runtime.GOMAXPROCS(prev)
+	}
 	rng := rand.New(rand.NewSource(101))
 	facilities := genObjects(rng, 250, 25, 5)
 	users := genObjects(rng, 90, 25, 5)

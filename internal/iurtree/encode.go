@@ -249,8 +249,9 @@ func (t *Snapshot) Save() storage.NodeID {
 
 // Open reopens a tree previously Saved under headerID on the given store.
 func Open(store storage.Blobs, headerID storage.NodeID) (*Snapshot, error) {
-	//rstknn:allow trackedio one-time header read at open, before any query exists
-	buf, err := store.Get(headerID)
+	// A one-time header read at open, before any query exists: no
+	// tracker to charge.
+	buf, err := store.GetTracked(headerID, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -108,12 +108,12 @@ type Config struct {
 // copy-on-write and return a NEW snapshot instead of mutating the
 // receiver.
 //
-// A snapshot is safe for concurrent readers: ReadNode/ReadNodeTracked,
-// Walk, and the accessor methods may be called from any number of
-// goroutines, and keep working while Insert/Delete derive successor
-// snapshots from it. The only lifetime rule: once the NodeIDs an update
-// retired are freed (storage.Reclaimer), the superseded snapshots that
-// referenced them must no longer be read.
+// A snapshot is safe for concurrent readers: ReadNodeTracked,
+// ReadViewTracked, Walk, and the accessor methods may be called from
+// any number of goroutines, and keep working while Insert/Delete derive
+// successor snapshots from it. The only lifetime rule: once the NodeIDs
+// an update retired are freed (storage.Reclaimer), the superseded
+// snapshots that referenced them must no longer be read.
 type Snapshot struct {
 	store       storage.Blobs
 	rootID      storage.NodeID
@@ -291,17 +291,11 @@ func summarize(n *Node, id storage.NodeID) Entry {
 	return e
 }
 
-// ReadNode fetches and decodes the node stored under id, charging
-// simulated I/O on the underlying store.
-func (t *Snapshot) ReadNode(id storage.NodeID) (*Node, error) {
-	return t.ReadNodeTracked(id, nil)
-}
-
-// ReadNodeTracked is ReadNode with per-query attribution: the simulated
-// I/O is charged to tr (when non-nil) in addition to the store's global
-// counters. It returns a private decoded copy, so the update paths may
-// edit its entries before re-encoding. Queries read through
-// ReadViewTracked instead.
+// ReadNodeTracked fetches and decodes the node stored under id. The
+// simulated I/O is charged to tr (when non-nil) in addition to the
+// store's global counters. It returns a private decoded copy, so the
+// update paths may edit its entries before re-encoding. Queries read
+// through ReadViewTracked instead.
 func (t *Snapshot) ReadNodeTracked(id storage.NodeID, tr *storage.Tracker) (*Node, error) {
 	blob, err := t.store.GetTracked(id, tr)
 	if err != nil {

@@ -74,7 +74,7 @@ func TestBuildEmptyAndTiny(t *testing.T) {
 	if root.Count != 1 {
 		t.Errorf("root count = %d", root.Count)
 	}
-	n, err := tr.ReadNode(tr.RootID())
+	n, err := tr.ReadNodeTracked(tr.RootID(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestReadNodeChargesIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.ResetStats()
-	if _, err := tr.ReadNode(tr.RootID()); err != nil {
+	if _, err := tr.ReadNodeTracked(tr.RootID(), nil); err != nil {
 		t.Fatal(err)
 	}
 	st := store.Stats()

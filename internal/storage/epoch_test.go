@@ -27,10 +27,10 @@ func TestReclaimerFreesImmediatelyWithoutPins(t *testing.T) {
 	if st.Pending != 0 || st.Freed != 2 {
 		t.Fatalf("after unpinned retire: %+v, want pending 0 freed 2", st)
 	}
-	if _, err := s.Get(ids[0]); !errors.Is(err, ErrFreed) {
+	if _, err := s.GetTracked(ids[0], nil); !errors.Is(err, ErrFreed) {
 		t.Fatalf("read of freed node: %v, want ErrFreed", err)
 	}
-	if _, err := s.Get(ids[2]); err != nil {
+	if _, err := s.GetTracked(ids[2], nil); err != nil {
 		t.Fatalf("live node unreadable: %v", err)
 	}
 }
@@ -52,7 +52,7 @@ func TestReclaimerPinBlocksFree(t *testing.T) {
 	}
 	// Retired-but-not-freed nodes must still be readable: the pinned
 	// snapshot may traverse them.
-	if _, err := s.Get(ids[0]); err != nil {
+	if _, err := s.GetTracked(ids[0], nil); err != nil {
 		t.Fatalf("retired node unreadable while pinned: %v", err)
 	}
 
@@ -60,7 +60,7 @@ func TestReclaimerPinBlocksFree(t *testing.T) {
 	if st := r.Stats(); st.Pending != 0 || st.Freed != 2 {
 		t.Fatalf("after release: %+v, want pending 0 freed 2", st)
 	}
-	if _, err := s.Get(ids[0]); !errors.Is(err, ErrFreed) {
+	if _, err := s.GetTracked(ids[0], nil); !errors.Is(err, ErrFreed) {
 		t.Fatalf("read after release: %v, want ErrFreed", err)
 	}
 }
@@ -94,11 +94,11 @@ func TestReclaimerEpochOrdering(t *testing.T) {
 		t.Fatalf("after early release: %+v, want pending 0 freed 4", st)
 	}
 	for _, id := range ids[:4] {
-		if _, err := s.Get(id); !errors.Is(err, ErrFreed) {
+		if _, err := s.GetTracked(id, nil); !errors.Is(err, ErrFreed) {
 			t.Fatalf("node %d: %v, want ErrFreed", id, err)
 		}
 	}
-	if _, err := s.Get(ids[4]); err != nil {
+	if _, err := s.GetTracked(ids[4], nil); err != nil {
 		t.Fatalf("untouched node unreadable: %v", err)
 	}
 }
@@ -133,7 +133,7 @@ func TestReclaimerOnFreeHook(t *testing.T) {
 		seen[id]++
 		// The hook runs just before Free: the slot is retired but the
 		// payload must still be present.
-		if _, err := s.Get(id); err != nil {
+		if _, err := s.GetTracked(id, nil); err != nil {
 			t.Errorf("hook for %d: payload already gone: %v", id, err)
 		}
 	})
@@ -169,7 +169,7 @@ func TestFreeSlotReuse(t *testing.T) {
 	if got := s.Len(); got != n {
 		t.Fatalf("Len after reuse = %d, want %d", got, n)
 	}
-	data, err := s.Get(reused)
+	data, err := s.GetTracked(reused, nil)
 	if err != nil || string(data) != "recycled" {
 		t.Fatalf("recycled slot read = %q, %v", data, err)
 	}

@@ -240,12 +240,9 @@ func (fs *FileStore) append(id NodeID, data []byte) error {
 	return nil
 }
 
-// Get returns the blob stored under id, charging simulated I/O unless the
-// buffer pool holds it.
-func (fs *FileStore) Get(id NodeID) ([]byte, error) { return fs.GetTracked(id, nil) }
-
-// GetTracked is Get with per-query attribution: the charge lands on the
-// global counters and, when tr is non-nil, on the caller's tracker.
+// GetTracked returns the blob stored under id, charging simulated I/O
+// unless the buffer pool holds it. The charge lands on the global
+// counters and, when tr is non-nil, on the caller's tracker.
 // os.File.ReadAt is safe for concurrent use, so readers only share-lock
 // the offset index.
 func (fs *FileStore) GetTracked(id NodeID, tr *Tracker) ([]byte, error) {

@@ -28,7 +28,7 @@ func TestFileStorePutGet(t *testing.T) {
 	fs := newTestFileStore(t, WithPageSize(100))
 	a := fs.Put([]byte("alpha"))
 	b := fs.Put(make([]byte, 250))
-	got, err := fs.Get(a)
+	got, err := fs.GetTracked(a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,12 +39,12 @@ func TestFileStorePutGet(t *testing.T) {
 		t.Errorf("Len = %d", fs.Len())
 	}
 	fs.ResetStats()
-	fs.Get(b)
+	fs.GetTracked(b, nil)
 	st := fs.Stats()
 	if st.Reads != 1 || st.PagesRead != 3 {
 		t.Errorf("I/O accounting: %+v", st)
 	}
-	if _, err := fs.Get(NodeID(99)); err == nil {
+	if _, err := fs.GetTracked(NodeID(99), nil); err == nil {
 		t.Error("unknown node should fail")
 	}
 }
@@ -55,7 +55,7 @@ func TestFileStoreUpdate(t *testing.T) {
 	if err := fs.Update(id, []byte("version-two")); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := fs.Get(id)
+	got, _ := fs.GetTracked(id, nil)
 	if !bytes.Equal(got, []byte("version-two")) {
 		t.Errorf("after update: %q", got)
 	}
@@ -92,7 +92,7 @@ func TestFileStoreReopen(t *testing.T) {
 		if i == 3 {
 			want = "blob-3-updated"
 		}
-		got, err := re.Get(id)
+		got, err := re.GetTracked(id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,16 +161,16 @@ func TestFileStoreCompact(t *testing.T) {
 	if after >= before {
 		t.Errorf("compact did not shrink the log: %d -> %d", before, after)
 	}
-	got, err := fs.Get(id)
+	got, err := fs.GetTracked(id, nil)
 	if err != nil || string(got) != "final-9" {
 		t.Errorf("post-compact Get = %q, %v", got, err)
 	}
-	if got, _ := fs.Get(other); string(got) != "other" {
+	if got, _ := fs.GetTracked(other, nil); string(got) != "other" {
 		t.Errorf("post-compact other = %q", got)
 	}
 	// Store still writable after compaction.
 	third := fs.Put([]byte("third"))
-	if got, _ := fs.Get(third); string(got) != "third" {
+	if got, _ := fs.GetTracked(third, nil); string(got) != "third" {
 		t.Error("store unusable after compact")
 	}
 }
@@ -179,14 +179,14 @@ func TestFileStoreBufferPool(t *testing.T) {
 	fs := newTestFileStore(t, WithPageSize(64), WithBufferPool(4))
 	id := fs.Put([]byte("cached"))
 	fs.ResetStats()
-	fs.Get(id)
+	fs.GetTracked(id, nil)
 	if st := fs.Stats(); st.CacheHits != 1 {
 		t.Errorf("Put should prime the pool: %+v", st)
 	}
 	fs.DropCache()
 	fs.ResetStats()
-	fs.Get(id)
-	fs.Get(id)
+	fs.GetTracked(id, nil)
+	fs.GetTracked(id, nil)
 	st := fs.Stats()
 	if st.Reads != 1 || st.CacheHits != 1 {
 		t.Errorf("cold/warm: %+v", st)

@@ -41,12 +41,12 @@ var ErrFreed = errors.New("storage: node freed")
 
 // Stats aggregates the simulated I/O counters of a Store.
 type Stats struct {
-	// Reads is the number of Get calls that missed the buffer pool.
+	// Reads is the number of GetTracked calls that missed the buffer pool.
 	Reads int64
 	// PagesRead is the number of pages transferred by those reads
 	// (ceil(blobSize / pageSize) per read, minimum 1).
 	PagesRead int64
-	// CacheHits counts Get calls served by the buffer pool.
+	// CacheHits counts GetTracked calls served by the buffer pool.
 	CacheHits int64
 	// Writes and PagesWritten mirror the read counters for Put/Update.
 	Writes       int64
@@ -277,11 +277,10 @@ type Blobs interface {
 	PutTracked(data []byte, tr *Tracker) NodeID
 	// Update replaces the blob stored under id.
 	Update(id NodeID, data []byte) error
-	// Get returns the blob stored under id, charging simulated I/O
-	// unless a buffer pool holds it. The returned slice is read-only.
-	Get(id NodeID) ([]byte, error)
-	// GetTracked is Get with per-query attribution: the simulated I/O is
-	// charged to tr (when non-nil) in addition to the global counters.
+	// GetTracked returns the blob stored under id, charging simulated
+	// I/O unless a buffer pool holds it. The charge lands on the global
+	// counters and, when tr is non-nil, on the caller's tracker. The
+	// returned slice is read-only.
 	GetTracked(id NodeID, tr *Tracker) ([]byte, error)
 	// Retire marks the blob as superseded garbage: it stays readable (a
 	// pinned snapshot may still reference it) but no longer counts as
@@ -570,12 +569,10 @@ func (s *Store) Update(id NodeID, data []byte) error {
 	return nil
 }
 
-// Get returns the blob stored under id, charging simulated I/O unless the
-// buffer pool holds it. The returned slice must not be modified.
-func (s *Store) Get(id NodeID) ([]byte, error) { return s.GetTracked(id, nil) }
-
-// GetTracked is Get with per-query attribution: the charge lands on the
-// global counters and, when tr is non-nil, on the caller's tracker.
+// GetTracked returns the blob stored under id, charging simulated I/O
+// unless the buffer pool holds it. The charge lands on the global
+// counters and, when tr is non-nil, on the caller's tracker. The
+// returned slice must not be modified.
 func (s *Store) GetTracked(id NodeID, tr *Tracker) ([]byte, error) {
 	s.mu.RLock()
 	if int(id) < 0 || int(id) >= len(s.blobs) {

@@ -14,14 +14,14 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if a == b {
 		t.Fatal("distinct blobs share an ID")
 	}
-	got, err := s.Get(a)
+	got, err := s.GetTracked(a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, []byte("hello")) {
 		t.Errorf("Get(a) = %q", got)
 	}
-	got, err = s.Get(b)
+	got, err = s.GetTracked(b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestPutCopies(t *testing.T) {
 	buf := []byte("mutable")
 	id := s.Put(buf)
 	buf[0] = 'X'
-	got, _ := s.Get(id)
+	got, _ := s.GetTracked(id, nil)
 	if got[0] != 'm' {
 		t.Error("Put must copy the caller's buffer")
 	}
@@ -50,7 +50,7 @@ func TestUpdate(t *testing.T) {
 	if err := s.Update(id, []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := s.Get(id)
+	got, _ := s.GetTracked(id, nil)
 	if !bytes.Equal(got, []byte("v2")) {
 		t.Errorf("after update: %q", got)
 	}
@@ -61,10 +61,10 @@ func TestUpdate(t *testing.T) {
 
 func TestGetErrors(t *testing.T) {
 	s := NewStore()
-	if _, err := s.Get(InvalidNode); err == nil {
+	if _, err := s.GetTracked(InvalidNode, nil); err == nil {
 		t.Error("Get(InvalidNode) should fail")
 	}
-	if _, err := s.Get(NodeID(0)); err == nil {
+	if _, err := s.GetTracked(NodeID(0), nil); err == nil {
 		t.Error("Get of unknown node should fail")
 	}
 }
@@ -79,10 +79,10 @@ func TestIOAccounting(t *testing.T) {
 		t.Errorf("write stats = %+v", st)
 	}
 	s.ResetStats()
-	s.Get(small)
-	s.Get(large)
-	s.Get(large)
-	s.Get(empty)
+	s.GetTracked(small, nil)
+	s.GetTracked(large, nil)
+	s.GetTracked(large, nil)
+	s.GetTracked(empty, nil)
 	st = s.Stats()
 	if st.Reads != 4 {
 		t.Errorf("Reads = %d, want 4", st.Reads)
@@ -111,15 +111,15 @@ func TestBufferPoolHits(t *testing.T) {
 	s := NewStore(WithPageSize(100), WithBufferPool(10))
 	id := s.Put(make([]byte, 80))
 	s.ResetStats()
-	s.Get(id) // Put primed the cache, so this is already a hit
+	s.GetTracked(id, nil) // Put primed the cache, so this is already a hit
 	st := s.Stats()
 	if st.CacheHits != 1 || st.Reads != 0 {
 		t.Errorf("first read stats = %+v", st)
 	}
 	s.DropCache()
 	s.ResetStats()
-	s.Get(id) // cold
-	s.Get(id) // warm
+	s.GetTracked(id, nil) // cold
+	s.GetTracked(id, nil) // warm
 	st = s.Stats()
 	if st.Reads != 1 || st.CacheHits != 1 {
 		t.Errorf("cold/warm stats = %+v", st)
@@ -133,18 +133,18 @@ func TestBufferPoolEviction(t *testing.T) {
 	b := s.Put(make([]byte, 10))
 	c := s.Put(make([]byte, 10)) // evicts a (least recently used)
 	s.ResetStats()
-	s.Get(a)
+	s.GetTracked(a, nil)
 	if st := s.Stats(); st.Reads != 1 {
 		t.Errorf("a should have been evicted: %+v", st)
 	}
 	s.ResetStats()
-	s.Get(c) // recently cached... but Get(a) above evicted b or c?
+	s.GetTracked(c, nil) // recently cached... but Get(a) above evicted b or c?
 	// After Put(c): cache = {b, c}. Get(a): evicts b (LRU), cache = {c, a}.
 	if st := s.Stats(); st.CacheHits != 1 {
 		t.Errorf("c should be cached: %+v", st)
 	}
 	s.ResetStats()
-	s.Get(b)
+	s.GetTracked(b, nil)
 	if st := s.Stats(); st.Reads != 1 {
 		t.Errorf("b should have been evicted: %+v", st)
 	}
@@ -154,8 +154,8 @@ func TestBufferPoolOversizedBlob(t *testing.T) {
 	s := NewStore(WithPageSize(100), WithBufferPool(2))
 	big := s.Put(make([]byte, 1000)) // 10 pages: larger than the pool
 	s.ResetStats()
-	s.Get(big)
-	s.Get(big)
+	s.GetTracked(big, nil)
+	s.GetTracked(big, nil)
 	st := s.Stats()
 	if st.Reads != 2 || st.CacheHits != 0 {
 		t.Errorf("oversized blob must never be cached: %+v", st)
@@ -188,7 +188,7 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 500; i++ {
-				if _, err := s.Get(ids[rng.Intn(len(ids))]); err != nil {
+				if _, err := s.GetTracked(ids[rng.Intn(len(ids))], nil); err != nil {
 					t.Errorf("Get: %v", err)
 					return
 				}

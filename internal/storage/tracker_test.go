@@ -133,7 +133,7 @@ func TestShardedPoolServesAllIDs(t *testing.T) {
 	s.DropCache()
 	s.ResetStats()
 	for _, id := range ids { // cold pass fills every shard
-		if _, err := s.Get(id); err != nil {
+		if _, err := s.GetTracked(id, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -15,10 +15,11 @@ func randomVec(rng *rand.Rand, n, vocab int) Vector {
 	return New(m)
 }
 
-// The scoring hot path must not allocate: Dot, EJ.Exact, and EJ.Bounds
-// are called once per bound evaluation inside the branch-and-bound inner
-// loop, so a single allocation per call dominates query cost. These
-// tests pin the zero-allocation property so regressions fail loudly.
+// The scoring hot path must not allocate: Dot and the Exact/Bounds of
+// both text similarities (EJ, Cosine) are called once per bound
+// evaluation inside the branch-and-bound inner loop, so a single
+// allocation per call dominates query cost. These tests pin the
+// zero-allocation property so regressions fail loudly.
 
 func TestDotAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -45,11 +46,13 @@ func TestEJExactAllocFree(t *testing.T) {
 	x := randomVec(rng, 12, 60)
 	y := randomVec(rng, 12, 60)
 	var sink float64
-	allocs := testing.AllocsPerRun(100, func() {
-		sink += EJ{}.Exact(x, y)
-	})
-	if allocs != 0 {
-		t.Errorf("EJ.Exact allocates %v per run, want 0", allocs)
+	for _, sim := range []TextSim{EJ{}, Cosine{}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			sink += sim.Exact(x, y)
+		})
+		if allocs != 0 {
+			t.Errorf("%T.Exact allocates %v per run, want 0", sim, allocs)
+		}
 	}
 	_ = sink
 }
@@ -59,12 +62,14 @@ func TestEJBoundsAllocFree(t *testing.T) {
 	e1 := Merge(Exact(randomVec(rng, 10, 60)), Exact(randomVec(rng, 10, 60)))
 	e2 := Merge(Exact(randomVec(rng, 10, 60)), Exact(randomVec(rng, 10, 60)))
 	var sink float64
-	allocs := testing.AllocsPerRun(100, func() {
-		lo, hi := EJ{}.Bounds(e1, e2)
-		sink += lo + hi
-	})
-	if allocs != 0 {
-		t.Errorf("EJ.Bounds allocates %v per run, want 0", allocs)
+	for _, sim := range []TextSim{EJ{}, Cosine{}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			lo, hi := sim.Bounds(e1, e2)
+			sink += lo + hi
+		})
+		if allocs != 0 {
+			t.Errorf("%T.Bounds allocates %v per run, want 0", sim, allocs)
+		}
 	}
 	_ = sink
 }

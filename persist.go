@@ -64,8 +64,10 @@ func (e *Engine) Save(dir string) error {
 	}
 	n := e.store.Len()
 	for id := 0; id < n; id++ {
-		//rstknn:allow trackedio,locksafe maintenance copy outside any query, serialized on writeMu; stats are reset below
-		blob, err := e.store.Get(storage.NodeID(id))
+		// A maintenance copy outside any query: no tracker to charge,
+		// and the stats are reset below.
+		//rstknn:allow locksafe Save holds writeMu so the store cannot grow or recycle slots mid-copy
+		blob, err := e.store.GetTracked(storage.NodeID(id), nil)
 		if errors.Is(err, storage.ErrFreed) {
 			blob = nil
 		} else if err != nil {
