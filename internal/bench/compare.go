@@ -11,10 +11,9 @@ import (
 // into a regression gate: `rstknn-bench -compare old.json new.json`
 // prints the per-row deltas and exits non-zero when any cost metric
 // regressed past the threshold. Wall-clock is noisy across machines (the
-// Machine blocks are allowed to differ), so CI runs the comparison
-// non-gating with a generous threshold; allocs/op and nodes-read are
-// deterministic for a pinned workload and catch real regressions even on
-// shared runners.
+// Machine blocks are allowed to differ); nodes-read and the other
+// per-query counters are deterministic for a pinned workload, and
+// TestGoldenCountersPinnedWorkload gates them exactly.
 
 // ReadBaselineFile loads a BENCH_<label>.json written by WriteFile.
 func ReadBaselineFile(path string) (*Baseline, error) {

@@ -82,7 +82,7 @@ func TestKNNBoundsBracketTruth(t *testing.T) {
 					continue
 				}
 				cl.contributors = append(cl.contributors, contributor{
-					entry: rootNode.Entries[j],
+					entry: &rootNode.Entries[j],
 					parts: sc.entryBounds(sideOf(e), &rootNode.Entries[j]),
 				})
 			}
@@ -167,13 +167,13 @@ func TestKNNBoundsSkipsZeroCountParts(t *testing.T) {
 func TestRefinableStrategySelection(t *testing.T) {
 	node := func(hi float64, clusters []iurtree.ClusterSummary) contributor {
 		return contributor{
-			entry: iurtree.Entry{Child: 1, Count: 5, Clusters: clusters},
+			entry: &iurtree.Entry{Child: 1, Count: 5, Clusters: clusters},
 			parts: []part{{lo: 0, hi: hi, count: 5}},
 		}
 	}
 	object := func(hi float64) contributor {
 		return contributor{
-			entry: iurtree.Entry{Child: storage.InvalidNode, Count: 1},
+			entry: &iurtree.Entry{Child: storage.InvalidNode, Count: 1},
 			parts: []part{{lo: hi, hi: hi, count: 1}},
 		}
 	}
@@ -183,15 +183,15 @@ func TestRefinableStrategySelection(t *testing.T) {
 		node(0.5, []iurtree.ClusterSummary{{Cluster: 0, Count: 5}}),                         // pure: entropy 0
 		node(0.3, []iurtree.ClusterSummary{{Cluster: 0, Count: 2}, {Cluster: 1, Count: 3}}), // mixed
 	}
-	if got := cl.refinable(RefineByMaxUpper, 2, 0); got != 1 {
+	if got := cl.refinable(nil, RefineByMaxUpper, 2, 0); got != 1 {
 		t.Errorf("max-upper picked %d, want 1 (hi=0.5)", got)
 	}
-	if got := cl.refinable(RefineByEntropy, 2, 0); got != 2 {
+	if got := cl.refinable(nil, RefineByEntropy, 2, 0); got != 2 {
 		t.Errorf("entropy picked %d, want 2 (mixed clusters)", got)
 	}
 	// All objects -> nothing refinable.
 	cl.contributors = []contributor{object(0.1), object(0.2)}
-	if got := cl.refinable(RefineByMaxUpper, 2, 0); got != -1 {
+	if got := cl.refinable(nil, RefineByMaxUpper, 2, 0); got != -1 {
 		t.Errorf("refinable over objects = %d, want -1", got)
 	}
 }
@@ -199,7 +199,7 @@ func TestRefinableStrategySelection(t *testing.T) {
 func TestReplacePreservesOthers(t *testing.T) {
 	var cl contributionList
 	mk := func(id int32) contributor {
-		return contributor{entry: iurtree.Entry{ObjID: id, Child: storage.InvalidNode}}
+		return contributor{entry: &iurtree.Entry{ObjID: id, Child: storage.InvalidNode}}
 	}
 	cl.contributors = []contributor{mk(0), mk(1), mk(2)}
 	cl.replace(nil, 1, []contributor{mk(10), mk(11)})

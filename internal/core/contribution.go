@@ -17,8 +17,16 @@ import (
 // so they are marked stale. The search re-tightens a contributor against
 // the candidate only when the refinement strategy actually selects it,
 // which keeps expansion cost linear in the fan-out instead of quadratic.
+//
+// A contributor references its entry rather than copying it: entry points
+// at the materialized entries of the node read that produced it (the
+// worker scratch's entries arena, immutable until the query ends), and
+// parts at a carve of the parts arena. It holds no pointer outside the
+// scratch arenas, so its own arena needs no clearing, and at 40 bytes
+// building, growing and copying contribution lists moves a fifth of what
+// an embedded Entry did.
 type contributor struct {
-	entry iurtree.Entry
+	entry *iurtree.Entry
 	parts []part
 	// stale marks parts computed against an ancestor of the candidate
 	// rather than the candidate itself. Rebinding (recomputing parts
@@ -195,7 +203,14 @@ func (s *kthSelector) kth() float64 {
 // tightening them moves the bounds furthest). When no contributor
 // reaches knnu (the bound is held by exact parts), the loosest remaining
 // contributor is chosen so kNNL keeps improving.
-func (cl *contributionList) refinable(strategy RefineStrategy, numClusters int, knnu float64) int {
+//
+// The entropy histogram comes from sc (a fresh one when sc is nil), so the
+// warm E-CIUR path allocates nothing.
+func (cl *contributionList) refinable(sc *scratch, strategy RefineStrategy, numClusters int, knnu float64) int {
+	var hist []int
+	if strategy == RefineByEntropy {
+		hist = sc.clusterHist(numClusters)
+	}
 	best := -1
 	bestKey, bestTie := negInf, negInf
 	bestRelevant := false
@@ -212,7 +227,7 @@ func (cl *contributionList) refinable(strategy RefineStrategy, numClusters int, 
 		var key, tie float64
 		switch strategy {
 		case RefineByEntropy:
-			key = cluster.Entropy(c.entry.ClusterCounts(numClusters))
+			key = clusterEntropy(c.entry, hist)
 			tie = hi
 		default: // RefineByMaxUpper
 			key = hi
@@ -224,6 +239,30 @@ func (cl *contributionList) refinable(strategy RefineStrategy, numClusters int, 
 		}
 	}
 	return best
+}
+
+// clusterEntropy returns cluster.Entropy(e.ClusterCounts(len(hist)))
+// without allocating: hist is a zeroed buffer of one count per cluster,
+// filled from e's summaries and zeroed again before returning. Entropy
+// then sums in ascending cluster-ID order, as over ClusterCounts, while
+// e.Clusters is in first-seen order; summing over it directly could
+// change the float and with it the refinement order.
+func clusterEntropy(e *iurtree.Entry, hist []int) float64 {
+	if len(e.Clusters) == 0 {
+		return 0
+	}
+	for _, cs := range e.Clusters {
+		if int(cs.Cluster) < len(hist) {
+			hist[cs.Cluster] = int(cs.Count)
+		}
+	}
+	h := cluster.Entropy(hist)
+	for _, cs := range e.Clusters {
+		if int(cs.Cluster) < len(hist) {
+			hist[cs.Cluster] = 0
+		}
+	}
+	return h
 }
 
 // replace substitutes the contributor at index i with the given

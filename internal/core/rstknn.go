@@ -171,9 +171,10 @@ type group struct {
 // candidate is one frontier slot: a tree entry plus the queries still
 // active on it, in ascending query order. Keeping every undecided group
 // of one entry together — across clusters and, in a batch, across
-// queries — means expansion reads the node exactly once.
+// queries — means expansion reads the node exactly once. The entry is a
+// reference into the expanding worker's materialized entries.
 type candidate struct {
-	entry  iurtree.Entry
+	entry  *iurtree.Entry
 	active []activeQuery
 }
 
@@ -395,6 +396,24 @@ func (w *worker) doneView(v *iurtree.NodeView) {
 	w.scratch.putViewBuf(v.RecycleBuf())
 }
 
+// materialize returns the entries of v's node, materialized into the
+// scratch's query-lifetime entry arena the first time this worker reads
+// the node in the query and reused on every later read, and recycles the
+// view. A node is immutable within the query's snapshot, so the copies
+// stay exact. Candidates and contributors reference the returned
+// entries, which stay valid and unchanged until the scratch is reset at
+// query end.
+func (w *worker) materialize(v *iurtree.NodeView) []iurtree.Entry {
+	sc := w.scratch
+	entries, ok := sc.nodeEntries[v.ID()]
+	if !ok {
+		entries = v.AppendEntries(sc.entries.alloc(v.Len()))
+		sc.nodeEntries[v.ID()] = entries
+	}
+	w.doneView(v)
+	return entries
+}
+
 // readFor reads node id on behalf of every pending query: each charges
 // its own logical read, while the batch table (when there is one)
 // fetches the node at most once. Without a table there is one query, so
@@ -543,18 +562,16 @@ const contribHeadroom = 8
 // entries are materialized once, every pending query's groups are
 // projected onto them, and each child entry gets one candidate holding
 // its active queries in ascending query order, whichever worker expanded
-// the node. Entry values are pure copies whose Env/Clusters reference
-// the shared cached decodes, so one slice serves every pending query.
+// the node. The candidates and the contributors of every pending query
+// reference the same materialized entries.
 func (w *worker) expand(parent *iurtree.Entry, v *iurtree.NodeView, pending []activeQuery) []*candidate {
-	children := v.AppendEntries(w.scratch.entries[:0])
-	w.doneView(v)
+	children := w.materialize(v)
 	slots := make([]*candidate, len(children))
 	for _, p := range pending {
 		w.begin(p.qi)
 		w.buildChildren(parent, children, p, slots)
 		w.end(p.qi)
 	}
-	w.scratch.entries = children[:0]
 	out := slots[:0]
 	for _, c := range slots {
 		if c != nil {
@@ -615,7 +632,7 @@ func (w *worker) buildChildren(parent *iurtree.Entry, children []iurtree.Entry, 
 					continue
 				}
 				g.cl.contributors = append(g.cl.contributors, contributor{
-					entry: children[j],
+					entry: &children[j],
 					parts: sibParts[j],
 					stale: true,
 				})
@@ -630,7 +647,7 @@ func (w *worker) buildChildren(parent *iurtree.Entry, children []iurtree.Entry, 
 			continue
 		}
 		if slots[i] == nil {
-			slots[i] = &candidate{entry: *child}
+			slots[i] = &candidate{entry: child}
 		}
 		slots[i].active = append(slots[i].active, activeQuery{qi: p.qi, groups: groups})
 	}
@@ -654,7 +671,7 @@ func (w *worker) process(c *candidate) ([]*candidate, error) {
 	var pending []activeQuery
 	for _, aq := range c.active {
 		w.begin(aq.qi)
-		undecided, err := w.decideAll(&c.entry, aq.groups)
+		undecided, err := w.decideAll(c.entry, aq.groups)
 		w.end(aq.qi)
 		if err != nil {
 			return nil, err
@@ -670,7 +687,7 @@ func (w *worker) process(c *candidate) ([]*candidate, error) {
 	if err != nil {
 		return nil, err
 	}
-	return w.expand(&c.entry, &v, pending), nil
+	return w.expand(c.entry, &v, pending), nil
 }
 
 // decideAll decides the active query's groups of entry e, settling every
@@ -752,7 +769,7 @@ func (w *worker) decideGroup(e *iurtree.Entry, g *group) (verdict, error) {
 		if w.reboundStale(gSide, &g.cl) {
 			continue
 		}
-		idx := g.cl.refinable(w.s.opt.Strategy, w.s.tree.NumClusters(), knnu)
+		idx := g.cl.refinable(sc, w.s.opt.Strategy, w.s.tree.NumClusters(), knnu)
 		if e.IsObject() {
 			// Undecided object: refine its contribution list. The loop
 			// is guaranteed to decide once every contributor is a fresh
@@ -789,7 +806,7 @@ func (w *worker) reboundStale(gSide side, cl *contributionList) bool {
 		if !ct.stale {
 			continue
 		}
-		ct.parts = w.scorer.entryBoundsInto(w.scratch, gSide, &ct.entry)
+		ct.parts = w.scorer.entryBoundsInto(w.scratch, gSide, ct.entry)
 		ct.stale = false
 		w.metrics.Rebounds++
 		changed = true
@@ -798,26 +815,25 @@ func (w *worker) reboundStale(gSide side, cl *contributionList) bool {
 }
 
 // refine replaces contributor idx with its children, re-bounded against
-// the group. The replacement buffer is scratch-owned: replace() copies it
-// into the contribution list, so it is reusable immediately.
+// the group. The children are materialized once and referenced by the
+// new contributors. The replacement buffer is scratch-owned: replace()
+// copies it into the contribution list, so it is reusable immediately.
 func (w *worker) refine(gSide side, cl *contributionList, idx int) error {
 	v, err := w.readView(cl.contributors[idx].entry.Child)
 	if err != nil {
 		return err
 	}
 	w.metrics.Refinements++
-	children := v.AppendEntries(w.scratch.entries[:0])
-	w.doneView(&v)
+	children := w.materialize(&v)
 	repl := w.scratch.repl[:0]
 	for i := range children {
 		repl = append(repl, contributor{
-			entry: children[i],
+			entry: &children[i],
 			parts: w.scorer.entryBoundsInto(w.scratch, gSide, &children[i]),
 		})
 	}
 	cl.replace(w.scratch, idx, repl)
 	w.scratch.repl = repl[:0]
-	w.scratch.entries = children[:0]
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"rstknn/internal/iurtree"
+	"rstknn/internal/storage"
 )
 
 // The branch-and-bound hot path evaluates bounds for every (candidate,
@@ -12,10 +13,11 @@ import (
 // allocator dominates the profile. A scratch bundles every reusable
 // buffer one worker needs so the steady-state scoring path allocates
 // nothing: kthSelector heaps, arena-carved part and contributor slices,
-// and the transient buffers of refinement and expansion. Scratches are
-// pooled across queries; each query checks one out per worker and
-// returns them all when it finishes, so arena memory is recycled without
-// ever being shared between two live queries.
+// the materialized entries of every node the worker reads, and the
+// transient buffers of refinement and expansion. Scratches are pooled
+// across queries; each query checks one out per worker and returns them
+// all when it finishes, so arena memory is recycled without ever being
+// shared between two live queries.
 
 // arena is a chunked bump allocator for slices of T. Carved slices stay
 // valid until reset; reset recycles every chunk for the next query
@@ -24,9 +26,10 @@ type arena[T any] struct {
 	// chunk is the allocation granularity; requests larger than chunk
 	// get a dedicated chunk of exactly their size.
 	chunk int
-	// clearOnReset zeroes recycled chunks so value types holding
-	// pointers (e.g. contributor, whose parts and entry reference other
-	// allocations) do not retain a finished query's memory.
+	// clearOnReset zeroes the carved part of every chunk on reset, for
+	// element types that reference memory outside the scratch (entries
+	// point at the snapshot's cached envelopes), so a pooled scratch
+	// never retains a finished query's snapshot data.
 	clearOnReset bool
 
 	cur   []T   // current chunk; len = high-water mark of carved space
@@ -55,15 +58,23 @@ func (a *arena[T]) grow(n int) {
 		a.used = append(a.used, a.cur) //rstknn:allow hotalloc chunk bookkeeping, amortized over chunk-many carves
 		a.cur = nil
 	}
-	// Prefer a recycled chunk large enough for the request.
-	for i := len(a.spare) - 1; i >= 0; i-- {
-		if cap(a.spare[i]) >= n {
-			a.cur = a.spare[i]
-			a.spare[i] = a.spare[len(a.spare)-1]
-			a.spare[len(a.spare)-1] = nil
-			a.spare = a.spare[:len(a.spare)-1]
-			return
+	// Best fit: take the smallest recycled chunk that holds the request.
+	// A small carve then never takes the dedicated chunk a later large
+	// carve needs, so re-running a query replays the previous run's
+	// chunk assignment and allocates no fresh chunk.
+	best := -1
+	for i := range a.spare {
+		if c := cap(a.spare[i]); c >= n && (best < 0 || c < cap(a.spare[best])) {
+			best = i
 		}
+	}
+	if best >= 0 {
+		last := len(a.spare) - 1
+		a.cur = a.spare[best]
+		a.spare[best] = a.spare[last]
+		a.spare[last] = nil
+		a.spare = a.spare[:last]
+		return
 	}
 	size := a.chunk
 	if size < n {
@@ -73,6 +84,8 @@ func (a *arena[T]) grow(n int) {
 }
 
 // reset recycles every chunk. Previously carved slices become invalid.
+// Only the carved length of a chunk can hold data, so that is all a
+// clearing arena zeroes.
 func (a *arena[T]) reset() {
 	if a.cur != nil {
 		a.used = append(a.used, a.cur)
@@ -80,7 +93,7 @@ func (a *arena[T]) reset() {
 	}
 	for _, c := range a.used {
 		if a.clearOnReset {
-			clear(c[:cap(c)])
+			clear(c)
 		}
 		a.spare = append(a.spare, c[:0])
 	}
@@ -92,6 +105,11 @@ func (a *arena[T]) reset() {
 // may be *read* by other workers in later rounds (candidate expansion
 // publishes them via the round barrier) but are only ever written by the
 // owner before publication.
+//
+// Every node the worker expands or refines is materialized once per
+// query into entries, and candidates and contributors reference those
+// entries by pointer instead of copying them. The entries stay immutable
+// until the query ends, which is when the scratch is reset.
 type scratch struct {
 	// selLo/selHi are the kNN-bound selectors, reused across every
 	// pruning check so their heap storage is allocated once.
@@ -100,46 +118,70 @@ type scratch struct {
 	parts arena[part]
 	// contribs backs the long-lived contributor lists of groups.
 	contribs arena[contributor]
+	// entries holds the materialized entries of every node read by
+	// expansion and refinement, for the whole query; nodeEntries indexes
+	// them by node so a node read again is not materialized again.
+	entries     arena[iurtree.Entry]
+	nodeEntries map[storage.NodeID][]iurtree.Entry
 	// repl is the transient replacement buffer of refine(): replace()
 	// copies it into the contribution list, so it never outlives a call.
 	repl []contributor
 	// sibParts is the transient per-expansion sibling-bounds buffer.
 	sibParts [][]part
-	// entries is the transient entry-materialization buffer of the
-	// zero-copy read path: expansion and refinement fill it from a
-	// NodeView, and everything downstream copies the Entry values it
-	// needs, so the buffer is reusable as soon as the call returns.
-	entries []iurtree.Entry
+	// hist is refinable's zeroed per-cluster histogram (E-CIUR entropy).
+	hist []int
 	// viewBufs stacks recycled NodeView offset tables. A stack (not a
 	// single buffer) because collect() recurses with the parent's view
 	// still live; depth never exceeds the tree height.
 	viewBufs [][]int32
 }
 
-var scratchPool = sync.Pool{New: func() any {
-	s := &scratch{}
-	s.parts.chunk = 1024
-	s.contribs.chunk = 256
-	s.contribs.clearOnReset = true
+// Arena chunk sizes, in elements. A contributor is 40 bytes, so one
+// contribs chunk holds several typical contribution lists; an entries
+// chunk holds the fan-out of many nodes.
+const (
+	partsChunk    = 1024
+	contribsChunk = 2048
+	entriesChunk  = 512
+)
+
+// newScratch returns an empty scratch. Its part and contributor arenas
+// are not cleared on reset: part holds no pointers, and a contributor
+// points only into scratch arenas (its entry into entries, its parts
+// into parts), so a recycled chunk retains no snapshot memory. Only
+// entries references the snapshot's bound cache and clears its carved
+// length.
+func newScratch() *scratch {
+	s := &scratch{nodeEntries: map[storage.NodeID][]iurtree.Entry{}}
+	s.parts.chunk = partsChunk
+	s.contribs.chunk = contribsChunk
+	s.entries.chunk = entriesChunk
+	s.entries.clearOnReset = true
 	return s
-}}
+}
+
+var scratchPool = sync.Pool{New: func() any { return newScratch() }}
 
 // getScratch checks a warm scratch out of the pool.
 func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
-// release recycles the scratch for the next query. Must only be called
-// once every reference into the scratch's arenas is dead (query end).
-func (s *scratch) release() {
+// reset invalidates everything carved from the scratch and recycles its
+// memory. Must only be called once every reference into the scratch's
+// arenas is dead (query end).
+func (s *scratch) reset() {
 	s.parts.reset()
 	s.contribs.reset()
-	clear(s.repl)
-	s.repl = s.repl[:0]
-	clear(s.sibParts)
-	s.sibParts = s.sibParts[:0]
-	clear(s.entries)
-	s.entries = s.entries[:0]
-	// viewBufs hold only int32 offsets — no references to retain — and
-	// stay warm across queries.
+	s.entries.reset()
+	clear(s.nodeEntries)
+	// repl and sibParts are emptied by the calls that fill them; like
+	// hist and viewBufs they hold only scratch pointers or plain
+	// numbers, so they stay warm without retaining anything.
+}
+
+// release resets the scratch and returns it to the pool for the next
+// query.
+func (s *scratch) release() {
+	s.reset()
 	scratchPool.Put(s)
 }
 
@@ -184,4 +226,16 @@ func allocContribs(sc *scratch, n, extra int) []contributor {
 		return sc.contribs.alloc(n + extra)
 	}
 	return make([]contributor, 0, n+extra) //rstknn:allow hotalloc heap fallback for scratch-less callers (tests)
+}
+
+// clusterHist returns the scratch's zeroed histogram of n cluster
+// counts, or a fresh one when no scratch is threaded through.
+func (s *scratch) clusterHist(n int) []int {
+	if s == nil {
+		return make([]int, n)
+	}
+	if cap(s.hist) < n {
+		s.hist = make([]int, n) //rstknn:allow hotalloc grown once to the tree's cluster count, reused across queries
+	}
+	return s.hist[:n]
 }

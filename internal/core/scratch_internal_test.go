@@ -3,8 +3,10 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"rstknn/internal/cluster"
+	"rstknn/internal/dataset"
 	"rstknn/internal/iurtree"
 	"rstknn/internal/storage"
 	"rstknn/internal/vector"
@@ -136,7 +138,7 @@ func TestKNNBoundsWarmAllocFree(t *testing.T) {
 	cl := contributionList{self: s.selfPartsInto(sc, a, -1, a.Env, a.Count)}
 	for j := 1; j < len(entries); j++ {
 		cl.contributors = append(cl.contributors, contributor{
-			entry: entries[j],
+			entry: &entries[j],
 			parts: s.entryBoundsInto(sc, sideOf(a), &entries[j]),
 		})
 	}
@@ -153,4 +155,114 @@ func TestKNNBoundsWarmAllocFree(t *testing.T) {
 		t.Errorf("warm knnBoundsInto allocates %v per pruning check, want 0", allocs)
 	}
 	_ = sink
+}
+
+func TestRefinableEntropyWarmAllocFree(t *testing.T) {
+	s, entries := boundFixture(t)
+	sc := getScratch()
+	defer sc.release()
+	a := &entries[0]
+	var cl contributionList
+	for j := 1; j < len(entries); j++ {
+		cl.contributors = append(cl.contributors, contributor{
+			entry: &entries[j],
+			parts: s.entryBoundsInto(sc, sideOf(a), &entries[j]),
+			stale: true,
+		})
+	}
+	const numClusters = 4
+	pick := func() { cl.refinable(sc, RefineByEntropy, numClusters, negInf) }
+	pick() // warm pass: the scratch histogram grows to the cluster count
+	if allocs := testing.AllocsPerRun(100, pick); allocs != 0 {
+		t.Errorf("warm refinable(RefineByEntropy) allocates %v per call, want 0", allocs)
+	}
+}
+
+// Clusters in first-seen order must give the ascending-ID entropy. For
+// these counts, summing in first-seen order (3, 1, 1, 1) rounds
+// differently from ascending-ID order (1, 1, 1, 3).
+func TestClusterEntropyAscendingOrder(t *testing.T) {
+	e := &iurtree.Entry{Child: 1, Clusters: []iurtree.ClusterSummary{
+		{Cluster: 3, Count: 3}, {Cluster: 0, Count: 1}, {Cluster: 2, Count: 1}, {Cluster: 1, Count: 1},
+	}}
+	hist := make([]int, 4)
+	want := cluster.Entropy(e.ClusterCounts(4))
+	if got := clusterEntropy(e, hist); got != want { //rstknn:allow floatcmp bit-identical to the histogram form by construction
+		t.Errorf("clusterEntropy = %v, want %v", got, want)
+	}
+	for i, c := range hist {
+		if c != 0 {
+			t.Errorf("hist[%d] = %d after clusterEntropy, want it zeroed", i, c)
+		}
+	}
+}
+
+// chunkSet identifies an arena's chunks by their backing arrays.
+func chunkSet[T any](a *arena[T]) map[*T]int {
+	m := map[*T]int{}
+	for _, c := range a.spare {
+		m[unsafe.SliceData(c[:cap(c)])] = cap(c)
+	}
+	return m
+}
+
+// TestArenaRerunGrowsNoChunk runs one query of the pinned workload (GN,
+// 2,500 objects, seed 7) on a fresh scratch, then re-runs it on the same
+// scratch: the warm re-run must reuse every chunk and allocate none, in
+// every arena.
+func TestArenaRerunGrowsNoChunk(t *testing.T) {
+	col := dataset.Generate(dataset.GN, dataset.Params{N: 2500, Seed: 7})
+	tree, err := iurtree.Build(col.Objects, iurtree.Config{Store: storage.NewStore()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := col.Queries(16, 8)
+	for _, qi := range []int{4, 6, 9} { // the three heaviest queries
+		q := Query{Loc: queries[qi].Loc, Doc: queries[qi].Doc}
+		sc := newScratch()
+		run := func() {
+			s := &searcher{tree: tree, opt: Options{K: 10, Alpha: 0.5, Workers: 1},
+				items: []BatchItem{{Query: q, K: 10}}}
+			w := s.newWorker()
+			w.scratch.release()
+			w.scratch = sc
+			frontier, err := s.seed(w)
+			if err == nil {
+				err = runRounds([]*worker{w}, frontier)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.reset()
+		}
+		run()
+		parts, contribs, entries := chunkSet(&sc.parts), chunkSet(&sc.contribs), chunkSet(&sc.entries)
+		run()
+		if !sameChunks(parts, chunkSet(&sc.parts)) || !sameChunks(contribs, chunkSet(&sc.contribs)) ||
+			!sameChunks(entries, chunkSet(&sc.entries)) {
+			t.Errorf("query %d: re-run changed the arena chunks: parts %d → %d, contribs %d → %d, entries %d → %d",
+				qi, len(parts), len(sc.parts.spare), len(contribs), len(sc.contribs.spare), len(entries), len(sc.entries.spare))
+		}
+	}
+}
+
+// sameChunks reports whether two chunk sets hold the same backing arrays.
+func sameChunks[T any](a, b map[*T]int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for p, n := range a {
+		if b[p] != n {
+			return false
+		}
+	}
+	return true
+}
+
+// A contributor references its entry; embedding the 184-byte Entry again
+// would multiply the memory and copying of every contribution list.
+func TestContributorSize(t *testing.T) {
+	if n := unsafe.Sizeof(contributor{}); n > 40 {
+		t.Errorf("contributor is %d bytes, want at most 40", n)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"rstknn/internal/geom"
 	"rstknn/internal/storage"
@@ -138,28 +139,42 @@ func (v *NodeView) EntryClusters(i int) []ClusterSummary {
 // Entry materializes entry i as a full Entry value. The struct is a pure
 // copy — its Env and Clusters fields reference the cached, shared
 // decodes — so no allocation happens and the result stays valid after
-// the view is recycled.
+// the view is recycled. Callers that keep many entries should fill them
+// in place with AppendEntries and reference them rather than copy the
+// 184-byte value around.
 //
 //rstknn:hotpath entry materialization for survivors of pruning
 func (v *NodeView) Entry(i int) Entry {
+	var e Entry
+	v.fillEntry(i, &e)
+	return e
+}
+
+// fillEntry writes entry i's fields into *e.
+func (v *NodeView) fillEntry(i int, e *Entry) {
 	t := &v.text.entries[i]
-	return Entry{
-		Rect:     v.EntryRect(i),
-		Child:    v.EntryChild(i),
-		ObjID:    v.EntryObjID(i),
-		Count:    v.EntryCount(i),
-		Env:      t.Env,
-		Clusters: t.Clusters,
-	}
+	e.Rect = v.EntryRect(i)
+	e.Child = v.EntryChild(i)
+	e.ObjID = v.EntryObjID(i)
+	e.Count = v.EntryCount(i)
+	e.Env = t.Env
+	e.Clusters = t.Clusters
 }
 
 // AppendEntries appends every entry of the node to dst and returns the
 // extended slice — the bulk form of Entry for expansion paths that need
-// the whole fan-out.
+// the whole fan-out. Entries are written in place into dst's spare
+// capacity, so a dst with room for Len() more entries is filled without
+// allocating or copying a whole Entry value. Like Entry, the results stay
+// valid after the view is recycled; the search materializes each node it
+// expands or refines this way once, and references the entries for the
+// rest of the query.
 func (v *NodeView) AppendEntries(dst []Entry) []Entry {
 	n := v.Len()
+	off := len(dst)
+	dst = slices.Grow(dst, n)[:off+n]
 	for i := 0; i < n; i++ {
-		dst = append(dst, v.Entry(i))
+		v.fillEntry(i, &dst[off+i])
 	}
 	return dst
 }
