@@ -81,6 +81,7 @@ fuzz:
 	go test ./internal/iurtree/ -run '^$$' -fuzz FuzzNodeView        -fuzztime $(FUZZTIME)
 	go test ./internal/textual/ -run '^$$' -fuzz FuzzTextualPersist  -fuzztime $(FUZZTIME)
 	go test .                   -run '^$$' -fuzz FuzzLoad            -fuzztime $(FUZZTIME)
+	go test ./internal/core/    -run '^$$' -fuzz FuzzRuleCountsMatchSelection -fuzztime $(FUZZTIME)
 
 # Vet and test the benchmark module (benchmark/, its own go.mod). The
 # root ./... pattern never enters a nested module, yet benchmark/

@@ -1,6 +1,9 @@
 package rstknn
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -34,6 +37,42 @@ func savePristineIndex(tb testing.TB) (dir string, files map[string][]byte) {
 	return dir, files
 }
 
+// withNaNMaxD returns a copy of a saved index.log whose tree header
+// stores a NaN normalization distance. maxD sits 54 bytes into the header
+// blob: after the "IURT" magic, the version, four int32 fields and the
+// space rect.
+func withNaNMaxD(tb testing.TB, log []byte) []byte {
+	tb.Helper()
+	i := bytes.LastIndex(log, []byte("IURT"))
+	if i < 0 || i+54+8 > len(log) {
+		tb.Fatal("no tree header in index.log")
+	}
+	out := append([]byte(nil), log...)
+	binary.LittleEndian.PutUint64(out[i+54:], math.Float64bits(math.NaN()))
+	return out
+}
+
+// TestOpenRejectsNaNMaxD: an index whose header's normalization distance
+// is NaN would answer every query with NaN spatial bounds, so Open must
+// refuse it.
+func TestOpenRejectsNaNMaxD(t *testing.T) {
+	_, files := savePristineIndex(t)
+	dir := t.TempDir()
+	for name, content := range files {
+		if name == "index.log" {
+			content = withNaNMaxD(t, content)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng, err := Open(dir)
+	if err == nil {
+		_ = eng.Close()
+		t.Fatal("Open accepted an index whose header maxD is NaN")
+	}
+}
+
 // FuzzLoad is the end-to-end corruption fuzz: arbitrary bytes replace
 // the serialized index.log and Open must either reject the directory
 // with an error or produce an engine whose queries fail cleanly — never
@@ -49,6 +88,7 @@ func FuzzLoad(f *testing.F) {
 	flip := append([]byte(nil), pristine...)
 	flip[0] ^= 0x80
 	f.Add(flip)
+	f.Add(withNaNMaxD(f, pristine))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -92,6 +132,7 @@ func TestWriteLoadFuzzCorpus(t *testing.T) {
 		truncated,
 		wildCount,
 		{},
+		withNaNMaxD(t, pristine),
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzLoad")
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -20,7 +20,7 @@ import (
 // NodeView parsed) at most once per batch, through a once-per-node view
 // table; the fetched node is then scored against every active query, and
 // each query's membership is pruned independently via the same
-// Scorer/contributionList/kthSelector machinery the single-query search
+// Scorer/contributionList machinery the single-query search
 // uses. Queries drop out of a subtree exactly when an independent run
 // would have pruned or reported it, so per-query Results, Metrics, and
 // kNN bounds are bit-identical to N independent RSTkNN calls — only the

@@ -86,7 +86,7 @@ func TestKNNBoundsBracketTruth(t *testing.T) {
 					parts: sc.entryBounds(sideOf(e), &rootNode.Entries[j]),
 				})
 			}
-			knnl, knnu := cl.knnBounds(k)
+			knnl, knnu := cl.knnBounds(nil, k)
 			if err := wbCheckSubtree(tree, e, truth, knnl, knnu); err != nil {
 				t.Fatalf("trial %d entry %d: %v", trial, i, err)
 			}
@@ -123,11 +123,17 @@ func TestKNNBoundsFewerThanK(t *testing.T) {
 	cl.contributors = []contributor{{parts: []part{{lo: 0.1, hi: 0.9, count: 3}}}}
 	// Total neighbors = 5; asking for the 6th must signal "no such
 	// neighbor" with -Inf bounds.
-	knnl, knnu := cl.knnBounds(6)
+	knnl, knnu := cl.knnBounds(nil, 6)
 	if knnl != negInf || knnu != negInf {
 		t.Errorf("bounds = %g, %g; want -Inf, -Inf", knnl, knnu)
 	}
-	knnl, knnu = cl.knnBounds(5)
+	// The counting form agrees: Rule 2 reports whatever the query.
+	for _, q := range []interval{{lo: negInf, hi: negInf}, {lo: 0, hi: 0}, {lo: 0.95, hi: 0.99}} {
+		if rc := cl.ruleCounts(q); rc.prunes(6) || !rc.reports(6) {
+			t.Errorf("q=%v, k=6: prunes=%v reports=%v, want false true", q, rc.prunes(6), rc.reports(6))
+		}
+	}
+	knnl, knnu = cl.knnBounds(nil, 5)
 	if knnl != 0.1 || knnu != 0.8 {
 		t.Errorf("k=5 bounds = %g, %g; want 0.1, 0.8", knnl, knnu)
 	}
@@ -145,7 +151,7 @@ func TestKNNBoundsAccumulation(t *testing.T) {
 	wantL := []float64{0.9, 0.5, 0.5, 0.2, 0.2, 0.2}
 	wantU := []float64{0.95, 0.7, 0.7, 0.3, 0.3, 0.3}
 	for k := 1; k <= 6; k++ {
-		knnl, knnu := cl.knnBounds(k)
+		knnl, knnu := cl.knnBounds(nil, k)
 		if knnl != wantL[k-1] || knnu != wantU[k-1] {
 			t.Errorf("k=%d: bounds (%g, %g), want (%g, %g)", k, knnl, knnu, wantL[k-1], wantU[k-1])
 		}
@@ -158,7 +164,7 @@ func TestKNNBoundsSkipsZeroCountParts(t *testing.T) {
 		{parts: []part{{lo: 0.99, hi: 0.99, count: 0}}},
 		{parts: []part{{lo: 0.4, hi: 0.6, count: 1}}},
 	}
-	knnl, knnu := cl.knnBounds(1)
+	knnl, knnu := cl.knnBounds(nil, 1)
 	if knnl != 0.4 || knnu != 0.6 {
 		t.Errorf("zero-count part leaked into bounds: (%g, %g)", knnl, knnu)
 	}
@@ -183,15 +189,15 @@ func TestRefinableStrategySelection(t *testing.T) {
 		node(0.5, []iurtree.ClusterSummary{{Cluster: 0, Count: 5}}),                         // pure: entropy 0
 		node(0.3, []iurtree.ClusterSummary{{Cluster: 0, Count: 2}, {Cluster: 1, Count: 3}}), // mixed
 	}
-	if got := cl.refinable(nil, RefineByMaxUpper, 2, 0); got != 1 {
+	if got := cl.refinableByMaxUpper(); got != 1 {
 		t.Errorf("max-upper picked %d, want 1 (hi=0.5)", got)
 	}
-	if got := cl.refinable(nil, RefineByEntropy, 2, 0); got != 2 {
+	if got := cl.refinableByEntropy(nil, 2, 0); got != 2 {
 		t.Errorf("entropy picked %d, want 2 (mixed clusters)", got)
 	}
 	// All objects -> nothing refinable.
 	cl.contributors = []contributor{object(0.1), object(0.2)}
-	if got := cl.refinable(nil, RefineByMaxUpper, 2, 0); got != -1 {
+	if got := cl.refinableByMaxUpper(); got != -1 {
 		t.Errorf("refinable over objects = %d, want -1", got)
 	}
 }
@@ -202,7 +208,7 @@ func TestReplacePreservesOthers(t *testing.T) {
 		return contributor{entry: &iurtree.Entry{ObjID: id, Child: storage.InvalidNode}}
 	}
 	cl.contributors = []contributor{mk(0), mk(1), mk(2)}
-	cl.replace(nil, 1, []contributor{mk(10), mk(11)})
+	cl.replace(nil, 1, []contributor{mk(10), mk(11)}, nil)
 	ids := map[int32]bool{}
 	for _, c := range cl.contributors {
 		ids[c.entry.ObjID] = true

@@ -54,7 +54,82 @@ type contributionList struct {
 	self         []part
 }
 
-// knnBounds computes (kNNL, kNNU) for the given k.
+// ruleCounts decides the two pruning rules for one fixed query interval
+// q by counting instead of selecting. With kNNL the k-th largest part
+// lower bound and kNNU the k-th largest upper bound (each weighted by
+// part count, -Inf when fewer than k neighbors exist):
+//
+//	Rule 1, q.hi < kNNL   iff  nlo >= k, nlo = count of parts with lo > q.hi
+//	Rule 2, q.lo >= kNNU  iff  nhi < k,  nhi = count of parts with hi > q.lo
+//
+// The k-th largest value exceeds a threshold exactly when at least k
+// values do, and with fewer than k neighbors in total neither count can
+// reach k, which is the -Inf convention. Both equivalences need non-NaN
+// bounds, which a validated tree guarantees.
+//
+// The counts are int64 sums of int32 part counts, so subtracting the
+// parts a contributor loses and adding the ones it gains keeps them
+// exact: a pruning check costs O(parts changed), not O(list). A nil
+// *ruleCounts keeps no counts; add and sub are then no-ops.
+type ruleCounts struct {
+	q        interval
+	nlo, nhi int64
+}
+
+// ruleCounts counts the whole list against q.
+//
+//rstknn:hotpath one full count per decideGroup call
+func (cl *contributionList) ruleCounts(q interval) ruleCounts {
+	rc := ruleCounts{q: q}
+	rc.add(cl.self)
+	for i := range cl.contributors {
+		rc.add(cl.contributors[i].parts)
+	}
+	return rc
+}
+
+// add counts parts that joined the list.
+//
+//rstknn:hotpath one call per new contribution part during refinement and rebinding
+func (rc *ruleCounts) add(ps []part) { rc.tally(ps, 1) }
+
+// sub uncounts parts that left the list.
+//
+//rstknn:hotpath one call per replaced contribution part during refinement and rebinding
+func (rc *ruleCounts) sub(ps []part) { rc.tally(ps, -1) }
+
+func (rc *ruleCounts) tally(ps []part, sign int64) {
+	if rc == nil {
+		return
+	}
+	for _, p := range ps {
+		if p.count <= 0 {
+			continue
+		}
+		c := sign * int64(p.count)
+		if p.lo > rc.q.hi {
+			rc.nlo += c
+		}
+		if p.hi > rc.q.lo {
+			rc.nhi += c
+		}
+	}
+}
+
+// prunes reports Rule 1: the query can never reach any member's top-k.
+//
+//rstknn:hotpath read once per pruning check
+func (rc *ruleCounts) prunes(k int) bool { return rc.nlo >= int64(k) }
+
+// reports reports Rule 2: the query ranks within every member's top-k.
+//
+//rstknn:hotpath read once per pruning check
+func (rc *ruleCounts) reports(k int) bool { return rc.nhi < int64(k) }
+
+// knnBounds computes (kNNL, kNNU) for the given k with sc's selectors (or
+// fresh ones when sc is nil). The pruning rules never need the values —
+// ruleCounts decides them — so this runs only for BoundTrace and error
+// reports.
 //
 // kNNL: every object below the candidate has, for contribution part p,
 // p.count neighbors with similarity >= p.lo. Sorting parts by lo
@@ -66,33 +141,41 @@ type contributionList struct {
 //
 // When fewer than k neighbors exist in total both bounds are -Inf: the
 // k-th NN does not exist, so any query similarity qualifies.
-func (cl *contributionList) knnBounds(k int) (knnl, knnu float64) {
-	var lo, hi kthSelector
+func (cl *contributionList) knnBounds(sc *scratch, k int) (knnl, knnu float64) {
+	lo, hi := new(kthSelector), new(kthSelector)
+	if sc != nil {
+		lo, hi = &sc.selLo, &sc.selHi
+	}
 	lo.reset(k)
 	hi.reset(k)
-	cl.knnBoundsInto(&lo, &hi)
+	cl.knnBoundsInto(lo, hi)
 	return lo.kth(), hi.kth()
 }
 
+// knnu computes kNNU alone with sc's upper selector, for the E-CIUR
+// relevance test.
+func (cl *contributionList) knnu(sc *scratch, k int) float64 {
+	sc.selHi.reset(k)
+	cl.selectInto(&sc.selHi, true)
+	return sc.selHi.kth()
+}
+
 // knnBoundsInto is the allocation-conscious form: the selectors are reset
-// and filled; callers reuse them across iterations.
+// by the caller and filled here; callers reuse them across calls.
 //
-//rstknn:hotpath one call per pruning check of every live candidate
+//rstknn:hotpath kNN bounds of every traced object decision
 func (cl *contributionList) knnBoundsInto(lo, hi *kthSelector) {
-	for _, p := range cl.self {
-		if p.count > 0 {
-			lo.add(p.lo, p.count)
-			hi.add(p.hi, p.count)
-		}
-	}
+	cl.selectInto(lo, false)
+	cl.selectInto(hi, true)
+}
+
+// selectInto feeds every part's upper (upper) or lower bound into s.
+//
+//rstknn:hotpath kNNU of every E-CIUR refinement choice
+func (cl *contributionList) selectInto(s *kthSelector, upper bool) {
+	s.addParts(cl.self, upper)
 	for i := range cl.contributors {
-		for _, p := range cl.contributors[i].parts {
-			if p.count <= 0 {
-				continue
-			}
-			lo.add(p.lo, p.count)
-			hi.add(p.hi, p.count)
-		}
+		s.addParts(cl.contributors[i].parts, upper)
 	}
 }
 
@@ -111,7 +194,7 @@ type kthSelector struct {
 
 // reset prepares the selector for a fresh selection of the k-th largest.
 //
-//rstknn:hotpath selector reuse across pruning checks
+//rstknn:hotpath selector reuse across E-CIUR kNNU and BoundTrace selections
 func (s *kthSelector) reset(k int) {
 	s.k = int64(k)
 	s.total = 0
@@ -122,7 +205,7 @@ func (s *kthSelector) reset(k int) {
 
 // add feeds `count` copies of val into the multiset.
 //
-//rstknn:hotpath one call per contribution part per pruning check
+//rstknn:hotpath one call per contribution part per selection
 func (s *kthSelector) add(val float64, count int32) {
 	c := int64(count)
 	s.total += c
@@ -150,6 +233,21 @@ func (s *kthSelector) add(val float64, count int32) {
 	for len(s.vals) > 0 && s.kept-s.counts[0] >= s.k {
 		s.kept -= s.counts[0]
 		s.popMin()
+	}
+}
+
+// addParts feeds each part's upper (upper) or lower bound, weighted by
+// its count, skipping empty parts.
+func (s *kthSelector) addParts(ps []part, upper bool) {
+	for _, p := range ps {
+		if p.count <= 0 {
+			continue
+		}
+		if upper {
+			s.add(p.hi, p.count)
+		} else {
+			s.add(p.lo, p.count)
+		}
 	}
 }
 
@@ -181,7 +279,7 @@ func (s *kthSelector) popMin() {
 // kth returns the k-th largest value seen, or -Inf when fewer than k
 // values were added in total.
 //
-//rstknn:hotpath read once per pruning check
+//rstknn:hotpath read once per selection
 func (s *kthSelector) kth() float64 {
 	if s.total < s.k || len(s.vals) == 0 {
 		return negInf
@@ -189,28 +287,51 @@ func (s *kthSelector) kth() float64 {
 	return s.vals[0]
 }
 
-// refinable returns the index of the contributor the strategy wants to
-// tighten next, or -1 when every contributor is a fresh object entry
-// (bounds are exact). Stale contributors (any kind) qualify for a free
-// rebound; fresh internal nodes qualify for an I/O refinement.
+// Refinement choice. refinableByMaxUpper and refinableByEntropy return
+// the index of the contributor the strategy wants to tighten next, or -1
+// when every contributor is a fresh object entry (bounds are exact).
+// Stale contributors (any kind) qualify for a free rebound; fresh
+// internal nodes qualify for an I/O refinement.
 //
 // Only contributors that can influence the pending decision are worth
 // tightening: lowering kNNU requires shrinking a contributor whose upper
-// bound currently occupies one of the top-k slots (maxHi >= knnu). The
-// strategy ranks within that decision-relevant set — by upper bound
-// (RefineByMaxUpper) or by textual entropy (RefineByEntropy, the E-CIUR
-// optimization: mixed contributors have the loosest envelopes, so
-// tightening them moves the bounds furthest). When no contributor
-// reaches knnu (the bound is held by exact parts), the loosest remaining
+// bound currently occupies one of the top-k slots (maxHi >= kNNU). The
+// strategy ranks within that decision-relevant set; when no contributor
+// reaches kNNU (the bound is held by exact parts), the loosest remaining
 // contributor is chosen so kNNL keeps improving.
+
+// refinableByMaxUpper picks the contributor with the largest upper bound,
+// ties broken by the larger subtree and then by the first index. Its
+// relevance test maxHi >= kNNU is a threshold on its own sort key, so the
+// overall argmax is relevant whenever any contributor is: the ranking
+// needs no kNNU at all.
+func (cl *contributionList) refinableByMaxUpper() int {
+	best := -1
+	bestHi, bestCount := negInf, int32(0)
+	for i := range cl.contributors {
+		c := &cl.contributors[i]
+		if !c.stale && c.entry.IsObject() {
+			continue // already exact
+		}
+		hi := c.maxHi()
+		if best == -1 || hi > bestHi ||
+			(hi == bestHi && c.entry.Count > bestCount) { //rstknn:allow floatcmp exact tie on the refinement key falls through to the secondary criterion
+			best, bestHi, bestCount = i, hi, c.entry.Count
+		}
+	}
+	return best
+}
+
+// refinableByEntropy ranks the decision-relevant contributors (maxHi >=
+// knnu) by textual entropy, ties broken by the upper bound: the E-CIUR
+// optimization, since mixed contributors have the loosest envelopes, so
+// tightening them moves the bounds furthest. Entropy is not monotone in
+// the upper bound, so unlike refinableByMaxUpper it needs kNNU.
 //
 // The entropy histogram comes from sc (a fresh one when sc is nil), so the
 // warm E-CIUR path allocates nothing.
-func (cl *contributionList) refinable(sc *scratch, strategy RefineStrategy, numClusters int, knnu float64) int {
-	var hist []int
-	if strategy == RefineByEntropy {
-		hist = sc.clusterHist(numClusters)
-	}
+func (cl *contributionList) refinableByEntropy(sc *scratch, numClusters int, knnu float64) int {
+	hist := sc.clusterHist(numClusters)
 	best := -1
 	bestKey, bestTie := negInf, negInf
 	bestRelevant := false
@@ -224,18 +345,10 @@ func (cl *contributionList) refinable(sc *scratch, strategy RefineStrategy, numC
 		if bestRelevant && !relevant {
 			continue // never prefer an irrelevant contributor over a relevant one
 		}
-		var key, tie float64
-		switch strategy {
-		case RefineByEntropy:
-			key = clusterEntropy(c.entry, hist)
-			tie = hi
-		default: // RefineByMaxUpper
-			key = hi
-			tie = float64(c.entry.Count)
-		}
+		key := clusterEntropy(c.entry, hist)
 		if best == -1 || (relevant && !bestRelevant) ||
-			key > bestKey || (key == bestKey && tie > bestTie) { //rstknn:allow floatcmp exact tie on the refinement key falls through to the secondary criterion
-			best, bestKey, bestTie, bestRelevant = i, key, tie, relevant
+			key > bestKey || (key == bestKey && hi > bestTie) { //rstknn:allow floatcmp exact tie on the refinement key falls through to the secondary criterion
+			best, bestKey, bestTie, bestRelevant = i, key, hi, relevant
 		}
 	}
 	return best
@@ -271,9 +384,15 @@ func clusterEntropy(e *iurtree.Entry, hist []int) float64 {
 // carve with geometric headroom instead of letting append spill to the
 // heap: refinement calls replace hundreds of times per query, and the
 // spilled copies used to dominate the whole query's allocation profile.
+// rc, when non-nil, is kept counting the list: the replaced contributor's
+// parts leave it and the replacements' parts join it.
 //
 //rstknn:hotpath one call per contributor refinement
-func (cl *contributionList) replace(sc *scratch, i int, repl []contributor) {
+func (cl *contributionList) replace(sc *scratch, i int, repl []contributor, rc *ruleCounts) {
+	rc.sub(cl.contributors[i].parts)
+	for j := range repl {
+		rc.add(repl[j].parts)
+	}
 	last := len(cl.contributors) - 1
 	cl.contributors[i] = cl.contributors[last]
 	cl.contributors = cl.contributors[:last]

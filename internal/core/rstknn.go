@@ -639,7 +639,7 @@ func (w *worker) buildChildren(parent *iurtree.Entry, children []iurtree.Entry, 
 			}
 			if w.s.opt.EagerBounds {
 				gSide := side{rect: child.Rect, env: cs.Env, exact: child.IsObject()}
-				w.reboundStale(gSide, &g.cl)
+				w.reboundStale(gSide, &g.cl, nil)
 			}
 			groups = append(groups, g)
 		}
@@ -738,75 +738,95 @@ func (w *worker) settle(e *iurtree.Entry, g *group, v verdict) error {
 // replace a contributor node with its children (one node read each).
 // Object-level groups always reach a decision; internal groups may return
 // verdictExpand once rebounds and the refinement budget are exhausted.
+//
+// The rules are decided by ruleCounts against the group's query interval,
+// which is fixed for the whole loop: the list is counted once, and every
+// rebound and refinement then updates the counts by the parts it changes.
 func (w *worker) decideGroup(e *iurtree.Entry, g *group) (verdict, error) {
 	item := &w.s.items[w.qi]
 	groupBudget := w.s.opt.GroupRefine
 	gSide := side{rect: e.Rect, env: g.env, exact: e.IsObject()}
-	sc := w.scratch
+	rc := g.cl.ruleCounts(g.q)
 	for {
-		sc.selLo.reset(item.K)
-		sc.selHi.reset(item.K)
-		g.cl.knnBoundsInto(&sc.selLo, &sc.selHi)
-		knnl, knnu := sc.selLo.kth(), sc.selHi.kth()
-		if g.q.hi < knnl {
-			// Rule 1: the query can never reach any member's top-k.
-			if e.IsObject() && item.BoundTrace != nil {
-				item.BoundTrace(e.ObjID, knnl, knnu)
-			}
+		if rc.prunes(item.K) {
+			w.traceBounds(e, g)
 			return verdictPruned, nil
 		}
-		if g.q.lo >= knnu {
-			// Rule 2: the query ranks within every member's top-k.
-			if e.IsObject() && item.BoundTrace != nil {
-				item.BoundTrace(e.ObjID, knnl, knnu)
-			}
+		if rc.reports(item.K) {
+			w.traceBounds(e, g)
 			return verdictReported, nil
 		}
 		// Tier 1: make every inherited bound group-relative (pure CPU).
 		// Loose ancestor-level lower bounds keep kNNL artificially low,
 		// so all of them are tightened in one pass the first time the
 		// group turns out to be undecided.
-		if w.reboundStale(gSide, &g.cl) {
+		if w.reboundStale(gSide, &g.cl, &rc) {
 			continue
 		}
-		idx := g.cl.refinable(sc, w.s.opt.Strategy, w.s.tree.NumClusters(), knnu)
 		if e.IsObject() {
 			// Undecided object: refine its contribution list. The loop
 			// is guaranteed to decide once every contributor is a fresh
-			// object, because then knnl == knnu and the two rules are
-			// exhaustive.
+			// object, because then every part and the query interval are
+			// exact, nlo == nhi, and the two rules are exhaustive.
+			idx := w.refinable(&g.cl)
 			if idx < 0 {
+				knnl, knnu := g.cl.knnBounds(w.scratch, item.K)
 				return 0, fmt.Errorf("core: undecidable object %d with exact bounds [%g, %g], query %g",
 					e.ObjID, knnl, knnu, g.q.lo)
 			}
-			if err := w.refine(gSide, &g.cl, idx); err != nil {
+			if err := w.refine(gSide, &g.cl, idx, &rc); err != nil {
 				return 0, err
 			}
 			continue
 		}
-		if groupBudget > 0 && idx >= 0 {
-			groupBudget--
-			if err := w.refine(gSide, &g.cl, idx); err != nil {
-				return 0, err
+		if groupBudget > 0 {
+			if idx := w.refinable(&g.cl); idx >= 0 {
+				groupBudget--
+				if err := w.refine(gSide, &g.cl, idx, &rc); err != nil {
+					return 0, err
+				}
+				continue
 			}
-			continue
 		}
 		return verdictExpand, nil
 	}
 }
 
+// traceBounds reports a decided object's final kNN bounds to the item's
+// BoundTrace, the one decision path that still selects them.
+func (w *worker) traceBounds(e *iurtree.Entry, g *group) {
+	item := &w.s.items[w.qi]
+	if e.IsObject() && item.BoundTrace != nil {
+		knnl, knnu := g.cl.knnBounds(w.scratch, item.K)
+		item.BoundTrace(e.ObjID, knnl, knnu)
+	}
+}
+
+// refinable returns the index of the contributor the query's strategy
+// refines next, or -1 when none is left. Only E-CIUR needs kNNU.
+func (w *worker) refinable(cl *contributionList) int {
+	if w.s.opt.Strategy == RefineByEntropy {
+		knnu := cl.knnu(w.scratch, w.s.items[w.qi].K)
+		return cl.refinableByEntropy(w.scratch, w.s.tree.NumClusters(), knnu)
+	}
+	return cl.refinableByMaxUpper()
+}
+
 // reboundStale recomputes every stale contributor's bounds against the
 // group itself (they were inherited from an ancestor). No I/O. Returns
 // true when anything changed. The fresh parts replace the inherited slice
-// (which may be shared with sibling groups) — they never mutate it.
-func (w *worker) reboundStale(gSide side, cl *contributionList) bool {
+// (which may be shared with sibling groups) — they never mutate it. rc,
+// when non-nil, trades each contributor's old parts for its new ones.
+func (w *worker) reboundStale(gSide side, cl *contributionList, rc *ruleCounts) bool {
 	changed := false
 	for i := range cl.contributors {
 		ct := &cl.contributors[i]
 		if !ct.stale {
 			continue
 		}
+		rc.sub(ct.parts)
 		ct.parts = w.scorer.entryBoundsInto(w.scratch, gSide, ct.entry)
+		rc.add(ct.parts)
 		ct.stale = false
 		w.metrics.Rebounds++
 		changed = true
@@ -815,10 +835,11 @@ func (w *worker) reboundStale(gSide side, cl *contributionList) bool {
 }
 
 // refine replaces contributor idx with its children, re-bounded against
-// the group. The children are materialized once and referenced by the
-// new contributors. The replacement buffer is scratch-owned: replace()
-// copies it into the contribution list, so it is reusable immediately.
-func (w *worker) refine(gSide side, cl *contributionList, idx int) error {
+// the group, keeping rc counting the list. The children are materialized
+// once and referenced by the new contributors. The replacement buffer is
+// scratch-owned: replace() copies it into the contribution list, so it
+// is reusable immediately.
+func (w *worker) refine(gSide side, cl *contributionList, idx int, rc *ruleCounts) error {
 	v, err := w.readView(cl.contributors[idx].entry.Child)
 	if err != nil {
 		return err
@@ -832,7 +853,7 @@ func (w *worker) refine(gSide side, cl *contributionList, idx int) error {
 			parts: w.scorer.entryBoundsInto(w.scratch, gSide, &children[i]),
 		})
 	}
-	cl.replace(w.scratch, idx, repl)
+	cl.replace(w.scratch, idx, repl, rc)
 	w.scratch.repl = repl[:0]
 	return nil
 }

@@ -9,8 +9,8 @@ import (
 
 // The branch-and-bound hot path evaluates bounds for every (candidate,
 // contributor) pair it touches; done naively that is one short-lived
-// []part per evaluation plus selector state per pruning check, and the
-// allocator dominates the profile. A scratch bundles every reusable
+// []part per evaluation plus selector state per kNN-bound selection, and
+// the allocator dominates the profile. A scratch bundles every reusable
 // buffer one worker needs so the steady-state scoring path allocates
 // nothing: kthSelector heaps, arena-carved part and contributor slices,
 // the materialized entries of every node the worker reads, and the
@@ -111,8 +111,9 @@ func (a *arena[T]) reset() {
 // entries by pointer instead of copying them. The entries stay immutable
 // until the query ends, which is when the scratch is reset.
 type scratch struct {
-	// selLo/selHi are the kNN-bound selectors, reused across every
-	// pruning check so their heap storage is allocated once.
+	// selLo/selHi are the kNN-bound selectors of the E-CIUR kNNU and
+	// BoundTrace selections, reused so their heap storage is allocated
+	// once.
 	selLo, selHi kthSelector
 	// parts backs every bound computation ([]part carves).
 	parts arena[part]

@@ -157,6 +157,39 @@ func TestKNNBoundsWarmAllocFree(t *testing.T) {
 	_ = sink
 }
 
+// TestRuleCountsWarmAllocFree pins the counting decision path: the full
+// count at the start of decideGroup, the per-refinement upkeep inside
+// replace, and the two rule reads.
+func TestRuleCountsWarmAllocFree(t *testing.T) {
+	s, entries := boundFixture(t)
+	sc := getScratch()
+	defer sc.release()
+	a := &entries[0]
+	cl := contributionList{self: s.selfPartsInto(sc, a, -1, a.Env, a.Count)}
+	for j := 1; j < len(entries); j++ {
+		cl.contributors = append(cl.contributors, contributor{
+			entry: &entries[j],
+			parts: s.entryBoundsInto(sc, sideOf(a), &entries[j]),
+		})
+	}
+	// Replacing a contributor by itself keeps the list's size, so every
+	// pass does the same work.
+	repl := []contributor{cl.contributors[0]}
+	q := interval{lo: 0.3, hi: 0.6}
+	var sink int
+	check := func() {
+		rc := cl.ruleCounts(q)
+		cl.replace(sc, 0, repl, &rc)
+		if rc.prunes(10) || rc.reports(10) {
+			sink++
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, check); allocs != 0 {
+		t.Errorf("warm ruleCounts/replace allocate %v per pruning check, want 0", allocs)
+	}
+	_ = sink
+}
+
 func TestRefinableEntropyWarmAllocFree(t *testing.T) {
 	s, entries := boundFixture(t)
 	sc := getScratch()
@@ -171,7 +204,7 @@ func TestRefinableEntropyWarmAllocFree(t *testing.T) {
 		})
 	}
 	const numClusters = 4
-	pick := func() { cl.refinable(sc, RefineByEntropy, numClusters, negInf) }
+	pick := func() { cl.refinableByEntropy(sc, numClusters, negInf) }
 	pick() // warm pass: the scratch histogram grows to the cluster count
 	if allocs := testing.AllocsPerRun(100, pick); allocs != 0 {
 		t.Errorf("warm refinable(RefineByEntropy) allocates %v per call, want 0", allocs)

@@ -281,6 +281,9 @@ func Open(store storage.Blobs, headerID storage.NodeID) (*Snapshot, error) {
 		return nil, fmt.Errorf("iurtree: truncated maxD")
 	}
 	t.maxD = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
+	if err := checkMaxD(t.maxD); err != nil {
+		return nil, fmt.Errorf("iurtree: header: %w", err)
+	}
 	off += 8
 	root, n, err := decodeEntry(buf[off:])
 	if err != nil {

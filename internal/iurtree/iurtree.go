@@ -20,6 +20,7 @@ package iurtree
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"rstknn/internal/cluster"
 	"rstknn/internal/geom"
@@ -417,6 +418,17 @@ func (t *Snapshot) Height() int { return t.height }
 // Space returns the dataspace MBR.
 func (t *Snapshot) Space() geom.Rect { return t.space }
 
+// checkMaxD rejects a normalization distance that is not positive and
+// finite: every spatial similarity divides by it, so such a value makes
+// the query bounds NaN or meaningless and queries would answer wrongly
+// instead of failing.
+func checkMaxD(d float64) error {
+	if !(d > 0) || math.IsInf(d, 1) {
+		return fmt.Errorf("normalization distance maxD = %g, want positive and finite", d)
+	}
+	return nil
+}
+
 // MaxD returns the normalization distance: the dataspace diagonal, the
 // maximum distance between any two indexed points.
 func (t *Snapshot) MaxD() float64 { return t.maxD }
@@ -478,6 +490,9 @@ func (t *Snapshot) CheckInvariants() error {
 // CheckInvariantsTracked is CheckInvariants with the walk's node reads
 // attributed to tr. A nil tracker is allowed.
 func (t *Snapshot) CheckInvariantsTracked(tr *storage.Tracker) error {
+	if err := checkMaxD(t.maxD); err != nil {
+		return err
+	}
 	if t.size == 0 {
 		if t.rootEntry.Count != 0 {
 			return fmt.Errorf("empty tree has root count %d", t.rootEntry.Count)

@@ -1,6 +1,8 @@
 package iurtree
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -260,6 +262,45 @@ func TestOpenErrors(t *testing.T) {
 	junk := store.Put([]byte("this is not a tree header, definitely"))
 	if _, err := Open(store, junk); err == nil {
 		t.Error("open of junk should fail")
+	}
+}
+
+// headerMaxDOffset is where a saved header stores maxD: after the magic,
+// the version, four int32 fields and the space rect.
+const headerMaxDOffset = 4 + 2 + 16 + 32
+
+// TestOpenRejectsBadMaxD corrupts the maxD bytes of a saved header: a
+// zero, negative, NaN or infinite normalization distance would make
+// every spatial bound wrong, so Open and CheckInvariants must refuse it.
+func TestOpenRejectsBadMaxD(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	store := storage.NewStore()
+	tr, err := Build(randObjects(rng, 40, 10), Config{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, err := store.GetTracked(tr.Save(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := math.Float64frombits(binary.LittleEndian.Uint64(header[headerMaxDOffset:])); got != tr.MaxD() {
+		t.Fatalf("maxD at header offset %d reads %g, want %g", headerMaxDOffset, got, tr.MaxD())
+	}
+	good := tr.maxD
+	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		blob := append([]byte(nil), header...)
+		binary.LittleEndian.PutUint64(blob[headerMaxDOffset:], math.Float64bits(bad))
+		if _, err := Open(store, store.Put(blob)); err == nil {
+			t.Errorf("Open accepted a header with maxD %g", bad)
+		}
+		tr.maxD = bad
+		if err := tr.CheckInvariants(); err == nil {
+			t.Errorf("CheckInvariants accepted maxD %g", bad)
+		}
+	}
+	tr.maxD = good
+	if err := tr.CheckInvariants(); err != nil {
+		t.Errorf("restored tree: %v", err)
 	}
 }
 
