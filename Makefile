@@ -6,7 +6,7 @@ LINT_TOOL     := $(or $(TMPDIR),/tmp)/rstknn-lint
 LINT_REPORT   ?= lint-report.json
 FUZZTIME      ?= 10s
 
-.PHONY: all build test race race-stress lint lint-json lint-selftest golangci fmt fuzz bench-module bench-baseline bench-views bench-mutate bench-batch check clean
+.PHONY: all build test race race-stress lint lint-json lint-selftest golangci fmt fuzz bench-module check clean
 
 all: build
 
@@ -89,34 +89,6 @@ fuzz:
 # only show up here.
 bench-module:
 	cd benchmark && go vet ./... && go test ./...
-
-# Regenerate the checked-in benchmark-regression baseline. The seed and
-# workload are pinned so diffs reflect code changes, not input drift;
-# wall-clock columns are machine-dependent (see the machine block in the
-# JSON), allocs/op and nodes-read are comparable across machines.
-bench-baseline:
-	go run ./cmd/rstknn-bench -json baseline -seed 7 -scale 0.25 -queries 16 -workers 1,2,4,8 -benchiters 3
-
-# Regenerate BENCH_views.json, the zero-copy view + bound cache evidence
-# record: the same pinned workload as bench-baseline, so
-# `rstknn-bench -compare BENCH_baseline.json BENCH_views.json` shows the
-# allocation and wall-clock deltas row by row.
-bench-views:
-	go run ./cmd/rstknn-bench -json views -seed 7 -scale 0.25 -queries 16 -workers 1,2,4,8 -benchiters 3
-
-# Regenerate the copy-on-write mutation baseline (insert/delete write
-# amplification and reclamation footprint). Same pinning rules as
-# bench-baseline: counters are cross-machine comparable, ns/op is not.
-bench-mutate:
-	go run ./cmd/rstknn-bench -mutate baseline -seed 7 -scale 0.25 -churn 2000
-
-# Regenerate BENCH_batch.json, the shared-traversal batch execution
-# evidence record (DESIGN.md §11): the pinned workload answered
-# independently and via MultiRSTkNN at several batch sizes. nodes/query,
-# shared-hits/query, and the reduction factor are deterministic and
-# cross-machine comparable; ns/query is not.
-bench-batch:
-	go run ./cmd/rstknn-bench -batch batch -seed 7 -scale 0.25 -queries 64 -batchsizes 1,4,16,64 -benchiters 3
 
 check: lint build test bench-module race race-stress fuzz
 

@@ -2,13 +2,8 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"rstknn/internal/bench"
 )
 
 func TestRunList(t *testing.T) {
@@ -17,7 +12,7 @@ func TestRunList(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, id := range []string{"T1", "T2", "F1", "F9", "F10", "F11", "F12"} {
+	for _, id := range []string{"T1", "T2", "F1", "F9", "F10", "F11", "F12", "F13"} {
 		if !strings.Contains(out, id) {
 			t.Errorf("-list output missing %s:\n%s", id, out)
 		}
@@ -60,84 +55,5 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-badflag"}, &buf); err == nil {
 		t.Error("bad flag should fail")
-	}
-}
-
-func TestRunJSONBaseline(t *testing.T) {
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	err := run([]string{
-		"-json", "smoke", "-benchdir", dir,
-		"-scale", "0.01", "-queries", "3", "-seed", "7",
-		"-workers", "1,2", "-benchiters", "1",
-	}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "BENCH_smoke.json")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("baseline file not written: %v", err)
-	}
-	var b bench.Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		t.Fatalf("baseline is not valid JSON: %v", err)
-	}
-	if b.Label != "smoke" || b.Schema != 1 {
-		t.Errorf("label/schema = %q/%d, want smoke/1", b.Label, b.Schema)
-	}
-	if b.Machine.NumCPU < 1 || b.Machine.GoVersion == "" {
-		t.Errorf("machine metadata incomplete: %+v", b.Machine)
-	}
-	if len(b.Rows) != 2 || b.Rows[0].Workers != 1 || b.Rows[1].Workers != 2 {
-		t.Fatalf("rows = %+v, want worker counts 1,2", b.Rows)
-	}
-	for _, r := range b.Rows {
-		if r.NsPerOp <= 0 {
-			t.Errorf("workers=%d: ns/op = %d, want > 0", r.Workers, r.NsPerOp)
-		}
-		if r.NodesRead != b.Rows[0].NodesRead {
-			t.Errorf("workers=%d: nodes read %v differ from sequential %v",
-				r.Workers, r.NodesRead, b.Rows[0].NodesRead)
-		}
-	}
-	if !strings.Contains(buf.String(), "wrote "+path) {
-		t.Errorf("summary missing written path:\n%s", buf.String())
-	}
-	if err := run([]string{"-json", "x", "-benchdir", dir, "-workers", "1,zero"}, &buf); err == nil {
-		t.Error("bad -workers list should fail")
-	}
-}
-
-func TestRunMutateBench(t *testing.T) {
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	err := run([]string{
-		"-mutate", "churn-smoke", "-benchdir", dir,
-		"-scale", "0.01", "-seed", "7", "-churn", "30",
-	}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "BENCH_churn-smoke.json")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("mutate report not written: %v", err)
-	}
-	var m bench.MutateReport
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatalf("mutate report is not valid JSON: %v", err)
-	}
-	if m.Label != "churn-smoke" || m.Schema != 1 {
-		t.Errorf("label/schema = %q/%d, want churn-smoke/1", m.Label, m.Schema)
-	}
-	if len(m.Rows) != 2 {
-		t.Fatalf("rows = %+v, want insert and churn", m.Rows)
-	}
-	out := buf.String()
-	for _, want := range []string{"insert", "churn", "storage:", "wrote " + path} {
-		if !strings.Contains(out, want) {
-			t.Errorf("summary missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -149,12 +149,6 @@ func Build(objects []Object, opt Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if resolved.BoundCache != 0 {
-		// 0 keeps the default-on cache; negative disables, positive
-		// resizes. Done before the first query so sizing never races a
-		// concurrent reader.
-		tree.SetBoundCache(resolved.BoundCache)
-	}
 	e.rec = storage.NewReclaimer(e.store)
 	// Successor snapshots share the bound cache with the first one, so
 	// evicting through it covers every version.
@@ -196,7 +190,8 @@ type IndexStats struct {
 	// pinned readers to finish.
 	PendingReclaim int
 	// BoundCacheHits/Misses/Entries describe the textual bound cache of
-	// the zero-copy read path (see Options.BoundCache). Hits re-decode
+	// the zero-copy read path, which every engine runs with
+	// iurtree.DefaultBoundCacheNodes entries. Hits re-decode
 	// nothing but still pay full simulated I/O, so they appear nowhere
 	// in the I/O counters.
 	BoundCacheHits    int64

@@ -187,8 +187,7 @@ func (bm *builtMethod) runQueries(queries []dataset.QueryObject, k int, alpha fl
 		var tracker storage.Tracker
 		start := time.Now()
 		// Workers is pinned to 1: these experiments reproduce the paper's
-		// sequential per-query costs. Intra-query scaling is measured
-		// separately by the -json baseline benchmark.
+		// sequential per-query costs.
 		out, err := core.RSTkNN(bm.tree, core.Query{Loc: q.Loc, Doc: q.Doc}, core.Options{
 			K: k, Alpha: alpha, Sim: sim, Strategy: bm.strategy,
 			Workers: 1, Tracker: &tracker,

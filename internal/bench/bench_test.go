@@ -8,8 +8,10 @@ import (
 
 // tinyConfig runs every experiment at a small fraction of the paper scale
 // so the full suite stays test-fast while exercising every code path.
+// F13 gets a pool of 3 workers, one per query, so its sequential-vs-pool
+// equality check runs concurrent queries whatever GOMAXPROCS is.
 func tinyConfig(buf *bytes.Buffer) Config {
-	return Config{Out: buf, Scale: 0.01, Queries: 3, Seed: 1}
+	return Config{Out: buf, Scale: 0.01, Queries: 3, Seed: 1, Parallelism: 3}
 }
 
 func TestByID(t *testing.T) {

@@ -2,10 +2,13 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"rstknn/internal/core"
+	"rstknn/internal/dataset"
 	"rstknn/internal/storage"
 )
 
@@ -70,11 +73,33 @@ var goldenPinned = map[string][]goldenCounters{
 	},
 }
 
+// pinnedPasses are the executions of the pinned workload that must all
+// reproduce goldenPinned: the sequential search, the intra-query worker
+// pool, and the shared traversal (core.MultiRSTkNN) in batches of 16.
+// batch 0 answers each query with its own core.RSTkNN call.
+var pinnedPasses = []struct {
+	name           string
+	workers, batch int
+}{
+	{"workers=1", 1, 0},
+	{"workers=4", 4, 0},
+	{"batch=16", 1, 16},
+}
+
 // TestGoldenCountersPinnedWorkload pins every per-query counter of the
-// pinned workload, in exact equality. The IUR means must also reproduce
-// BENCH_baseline.json's Workers=1 row (1191.25 nodes and 18.5625 results
-// per query).
+// pinned workload, in exact equality, for every pass in pinnedPasses.
+// Each later pass must also return the first pass's results and full
+// Metrics query by query, so the engine is deterministic across worker
+// counts and between shared and independent execution. The IUR means
+// must also reproduce BENCH_baseline.json's Workers=1 row (1191.25
+// nodes and 18.5625 results per query).
 func TestGoldenCountersPinnedWorkload(t *testing.T) {
+	// Workers is clamped to GOMAXPROCS; raise it so the workers=4 pass
+	// spawns real goroutines on a machine with fewer CPUs.
+	if runtime.GOMAXPROCS(0) < 4 {
+		prev := runtime.GOMAXPROCS(4)
+		defer runtime.GOMAXPROCS(prev)
+	}
 	cfg := Config{Scale: 0.25, Queries: 16, Seed: 7}.withDefaults()
 	col, queries := fixture(cfg, defaultN/2)
 	methods, err := buildMethods(col.Objects, []method{treeMethods[0], treeMethods[3]}, cfg.Seed)
@@ -82,35 +107,23 @@ func TestGoldenCountersPinnedWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bm := range methods {
-		got := make([]goldenCounters, len(queries))
-		for i, q := range queries {
-			var tracker storage.Tracker
-			out, err := core.RSTkNN(bm.tree, core.Query{Loc: q.Loc, Doc: q.Doc}, core.Options{
-				K: defaultK, Alpha: defaultAlpha, Strategy: bm.strategy,
-				Workers: 1, Tracker: &tracker,
-			})
+		var ref []*core.Outcome
+		for _, pass := range pinnedPasses {
+			outs, err := runPinnedPass(&bm, queries, pass.workers, pass.batch)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s %s: %v", bm.name, pass.name, err)
 			}
-			m := out.Metrics
-			got[i] = goldenCounters{
-				NodesRead: m.NodesRead, Results: len(out.Results),
-				BoundEvals: m.BoundEvals, ExactSims: m.ExactSims,
-				Refinements: m.Refinements, Rebounds: m.Rebounds,
+			if ref == nil {
+				ref = outs
 			}
-		}
-		want := goldenPinned[bm.name]
-		if len(want) != len(got) {
-			t.Errorf("%s: %d golden queries, workload has %d; current counters:\n%s", bm.name, len(want), len(got), goldenLiteral(got))
-			continue
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Errorf("%s query %d: counters %+v, golden %+v", bm.name, i, got[i], want[i])
+			for i, out := range outs {
+				if !slices.Equal(out.Results, ref[i].Results) || out.Metrics != ref[i].Metrics {
+					t.Errorf("%s %s query %d: results %v metrics %+v, %s gave %v %+v",
+						bm.name, pass.name, i, out.Results, out.Metrics,
+						pinnedPasses[0].name, ref[i].Results, ref[i].Metrics)
+				}
 			}
-		}
-		if t.Failed() {
-			t.Logf("%s current counters:\n%s", bm.name, goldenLiteral(got))
+			checkGolden(t, bm.name, pass.name, outs)
 		}
 	}
 	var nodes, results int
@@ -121,6 +134,75 @@ func TestGoldenCountersPinnedWorkload(t *testing.T) {
 	n := float64(len(goldenPinned["IUR"]))
 	if mn, mr := float64(nodes)/n, float64(results)/n; mn != 1191.25 || mr != 18.5625 { //rstknn:allow floatcmp exact means of integer counters over 16 queries
 		t.Errorf("IUR golden means = %v nodes, %v results per query; BENCH_baseline.json Workers=1 has 1191.25, 18.5625", mn, mr)
+	}
+}
+
+// runPinnedPass answers the workload with the given worker count, one
+// core.RSTkNN call per query when batch is 0 and one core.MultiRSTkNN
+// traversal per consecutive chunk of batch queries otherwise.
+func runPinnedPass(bm *builtMethod, queries []dataset.QueryObject, workers, batch int) ([]*core.Outcome, error) {
+	outs := make([]*core.Outcome, 0, len(queries))
+	if batch == 0 {
+		for _, q := range queries {
+			var tracker storage.Tracker
+			out, err := core.RSTkNN(bm.tree, core.Query{Loc: q.Loc, Doc: q.Doc}, core.Options{
+				K: defaultK, Alpha: defaultAlpha, Strategy: bm.strategy,
+				Workers: workers, Tracker: &tracker,
+			})
+			if err != nil {
+				return nil, err
+			}
+			outs = append(outs, out)
+		}
+		return outs, nil
+	}
+	for lo := 0; lo < len(queries); lo += batch {
+		chunk := queries[lo:min(lo+batch, len(queries))]
+		items := make([]core.BatchItem, len(chunk))
+		for i, q := range chunk {
+			items[i] = core.BatchItem{Query: core.Query{Loc: q.Loc, Doc: q.Doc}, K: defaultK}
+		}
+		var tracker storage.Tracker
+		mo, err := core.MultiRSTkNN(bm.tree, items, core.Options{
+			Alpha: defaultAlpha, Strategy: bm.strategy,
+			Workers: workers, Tracker: &tracker,
+		})
+		if err != nil {
+			return nil, err
+		}
+		outs = append(outs, mo.Outcomes...)
+	}
+	return outs, nil
+}
+
+// checkGolden compares one pass's per-query counters with the method's
+// goldenPinned row.
+func checkGolden(t *testing.T, method, pass string, outs []*core.Outcome) {
+	t.Helper()
+	got := make([]goldenCounters, len(outs))
+	for i, out := range outs {
+		m := out.Metrics
+		got[i] = goldenCounters{
+			NodesRead: m.NodesRead, Results: len(out.Results),
+			BoundEvals: m.BoundEvals, ExactSims: m.ExactSims,
+			Refinements: m.Refinements, Rebounds: m.Rebounds,
+		}
+	}
+	label := method + " " + pass
+	want := goldenPinned[method]
+	if len(want) != len(got) {
+		t.Errorf("%s: %d golden queries, workload has %d; current counters:\n%s", label, len(want), len(got), goldenLiteral(got))
+		return
+	}
+	failed := false
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("%s query %d: counters %+v, golden %+v", label, i, got[i], want[i])
+			failed = true
+		}
+	}
+	if failed {
+		t.Logf("%s current counters:\n%s", label, goldenLiteral(got))
 	}
 }
 

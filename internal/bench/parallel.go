@@ -52,8 +52,7 @@ func runWorkload(bm *builtMethod, queries []dataset.QueryObject, k int, alpha fl
 				}
 				q := queries[i]
 				var tracker storage.Tracker
-				// Workers: 1 — F13 isolates *inter*-query scaling; the
-				// intra-query engine is benchmarked by RunBaseline.
+				// Workers: 1 — F13 isolates *inter*-query scaling.
 				out, err := core.RSTkNN(bm.tree, core.Query{Loc: q.Loc, Doc: q.Doc}, core.Options{
 					K: k, Alpha: alpha, Strategy: bm.strategy, Workers: 1, Tracker: &tracker,
 				})

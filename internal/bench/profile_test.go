@@ -7,9 +7,10 @@ import (
 	"rstknn/internal/storage"
 )
 
-// BenchmarkPinnedWorkload runs the BENCH_baseline.json workload as a Go
-// benchmark so the standard -benchmem/-memprofile tooling can attribute
-// the query path's allocations (the JSON baseline only records totals).
+// BenchmarkPinnedWorkload runs the pinned workload (the one
+// BENCH_baseline.json recorded) as a Go benchmark, so the standard
+// -benchmem/-cpuprofile/-memprofile tooling can attribute the query
+// path's time and allocations.
 func BenchmarkPinnedWorkload(b *testing.B) {
 	cfg := Config{Scale: 0.25, Queries: 16, Seed: 7}.withDefaults()
 	col, queries := fixture(cfg, defaultN/2)

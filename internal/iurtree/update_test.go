@@ -104,21 +104,29 @@ func TestUpdateChargesWriteIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tracker.Writes() == 0 || tracker.PagesWritten() == 0 {
-		t.Errorf("insert charged no write I/O: writes=%d pages=%d",
+	if tracker.Writes() == 0 || tracker.PagesWritten() < tracker.Writes() {
+		t.Errorf("insert charged writes=%d pages=%d, want at least one write and a page per write",
 			tracker.Writes(), tracker.PagesWritten())
 	}
-	// Path copying writes at least one fresh node per superseded node
-	// (more on splits).
+	// Path copying supersedes at least the root-to-leaf path and writes
+	// at least one fresh node per superseded node (more on splits).
+	if len(retired) == 0 {
+		t.Error("insert retired no nodes")
+	}
 	if int(tracker.Writes()) < len(retired) {
 		t.Errorf("writes=%d < retired=%d", tracker.Writes(), len(retired))
 	}
 	tracker.Reset()
-	if _, _, ok, err := next.Delete(objs[0].ID, objs[0].Loc, &tracker); err != nil || !ok {
+	_, retired, ok, err := next.Delete(objs[0].ID, objs[0].Loc, &tracker)
+	if err != nil || !ok {
 		t.Fatalf("Delete: ok=%v err=%v", ok, err)
 	}
-	if tracker.Writes() == 0 {
-		t.Error("delete charged no write I/O")
+	if tracker.Writes() == 0 || tracker.PagesWritten() < tracker.Writes() {
+		t.Errorf("delete charged writes=%d pages=%d, want at least one write and a page per write",
+			tracker.Writes(), tracker.PagesWritten())
+	}
+	if len(retired) == 0 {
+		t.Error("delete retired no nodes")
 	}
 	if tracker.Reads() == 0 {
 		t.Error("delete charged no read I/O for its descent")

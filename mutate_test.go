@@ -227,29 +227,44 @@ func TestPinnedSnapshotSurvivesDelete(t *testing.T) {
 // TestLiveBytesBoundedUnderChurn proves repeated Insert/Delete no longer
 // grows the index: retired path copies are freed and their slots reused,
 // so live (and total) footprint stays within a constant factor of the
-// steady state instead of growing linearly with the update count.
+// steady state instead of growing linearly with the update count. The
+// churn runs twice from the same seed: write counts and byte totals are
+// a pure function of the seed.
 func TestLiveBytesBoundedUnderChurn(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	objs := genRestaurants(rng, 300)
-	eng, err := Build(objs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s0 := eng.Stats()
-	const churn = 300
-	for i := 0; i < churn; i++ {
-		o := Object{ID: 50000, X: rng.Float64() * 100, Y: rng.Float64() * 100, Text: "sushi ramen"}
-		if _, err := eng.Insert(o); err != nil {
+	churnStats := func() (s0, s1 IndexStats) {
+		rng := rand.New(rand.NewSource(79))
+		objs := genRestaurants(rng, 300)
+		eng, err := Build(objs, Options{})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if found, _, err := eng.Delete(o.ID); err != nil || !found {
-			t.Fatalf("churn %d: found=%v err=%v", i, found, err)
+		s0 = eng.Stats()
+		const churn = 300
+		for i := 0; i < churn; i++ {
+			o := Object{ID: 50000, X: rng.Float64() * 100, Y: rng.Float64() * 100, Text: "sushi ramen"}
+			if _, err := eng.Insert(o); err != nil {
+				t.Fatal(err)
+			}
+			if found, _, err := eng.Delete(o.ID); err != nil || !found {
+				t.Fatalf("churn %d: found=%v err=%v", i, found, err)
+			}
 		}
+		eng.Compact()
+		if freed := eng.rec.Stats().Freed; freed == 0 {
+			t.Error("churn freed no retired nodes")
+		}
+		if err := eng.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return s0, eng.Stats()
 	}
-	eng.Compact()
-	s1 := eng.Stats()
+	s0, s1 := churnStats()
 	if s1.PendingReclaim != 0 {
 		t.Fatalf("%d nodes pending with no readers", s1.PendingReclaim)
+	}
+	// With nothing pending, every stored byte is live again.
+	if s1.LiveBytes != s1.Bytes {
+		t.Errorf("LiveBytes %d != TotalBytes %d after full reclamation", s1.LiveBytes, s1.Bytes)
 	}
 	// Each churn round path-copies ~height nodes; without reclamation
 	// TotalBytes would grow by hundreds of node blobs. Allow the tree
@@ -266,8 +281,12 @@ func TestLiveBytesBoundedUnderChurn(t *testing.T) {
 	if s1.Writes == 0 || s1.PagesWritten == 0 {
 		t.Errorf("store-level write counters empty: %+v", s1)
 	}
-	if err := eng.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	_, again := churnStats()
+	if again.Writes != s1.Writes || again.PagesWritten != s1.PagesWritten ||
+		again.Bytes != s1.Bytes || again.LiveBytes != s1.LiveBytes || again.Nodes != s1.Nodes {
+		t.Errorf("same-seed churn differs: writes %d/%d pages %d/%d bytes %d/%d live %d/%d nodes %d/%d",
+			s1.Writes, again.Writes, s1.PagesWritten, again.PagesWritten,
+			s1.Bytes, again.Bytes, s1.LiveBytes, again.LiveBytes, s1.Nodes, again.Nodes)
 	}
 }
 

@@ -73,16 +73,6 @@ type Options struct {
 	// Large pools are sharded by node ID so concurrent queries do not
 	// contend on one cache mutex.
 	BufferPoolPages int
-	// BoundCache sizes the per-node textual bound cache backing the
-	// zero-copy read path: decoded envelopes and cluster summaries are
-	// memoized by NodeID so repeated visits (across rounds, queries, and
-	// batches) re-decode nothing. A bound cache hit still pays the full
-	// simulated page I/O, so QueryStats
-	// and the paper's I/O counts are unchanged at any setting. 0 keeps
-	// the default capacity (iurtree.DefaultBoundCacheNodes), a negative
-	// value disables the cache (every read decodes eagerly — the
-	// DESIGN.md ablation), a positive value sets the capacity in nodes.
-	BoundCache int
 	// FanoutMin/FanoutMax override the R-tree fan-out.
 	FanoutMin, FanoutMax int
 	// Workers bounds intra-query parallelism: each query's

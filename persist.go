@@ -175,9 +175,6 @@ func Open(dir string) (*Engine, error) {
 	//rstknn:allow retirepub the store is private until Open returns: no snapshot pointer is published yet and no reader can hold a pin
 	fs.Retire(storage.NodeID(meta.HeaderID))
 	_ = fs.Free(storage.NodeID(meta.HeaderID)) //rstknn:allow errlost first free of a just-retired slot cannot fail
-	if meta.Options.BoundCache != 0 {
-		tree.SetBoundCache(meta.Options.BoundCache)
-	}
 	fs.ResetStats()
 
 	scheme, _ := textual.SchemeByName(meta.Options.Weighting) // checked by validate

@@ -181,16 +181,17 @@ func TestSaveTwiceIsStable(t *testing.T) {
 }
 
 // TestOpenIgnoresRemovedOptions opens an index whose meta.json still
-// carries options older versions wrote ("NodeCache", "SharedBatch"): it
-// must open and answer exactly like the engine that saved it, down to
-// every QueryStats counter.
+// carries options older versions wrote ("NodeCache", "SharedBatch",
+// "BoundCache"): it must open and answer exactly like the engine that
+// saved it, down to every QueryStats counter. "BoundCache": -1 used to
+// disable the bound cache, so the reopened engine must still fill it.
 func TestOpenIgnoresRemovedOptions(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	eng, err := Build(genRestaurants(rng, 300), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := saveWithPatchedMeta(t, eng, map[string]any{"NodeCache": 64, "SharedBatch": -1})
+	dir := saveWithPatchedMeta(t, eng, map[string]any{"NodeCache": 64, "SharedBatch": -1, "BoundCache": -1})
 	re, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -213,5 +214,8 @@ func TestOpenIgnoresRemovedOptions(t *testing.T) {
 			t.Fatalf("trial %d: reopened engine answered %v %+v, saver %v %+v",
 				trial, b.IDs, b.Stats, a.IDs, a.Stats)
 		}
+	}
+	if st := re.Stats(); st.BoundCacheEntries == 0 || st.BoundCacheMisses == 0 {
+		t.Errorf("reopened engine's bound cache is off: %d entries, %d misses", st.BoundCacheEntries, st.BoundCacheMisses)
 	}
 }
