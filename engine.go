@@ -189,8 +189,8 @@ type IndexStats struct {
 	// PendingReclaim is the number of retired nodes still waiting for
 	// pinned readers to finish.
 	PendingReclaim int
-	// BoundCacheHits/Misses/Entries describe the textual bound cache of
-	// the zero-copy read path, which every engine runs with
+	// BoundCacheHits/Misses/Entries describe the bound cache of decoded
+	// nodes that queries read, which every engine runs with
 	// iurtree.DefaultBoundCacheNodes entries. Hits re-decode
 	// nothing but still pay full simulated I/O, so they appear nowhere
 	// in the I/O counters.
@@ -256,7 +256,7 @@ func (s IndexStats) BufferPoolHitRatio() float64 {
 	return ratio(s.BufferPoolHits, s.BufferPoolMisses)
 }
 
-// BoundCacheHitRatio returns the fraction of textual-payload decodes the
+// BoundCacheHitRatio returns the fraction of query node decodes the
 // bound cache absorbed — BoundCacheHits/(BoundCacheHits+BoundCacheMisses)
 // — or 0 when the cache was never consulted.
 func (s IndexStats) BoundCacheHitRatio() float64 {

@@ -23,11 +23,18 @@ func TestQueryStorageErrorReleasesPin(t *testing.T) {
 
 	// Corrupt every stored node blob: the next traversal dies decoding a
 	// node mid-query. Update errors on recycled slots are irrelevant.
+	// Queries read cached decodes, which stay valid because a stored
+	// node never changes in place: its slot is rewritten only after the
+	// reclaimer frees it and evicts its decode. Overwriting live slots
+	// here, the test evicts the decodes as that hook does.
 	store := eng.store.(*storage.Store)
 	garbage := []byte{0xde, 0xad, 0xbe, 0xef}
+	st, unpin := eng.pin()
 	for id := 0; id < store.Len()+8; id++ {
 		_ = store.Update(storage.NodeID(id), garbage)
+		st.tree.InvalidateNode(storage.NodeID(id))
 	}
+	unpin()
 	if _, err := eng.Query(50, 50, "sushi seafood", 3); err == nil {
 		t.Fatal("query over corrupted storage succeeded")
 	}

@@ -37,8 +37,8 @@ var storeTypeNames = map[string]bool{"Store": true, "FileStore": true, "Blobs": 
 
 // ioReadCall reports whether call is a simulated node/blob read: a
 // GetTracked on a store type, the one read primitive every store
-// exposes. Tree reads (Snapshot.ReadNodeTracked, view parsing) reach it
-// through their PerformsIO fact.
+// exposes. Tree reads (Snapshot.ReadNodeTracked, ReadSharedTracked)
+// reach it through their PerformsIO fact.
 func ioReadCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	named, method, ok := methodCall(info, call)
 	if !ok || method != "GetTracked" || !storeTypeNames[named.Obj().Name()] {

@@ -205,8 +205,8 @@ var allocAssumedPkgs = map[string]bool{
 
 // allocAssumedExempt lists members of assumed-allocating packages that
 // are known not to allocate. The binary.ByteOrder getters are pure
-// loads (the zero-copy node views read every fixed-width field through
-// them); the method key is package.MethodName, receiver type elided.
+// loads (the codecs read every fixed-width field through them); the
+// method key is package.MethodName, receiver type elided.
 var allocAssumedExempt = map[string]bool{
 	"sort.Search":            true,
 	"encoding/binary.Uint16": true,

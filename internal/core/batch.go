@@ -16,9 +16,9 @@ import (
 // multi-query search runs ONE branch-and-bound traversal for the whole
 // batch instead. Each frontier slot is a tree entry together with its
 // *active-query set* — the batch queries that still have undecided
-// groups below that entry. A node page is fetched (and its
-// NodeView parsed) at most once per batch, through a once-per-node view
-// table; the fetched node is then scored against every active query, and
+// groups below that entry. A node page is fetched at most once per
+// batch, through a once-per-node table; the fetched node is then scored
+// against every active query, and
 // each query's membership is pruned independently via the same
 // Scorer/contributionList machinery the single-query search
 // uses. Queries drop out of a subtree exactly when an independent run
@@ -26,7 +26,7 @@ import (
 // kNN bounds are bit-identical to N independent RSTkNN calls — only the
 // physical I/O is amortized.
 //
-// RSTkNN runs the same traversal over a one-item batch without the view
+// RSTkNN runs the same traversal over a one-item batch without the node
 // table (see rstknn.go). Workers split the frontier by node, never by
 // query, and every verdict depends only on the (query, group)'s own
 // contribution list, so results and per-query Metrics are identical at
@@ -78,12 +78,10 @@ type MultiOutcome struct {
 	Batch    BatchMetrics
 }
 
-// batchTable is the once-per-node view table of one batch: the first
-// query to need a node fetches it (charging the physical I/O to the
-// batch tracker) and every later consumer gets the already-parsed view.
-// Views and their offset buffers are owned by the table for the batch's
-// lifetime, so they may be shared across worker goroutines — NodeView
-// accessors are read-only.
+// batchTable is the once-per-node table of one batch: the first query to
+// need a node fetches it (charging the physical I/O to the batch
+// tracker) and every later consumer gets the same shared decode, which
+// is immutable and so safe to read from every worker goroutine.
 type batchTable struct {
 	tree *iurtree.Snapshot
 	tr   *storage.Tracker
@@ -97,7 +95,7 @@ type batchTable struct {
 // the fetch without holding the table mutex across I/O.
 type batchSlot struct {
 	once sync.Once
-	view iurtree.NodeView
+	node *iurtree.Node
 	err  error
 }
 
@@ -105,8 +103,8 @@ func newBatchTable(tree *iurtree.Snapshot, tr *storage.Tracker) *batchTable {
 	return &batchTable{tree: tree, tr: tr, nodes: make(map[storage.NodeID]*batchSlot)}
 }
 
-// load returns the node's shared view, fetching it on first use.
-func (b *batchTable) load(id storage.NodeID) (iurtree.NodeView, error) {
+// load returns the node's shared decode, fetching it on first use.
+func (b *batchTable) load(id storage.NodeID) (*iurtree.Node, error) {
 	b.mu.Lock()
 	s := b.nodes[id]
 	if s == nil {
@@ -116,9 +114,9 @@ func (b *batchTable) load(id storage.NodeID) (iurtree.NodeView, error) {
 	b.mu.Unlock()
 	s.once.Do(func() {
 		b.phys.Add(1)
-		s.view, s.err = b.tree.ReadViewTracked(id, b.tr, nil)
+		s.node, s.err = b.tree.ReadSharedTracked(id, b.tr)
 	})
-	return s.view, s.err
+	return s.node, s.err
 }
 
 // MultiRSTkNN answers a batch of reverse spatial-textual k nearest

@@ -44,7 +44,6 @@ func CountExceeding(t *iurtree.Snapshot, q Query, threshold float64, limit int, 
 		frontier.Push(root, b.hi)
 	}
 	count := 0
-	var offs []int32 // view offset buffer, recycled across reads
 	for !frontier.Empty() && count < limit {
 		e, _ := frontier.Pop()
 		if e.IsObject() {
@@ -56,18 +55,17 @@ func CountExceeding(t *iurtree.Snapshot, q Query, threshold float64, limit int, 
 		if err := checkCtx(opt.Ctx); err != nil {
 			return 0, m, err
 		}
-		v, err := t.ReadViewTracked(e.Child, opt.Tracker, offs)
+		n, err := t.ReadSharedTracked(e.Child, opt.Tracker)
 		if err != nil {
 			return 0, m, err
 		}
 		m.NodesRead++
-		for i := 0; i < v.Len(); i++ {
-			child := v.Entry(i)
-			if b := sc.queryBounds(sideOf(&child), &q); b.hi > threshold {
-				frontier.Push(child, b.hi)
+		for i := range n.Entries {
+			child := &n.Entries[i]
+			if b := sc.queryBounds(sideOf(child), &q); b.hi > threshold {
+				frontier.Push(*child, b.hi)
 			}
 		}
-		offs = v.RecycleBuf()
 	}
 	m.ExactSims = sc.ExactCount
 	m.BoundEvals = sc.BoundCount

@@ -19,12 +19,10 @@ import (
 // which keeps expansion cost linear in the fan-out instead of quadratic.
 //
 // A contributor references its entry rather than copying it: entry points
-// at the materialized entries of the node read that produced it (the
-// worker scratch's entries arena, immutable until the query ends), and
-// parts at a carve of the parts arena. It holds no pointer outside the
-// scratch arenas, so its own arena needs no clearing, and at 40 bytes
-// building, growing and copying contribution lists moves a fifth of what
-// an embedded Entry did.
+// into the shared decode of the node read that produced it (immutable,
+// see iurtree.Snapshot.ReadSharedTracked), and parts at a carve of the
+// parts arena. At 40 bytes, building, growing and copying contribution
+// lists moves a fifth of what an embedded Entry did.
 type contributor struct {
 	entry *iurtree.Entry
 	parts []part

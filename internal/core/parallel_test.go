@@ -70,49 +70,110 @@ func TestBichromaticParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBoundCacheMatchesEagerDecode pins the zero-copy read path's
-// equivalence ablation: with the bound cache disabled every node visit
-// decodes eagerly, and the outcome — result IDs, Metrics, and
-// bit-identical per-object kNN bounds — must not change, sequentially or
-// across the worker pool. (Simulated I/O parity is inherent: bound cache
-// hits never skip the page charge, see Metrics.NodesRead equality.)
+// TestBoundCacheMatchesEagerDecode pins the bound cache's equivalence
+// ablation. Three cache settings must give the same outcome — result
+// IDs, Metrics, and bit-identical per-object kNN bounds — sequentially,
+// across the worker pool, and in a MultiRSTkNN batch: the default cache;
+// no cache, where every node visit decodes afresh; and a cache of 8
+// nodes, which evicts nodes that candidates and contributors of the
+// running query still point into. (Simulated I/O parity is inherent:
+// cache hits never skip the page charge, see Metrics.NodesRead
+// equality.)
 func TestBoundCacheMatchesEagerDecode(t *testing.T) {
+	// Workers is clamped to GOMAXPROCS; raise it so the 4-worker runs
+	// spawn real goroutines on a 1-CPU machine and -race sees them.
+	if runtime.GOMAXPROCS(0) < 4 {
+		prev := runtime.GOMAXPROCS(4)
+		defer runtime.GOMAXPROCS(prev)
+	}
+	type result struct {
+		out *core.Outcome
+		rec *boundRecorder
+	}
 	rng := rand.New(rand.NewSource(77))
 	for _, clusters := range []int{0, 6} {
-		objs := genObjects(rng, 220, 40, 6)
+		// 500 objects make about 17 nodes at the default fan-out, so
+		// the 8-node cache below evicts within every query.
+		objs := genObjects(rng, 500, 40, 6)
 		tree := buildTree(t, objs, clusters, false)
+		nodes := 0
+		if err := tree.Walk(func(*iurtree.Node, int) error { nodes++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		const tinyCache = 8
+		if nodes <= tinyCache {
+			t.Fatalf("clusters=%d: tree has %d nodes, a %d-node cache would not evict", clusters, nodes, tinyCache)
+		}
+		var qs []core.Query
+		var ks []int
 		for trial := 0; trial < 3; trial++ {
-			k := []int{1, 3, 10}[rng.Intn(3)]
-			q := genQuery(rng, 40, 6)
-			run := func(workers int) (*core.Outcome, *boundRecorder) {
+			ks = append(ks, []int{1, 3, 10}[rng.Intn(3)])
+			qs = append(qs, genQuery(rng, 40, 6))
+		}
+		runAll := func(workers int) []result {
+			var rs []result
+			for i, q := range qs {
 				rec := newBoundRecorder()
 				out, err := core.RSTkNN(tree, q, core.Options{
-					K: k, Alpha: 0.5, Workers: workers, BoundTrace: rec.trace,
+					K: ks[i], Alpha: 0.5, Workers: workers, BoundTrace: rec.trace,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				return out, rec
+				rs = append(rs, result{out, rec})
 			}
-			cached, cachedRec := run(1)
-			cachedPar, _ := run(4)
-			tree.SetBoundCache(0)
-			eager, eagerRec := run(1)
-			tree.SetBoundCache(iurtree.DefaultBoundCacheNodes)
+			return rs
+		}
+		runBatch := func(workers int) []result {
+			items := make([]core.BatchItem, len(qs))
+			recs := make([]*boundRecorder, len(qs))
+			for i, q := range qs {
+				recs[i] = newBoundRecorder()
+				items[i] = core.BatchItem{Query: q, K: ks[i], BoundTrace: recs[i].trace}
+			}
+			mo, err := core.MultiRSTkNN(tree, items, core.Options{Alpha: 0.5, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs := make([]result, len(qs))
+			for i := range rs {
+				rs[i] = result{mo.Outcomes[i], recs[i]}
+			}
+			return rs
+		}
 
-			tag := fmt.Sprintf("clusters=%d trial=%d k=%d", clusters, trial, k)
-			if !idsEqual(cached.Results, eager.Results) || !idsEqual(cachedPar.Results, eager.Results) {
-				t.Errorf("%s: results differ between cached and eager decode", tag)
-			}
-			if cached.Metrics != eager.Metrics {
-				t.Errorf("%s: metrics %+v != eager %+v", tag, cached.Metrics, eager.Metrics)
-			}
-			if len(cachedRec.bounds) != len(eagerRec.bounds) {
-				t.Errorf("%s: %d verdicts != eager %d", tag, len(cachedRec.bounds), len(eagerRec.bounds))
-			}
-			for id, want := range eagerRec.bounds {
-				if got, ok := cachedRec.bounds[id]; !ok || got != want {
-					t.Errorf("%s: object %d bounds %v != eager %v", tag, id, got, want)
+		runs := map[string][]result{
+			"default/workers=1": runAll(1),
+			"default/workers=4": runAll(4),
+		}
+		tree.SetBoundCache(0)
+		eager := runAll(1)
+		tree.SetBoundCache(tinyCache)
+		runs["tiny/workers=4"] = runAll(4)
+		runs["tiny/batch"] = runBatch(4)
+		if st := tree.BoundCacheStats(); st.Misses <= int64(nodes) {
+			t.Errorf("clusters=%d: %d-node cache missed %d times over a %d-node tree, want evictions",
+				clusters, tinyCache, st.Misses, nodes)
+		}
+		tree.SetBoundCache(iurtree.DefaultBoundCacheNodes)
+
+		for name, rs := range runs {
+			for i, got := range rs {
+				want := eager[i]
+				tag := fmt.Sprintf("clusters=%d query=%d k=%d %s", clusters, i, ks[i], name)
+				if !idsEqual(got.out.Results, want.out.Results) {
+					t.Errorf("%s: results differ from the uncached decode", tag)
+				}
+				if got.out.Metrics != want.out.Metrics {
+					t.Errorf("%s: metrics %+v != uncached %+v", tag, got.out.Metrics, want.out.Metrics)
+				}
+				if len(got.rec.bounds) != len(want.rec.bounds) {
+					t.Errorf("%s: %d verdicts != uncached %d", tag, len(got.rec.bounds), len(want.rec.bounds))
+				}
+				for id, wb := range want.rec.bounds {
+					if gb, ok := got.rec.bounds[id]; !ok || gb != wb {
+						t.Errorf("%s: object %d bounds %v != uncached %v", tag, id, gb, wb)
+					}
 				}
 			}
 		}

@@ -171,8 +171,8 @@ type group struct {
 // candidate is one frontier slot: a tree entry plus the queries still
 // active on it, in ascending query order. Keeping every undecided group
 // of one entry together — across clusters and, in a batch, across
-// queries — means expansion reads the node exactly once. The entry is a
-// reference into the expanding worker's materialized entries.
+// queries — means expansion reads the node exactly once. The entry
+// points into the expanded node's shared decode.
 type candidate struct {
 	entry  *iurtree.Entry
 	active []activeQuery
@@ -279,7 +279,7 @@ type searcher struct {
 	opt   Options
 	items []BatchItem
 	// table, when non-nil, routes every node read through the batch's
-	// once-per-node view table instead of the store.
+	// once-per-node table instead of the store.
 	table *batchTable
 }
 
@@ -356,80 +356,51 @@ func (w *worker) release() {
 	w.scratch = nil
 }
 
-// readView fetches a node through the zero-copy view path: fixed entry
-// fields come straight from the page bytes and the textual payload from
-// the snapshot's bound cache. Pair every successful read with doneView
-// to recycle the offset buffer.
-func (w *worker) readView(id storage.NodeID) (iurtree.NodeView, error) {
+// readNode fetches a node's shared decode (see
+// iurtree.Snapshot.ReadSharedTracked) and counts the logical read. The
+// node is immutable: candidates and contributors point into its entries
+// for the rest of the query.
+func (w *worker) readNode(id storage.NodeID) (*iurtree.Node, error) {
 	if err := checkCtx(w.s.opt.Ctx); err != nil {
-		return iurtree.NodeView{}, err
+		return nil, err
 	}
 	if w.s.table != nil {
 		// The table fetches each node at most once per batch (charging
 		// the physical I/O to the batch tracker); this query records the
 		// logical read — NodesRead stays bit-identical to an independent
 		// run — plus one shared-read attribution on its own tracker.
-		v, err := w.s.table.load(id)
+		n, err := w.s.table.load(id)
 		if err != nil {
-			return iurtree.NodeView{}, err
+			return nil, err
 		}
 		w.s.items[w.qi].Tracker.ChargeSharedRead()
 		w.metrics.NodesRead++
-		return v, nil
+		return n, nil
 	}
-	v, err := w.s.tree.ReadViewTracked(id, w.s.opt.Tracker, w.scratch.getViewBuf())
+	n, err := w.s.tree.ReadSharedTracked(id, w.s.opt.Tracker)
 	if err != nil {
-		return iurtree.NodeView{}, err
+		return nil, err
 	}
 	w.metrics.NodesRead++
-	return v, nil
-}
-
-// doneView recycles a view's offset buffer once no accessor will be
-// called on it again. Batch-table views keep their buffers — the table
-// owns them for the lifetime of the batch, and other queries may still
-// read through the same view.
-func (w *worker) doneView(v *iurtree.NodeView) {
-	if w.s.table != nil {
-		return
-	}
-	w.scratch.putViewBuf(v.RecycleBuf())
-}
-
-// materialize returns the entries of v's node, materialized into the
-// scratch's query-lifetime entry arena the first time this worker reads
-// the node in the query and reused on every later read, and recycles the
-// view. A node is immutable within the query's snapshot, so the copies
-// stay exact. Candidates and contributors reference the returned
-// entries, which stay valid and unchanged until the scratch is reset at
-// query end.
-func (w *worker) materialize(v *iurtree.NodeView) []iurtree.Entry {
-	sc := w.scratch
-	entries, ok := sc.nodeEntries[v.ID()]
-	if !ok {
-		entries = v.AppendEntries(sc.entries.alloc(v.Len()))
-		sc.nodeEntries[v.ID()] = entries
-	}
-	w.doneView(v)
-	return entries
+	return n, nil
 }
 
 // readFor reads node id on behalf of every pending query: each charges
 // its own logical read, while the batch table (when there is one)
 // fetches the node at most once. Without a table there is one query, so
 // one read.
-func (w *worker) readFor(pending []activeQuery, id storage.NodeID) (iurtree.NodeView, error) {
-	var v iurtree.NodeView
+func (w *worker) readFor(pending []activeQuery, id storage.NodeID) (*iurtree.Node, error) {
+	var n *iurtree.Node
 	for _, p := range pending {
 		w.begin(p.qi)
 		var err error
-		v, err = w.readView(id)
+		n, err = w.readNode(id)
 		w.end(p.qi)
 		if err != nil {
-			return v, err
+			return nil, err
 		}
 	}
-	return v, nil
+	return n, nil
 }
 
 // seed reads the root node and returns its children as the first
@@ -442,11 +413,10 @@ func (s *searcher) seed(w *worker) ([]*candidate, error) {
 		// is -Inf and the object is a result of every query.
 		for qi := range s.items {
 			w.begin(qi)
-			v, err := w.readView(root.Child)
+			n, err := w.readNode(root.Child)
 			if err == nil {
 				w.metrics.Candidates++
-				w.results = append(w.results, v.EntryObjID(0))
-				w.doneView(&v)
+				w.results = append(w.results, n.Entries[0].ObjID)
 			}
 			w.end(qi)
 			if err != nil {
@@ -470,11 +440,11 @@ func (s *searcher) seed(w *worker) ([]*candidate, error) {
 	for qi := range all {
 		all[qi] = activeQuery{qi: qi, groups: seeds}
 	}
-	v, err := w.readFor(all, root.Child)
+	n, err := w.readFor(all, root.Child)
 	if err != nil {
 		return nil, err
 	}
-	return w.expand(&root, &v, all), nil
+	return w.expand(&root, n, all), nil
 }
 
 // minFanoutRound is the smallest frontier size a round fans out across
@@ -558,14 +528,14 @@ func clusterGroupOf(e *iurtree.Entry, cluster int32) *iurtree.ClusterSummary {
 // contributor with a node's children) usually stay inside the carve.
 const contribHeadroom = 8
 
-// expand turns an expanded node into the next frontier: the node's
-// entries are materialized once, every pending query's groups are
-// projected onto them, and each child entry gets one candidate holding
-// its active queries in ascending query order, whichever worker expanded
-// the node. The candidates and the contributors of every pending query
-// reference the same materialized entries.
-func (w *worker) expand(parent *iurtree.Entry, v *iurtree.NodeView, pending []activeQuery) []*candidate {
-	children := w.materialize(v)
+// expand turns an expanded node into the next frontier: every pending
+// query's groups are projected onto the node's entries, and each child
+// entry gets one candidate holding its active queries in ascending query
+// order, whichever worker expanded the node. The candidates and the
+// contributors of every pending query point into the node's shared
+// entries.
+func (w *worker) expand(parent *iurtree.Entry, n *iurtree.Node, pending []activeQuery) []*candidate {
+	children := n.Entries
 	slots := make([]*candidate, len(children))
 	for _, p := range pending {
 		w.begin(p.qi)
@@ -683,11 +653,11 @@ func (w *worker) process(c *candidate) ([]*candidate, error) {
 	if len(pending) == 0 {
 		return nil, nil
 	}
-	v, err := w.readFor(pending, c.entry.Child)
+	n, err := w.readFor(pending, c.entry.Child)
 	if err != nil {
 		return nil, err
 	}
-	return w.expand(c.entry, &v, pending), nil
+	return w.expand(c.entry, n, pending), nil
 }
 
 // decideAll decides the active query's groups of entry e, settling every
@@ -835,17 +805,17 @@ func (w *worker) reboundStale(gSide side, cl *contributionList, rc *ruleCounts) 
 }
 
 // refine replaces contributor idx with its children, re-bounded against
-// the group, keeping rc counting the list. The children are materialized
-// once and referenced by the new contributors. The replacement buffer is
+// the group, keeping rc counting the list. The new contributors point
+// into the child node's shared entries. The replacement buffer is
 // scratch-owned: replace() copies it into the contribution list, so it
 // is reusable immediately.
 func (w *worker) refine(gSide side, cl *contributionList, idx int, rc *ruleCounts) error {
-	v, err := w.readView(cl.contributors[idx].entry.Child)
+	n, err := w.readNode(cl.contributors[idx].entry.Child)
 	if err != nil {
 		return err
 	}
 	w.metrics.Refinements++
-	children := w.materialize(&v)
+	children := n.Entries
 	repl := w.scratch.repl[:0]
 	for i := range children {
 		repl = append(repl, contributor{
@@ -869,30 +839,26 @@ func (w *worker) collect(e *iurtree.Entry, cluster int32) error {
 	return w.collectNode(e.Child, cluster)
 }
 
-// collectNode is collect below one node, via views: object IDs are read
-// straight off the page bytes, and only entries passing the cluster
-// filter recurse. The parent's view stays live across the recursion,
-// which is why the scratch keeps a stack of offset buffers.
+// collectNode is collect below one node: only entries passing the
+// cluster filter are reported or recursed into.
 func (w *worker) collectNode(id storage.NodeID, cluster int32) error {
-	v, err := w.readView(id)
+	n, err := w.readNode(id)
 	if err != nil {
 		return err
 	}
-	n := v.Len()
-	for i := 0; i < n; i++ {
-		if cluster >= 0 && clusterCountIn(v.EntryClusters(i), cluster) == 0 {
+	for i := range n.Entries {
+		e := &n.Entries[i]
+		if cluster >= 0 && clusterCountIn(e.Clusters, cluster) == 0 {
 			continue
 		}
-		if v.EntryIsObject(i) {
-			w.results = append(w.results, v.EntryObjID(i))
+		if e.IsObject() {
+			w.results = append(w.results, e.ObjID)
 			continue
 		}
-		if err := w.collectNode(v.EntryChild(i), cluster); err != nil {
-			w.doneView(&v)
+		if err := w.collectNode(e.Child, cluster); err != nil {
 			return err
 		}
 	}
-	w.doneView(&v)
 	return nil
 }
 

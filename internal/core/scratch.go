@@ -2,9 +2,6 @@ package core
 
 import (
 	"sync"
-
-	"rstknn/internal/iurtree"
-	"rstknn/internal/storage"
 )
 
 // The branch-and-bound hot path evaluates bounds for every (candidate,
@@ -13,11 +10,10 @@ import (
 // the allocator dominates the profile. A scratch bundles every reusable
 // buffer one worker needs so the steady-state scoring path allocates
 // nothing: kthSelector heaps, arena-carved part and contributor slices,
-// the materialized entries of every node the worker reads, and the
-// transient buffers of refinement and expansion. Scratches are pooled
-// across queries; each query checks one out per worker and returns them
-// all when it finishes, so arena memory is recycled without ever being
-// shared between two live queries.
+// and the transient buffers of refinement and expansion. Scratches are
+// pooled across queries; each query checks one out per worker and
+// returns them all when it finishes, so arena memory is recycled without
+// ever being shared between two live queries.
 
 // arena is a chunked bump allocator for slices of T. Carved slices stay
 // valid until reset; reset recycles every chunk for the next query
@@ -26,11 +22,6 @@ type arena[T any] struct {
 	// chunk is the allocation granularity; requests larger than chunk
 	// get a dedicated chunk of exactly their size.
 	chunk int
-	// clearOnReset zeroes the carved part of every chunk on reset, for
-	// element types that reference memory outside the scratch (entries
-	// point at the snapshot's cached envelopes), so a pooled scratch
-	// never retains a finished query's snapshot data.
-	clearOnReset bool
 
 	cur   []T   // current chunk; len = high-water mark of carved space
 	used  [][]T // exhausted chunks awaiting reset
@@ -84,17 +75,12 @@ func (a *arena[T]) grow(n int) {
 }
 
 // reset recycles every chunk. Previously carved slices become invalid.
-// Only the carved length of a chunk can hold data, so that is all a
-// clearing arena zeroes.
 func (a *arena[T]) reset() {
 	if a.cur != nil {
 		a.used = append(a.used, a.cur)
 		a.cur = nil
 	}
 	for _, c := range a.used {
-		if a.clearOnReset {
-			clear(c)
-		}
 		a.spare = append(a.spare, c[:0])
 	}
 	a.used = a.used[:0]
@@ -105,11 +91,6 @@ func (a *arena[T]) reset() {
 // may be *read* by other workers in later rounds (candidate expansion
 // publishes them via the round barrier) but are only ever written by the
 // owner before publication.
-//
-// Every node the worker expands or refines is materialized once per
-// query into entries, and candidates and contributors reference those
-// entries by pointer instead of copying them. The entries stay immutable
-// until the query ends, which is when the scratch is reset.
 type scratch struct {
 	// selLo/selHi are the kNN-bound selectors of the E-CIUR kNNU and
 	// BoundTrace selections, reused so their heap storage is allocated
@@ -119,11 +100,6 @@ type scratch struct {
 	parts arena[part]
 	// contribs backs the long-lived contributor lists of groups.
 	contribs arena[contributor]
-	// entries holds the materialized entries of every node read by
-	// expansion and refinement, for the whole query; nodeEntries indexes
-	// them by node so a node read again is not materialized again.
-	entries     arena[iurtree.Entry]
-	nodeEntries map[storage.NodeID][]iurtree.Entry
 	// repl is the transient replacement buffer of refine(): replace()
 	// copies it into the contribution list, so it never outlives a call.
 	repl []contributor
@@ -131,33 +107,25 @@ type scratch struct {
 	sibParts [][]part
 	// hist is refinable's zeroed per-cluster histogram (E-CIUR entropy).
 	hist []int
-	// viewBufs stacks recycled NodeView offset tables. A stack (not a
-	// single buffer) because collect() recurses with the parent's view
-	// still live; depth never exceeds the tree height.
-	viewBufs [][]int32
 }
 
 // Arena chunk sizes, in elements. A contributor is 40 bytes, so one
-// contribs chunk holds several typical contribution lists; an entries
-// chunk holds the fan-out of many nodes.
+// contribs chunk holds several typical contribution lists.
 const (
 	partsChunk    = 1024
 	contribsChunk = 2048
-	entriesChunk  = 512
 )
 
-// newScratch returns an empty scratch. Its part and contributor arenas
-// are not cleared on reset: part holds no pointers, and a contributor
-// points only into scratch arenas (its entry into entries, its parts
-// into parts), so a recycled chunk retains no snapshot memory. Only
-// entries references the snapshot's bound cache and clears its carved
-// length.
+// newScratch returns an empty scratch. Its arenas are not cleared on
+// reset: part holds no pointers, and a contributor's entry points into a
+// shared decoded node, which is immutable and owned by the snapshot's
+// bound cache. A recycled contributor chunk may keep such a node
+// reachable until the slot is overwritten or the pool drops the scratch;
+// nothing reads it in between.
 func newScratch() *scratch {
-	s := &scratch{nodeEntries: map[storage.NodeID][]iurtree.Entry{}}
+	s := &scratch{}
 	s.parts.chunk = partsChunk
 	s.contribs.chunk = contribsChunk
-	s.entries.chunk = entriesChunk
-	s.entries.clearOnReset = true
 	return s
 }
 
@@ -172,11 +140,8 @@ func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 func (s *scratch) reset() {
 	s.parts.reset()
 	s.contribs.reset()
-	s.entries.reset()
-	clear(s.nodeEntries)
-	// repl and sibParts are emptied by the calls that fill them; like
-	// hist and viewBufs they hold only scratch pointers or plain
-	// numbers, so they stay warm without retaining anything.
+	// repl and sibParts are emptied by the calls that fill them, and
+	// hist is left zeroed, so they stay warm across queries.
 }
 
 // release resets the scratch and returns it to the pool for the next
@@ -184,24 +149,6 @@ func (s *scratch) reset() {
 func (s *scratch) release() {
 	s.reset()
 	scratchPool.Put(s)
-}
-
-// getViewBuf pops a recycled offset buffer for a NodeView, or returns
-// nil (ReadViewTracked then grows a fresh one that putViewBuf captures).
-func (s *scratch) getViewBuf() []int32 {
-	if n := len(s.viewBufs); n > 0 {
-		b := s.viewBufs[n-1]
-		s.viewBufs = s.viewBufs[:n-1]
-		return b
-	}
-	return nil
-}
-
-// putViewBuf returns a finished view's offset buffer to the stack.
-func (s *scratch) putViewBuf(b []int32) {
-	if b != nil {
-		s.viewBufs = append(s.viewBufs, b)
-	}
 }
 
 // allocParts carves a part slice from the scratch arena, or falls back to

@@ -269,12 +269,11 @@ func TestArenaRerunGrowsNoChunk(t *testing.T) {
 			sc.reset()
 		}
 		run()
-		parts, contribs, entries := chunkSet(&sc.parts), chunkSet(&sc.contribs), chunkSet(&sc.entries)
+		parts, contribs := chunkSet(&sc.parts), chunkSet(&sc.contribs)
 		run()
-		if !sameChunks(parts, chunkSet(&sc.parts)) || !sameChunks(contribs, chunkSet(&sc.contribs)) ||
-			!sameChunks(entries, chunkSet(&sc.entries)) {
-			t.Errorf("query %d: re-run changed the arena chunks: parts %d → %d, contribs %d → %d, entries %d → %d",
-				qi, len(parts), len(sc.parts.spare), len(contribs), len(sc.contribs.spare), len(entries), len(sc.entries.spare))
+		if !sameChunks(parts, chunkSet(&sc.parts)) || !sameChunks(contribs, chunkSet(&sc.contribs)) {
+			t.Errorf("query %d: re-run changed the arena chunks: parts %d → %d, contribs %d → %d",
+				qi, len(parts), len(sc.parts.spare), len(contribs), len(sc.contribs.spare))
 		}
 	}
 }

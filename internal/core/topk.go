@@ -58,7 +58,6 @@ func TopK(t *iurtree.Snapshot, q Query, opt TopKOptions) ([]Neighbor, Metrics, e
 	root := t.RootEntry()
 	frontier.Push(root, sc.queryBounds(sideOf(&root), &q).hi)
 
-	var offs []int32 // view offset buffer, recycled across reads
 	for !frontier.Empty() {
 		e, hi := frontier.Pop()
 		if top.Full() && hi < top.Threshold() {
@@ -74,20 +73,19 @@ func TopK(t *iurtree.Snapshot, q Query, opt TopKOptions) ([]Neighbor, Metrics, e
 		if err := checkCtx(opt.Ctx); err != nil {
 			return nil, m, err
 		}
-		v, err := t.ReadViewTracked(e.Child, opt.Tracker, offs)
+		n, err := t.ReadSharedTracked(e.Child, opt.Tracker)
 		if err != nil {
 			return nil, m, err
 		}
 		m.NodesRead++
-		for i := 0; i < v.Len(); i++ {
-			child := v.Entry(i)
-			b := sc.queryBounds(sideOf(&child), &q)
+		for i := range n.Entries {
+			child := &n.Entries[i]
+			b := sc.queryBounds(sideOf(child), &q)
 			if top.Full() && b.hi < top.Threshold() {
 				continue
 			}
-			frontier.Push(child, b.hi)
+			frontier.Push(*child, b.hi)
 		}
-		offs = v.RecycleBuf()
 	}
 	vs, _ := top.Drain()
 	sort.Slice(vs, func(i, j int) bool {

@@ -40,6 +40,12 @@ const (
 	headerVersion = 1
 )
 
+// entryFixedSize is the minimum encoded size of one entry: rect (32) +
+// child/objID/count (12) + envelope shape byte (1) + cluster count (2).
+// decodeNode uses it to reject impossible entry counts before doing
+// per-entry work.
+const entryFixedSize = 47
+
 func appendRect(dst []byte, r geom.Rect) []byte {
 	for _, f := range [4]float64{r.Min.X, r.Min.Y, r.Max.X, r.Max.Y} {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
@@ -155,6 +161,10 @@ func decodeEntry(buf []byte) (Entry, int, error) {
 				return e, 0, fmt.Errorf("truncated cluster summary %d", i)
 			}
 			e.Clusters[i].Cluster = int32(binary.LittleEndian.Uint32(buf[off:]))
+			if e.Clusters[i].Cluster < 0 {
+				// Cluster IDs index per-cluster histograms.
+				return e, 0, fmt.Errorf("cluster summary %d has negative cluster ID %d", i, e.Clusters[i].Cluster)
+			}
 			e.Clusters[i].Count = int32(binary.LittleEndian.Uint32(buf[off+4:]))
 			off += 8
 			cenv, n, err := decodeEnvelopeShaped(buf[off:])
@@ -270,6 +280,9 @@ func Open(store storage.Blobs, headerID storage.NodeID) (*Snapshot, error) {
 	t.size = int(int32(binary.LittleEndian.Uint32(buf[off+4:])))
 	t.height = int(int32(binary.LittleEndian.Uint32(buf[off+8:])))
 	t.numClusters = int(int32(binary.LittleEndian.Uint32(buf[off+12:])))
+	if err := checkNumClusters(t.numClusters); err != nil {
+		return nil, fmt.Errorf("iurtree: header: %w", err)
+	}
 	off += 16
 	r, n, err := decodeRect(buf[off:])
 	if err != nil {

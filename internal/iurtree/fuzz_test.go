@@ -42,71 +42,43 @@ func FuzzNodeRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzNodeView drives the zero-copy view parser with arbitrary bytes
-// against the eager decoder as the oracle. The lazy path splits
-// validation in two — parseNodeView checks structure, decodeNodeText
-// (the bound-cache fill) checks vector semantics — so the contract is:
-// any blob decodeNode accepts must pass both stages with every accessor
-// agreeing with the decoded node, and any blob decodeNode rejects must
-// fail at least one stage. Nothing may panic either way.
+// FuzzNodeView drives the query read path with arbitrary bytes against
+// the private decode as the oracle. The blob is stored and read through
+// both ReadNodeTracked and ReadSharedTracked with the bound cache on: the
+// two must accept and reject the same blobs, an accepted node must agree
+// entry by entry with the private decode and stay cached, so a second
+// shared read returns the very same node, and a rejected one must never
+// be cached. Nothing may panic either way.
 func FuzzNodeView(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{1, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n, decErr := decodeNode(data)
-		leaf, offs, viewErr := parseNodeView(data, nil)
-		if decErr != nil {
-			if viewErr == nil {
-				if _, err := decodeNodeText(data); err == nil {
-					t.Fatalf("lazy path accepts a blob decodeNode rejects (%v)\nblob: %x", decErr, data)
-				}
+		store := storage.NewStore()
+		id := store.Put(data)
+		tr := &Snapshot{store: store, boundCache: newBoundCache(16)}
+		n, privErr := tr.ReadNodeTracked(id, nil)
+		s, sharedErr := tr.ReadSharedTracked(id, nil)
+		if (privErr == nil) != (sharedErr == nil) {
+			t.Fatalf("reads disagree: private %v, shared %v\nblob: %x", privErr, sharedErr, data)
+		}
+		if privErr != nil {
+			if tr.boundCache.contains(id) {
+				t.Fatalf("rejected node left in the bound cache (%v)\nblob: %x", privErr, data)
 			}
 			return
 		}
-		if viewErr != nil {
-			t.Fatalf("parseNodeView rejects a blob decodeNode accepts: %v\nblob: %x", viewErr, data)
-		}
-		text, err := decodeNodeText(data)
-		if err != nil {
-			t.Fatalf("decodeNodeText rejects a blob decodeNode accepts: %v\nblob: %x", err, data)
-		}
-		v := NodeView{id: 1, blob: data, offs: offs, text: text, leaf: leaf}
-		if v.Leaf() != n.Leaf || v.Len() != len(n.Entries) {
-			t.Fatalf("view shape (leaf %v, %d entries) != node (leaf %v, %d entries)",
-				v.Leaf(), v.Len(), n.Leaf, len(n.Entries))
+		if s.ID != id || s.Leaf != n.Leaf || len(s.Entries) != len(n.Entries) {
+			t.Fatalf("shared node (id %d, leaf %v, %d entries) != decode (id %d, leaf %v, %d entries)",
+				s.ID, s.Leaf, len(s.Entries), n.ID, n.Leaf, len(n.Entries))
 		}
 		for i := range n.Entries {
-			e := &n.Entries[i]
-			if got := v.EntryRect(i); got != e.Rect {
-				t.Fatalf("entry %d rect %v != %v", i, got, e.Rect)
+			if !sameEntry(&s.Entries[i], &n.Entries[i]) {
+				t.Fatalf("entry %d: shared entry differs from decode\nblob: %x", i, data)
 			}
-			if v.EntryChild(i) != e.Child || v.EntryObjID(i) != e.ObjID || v.EntryCount(i) != e.Count {
-				t.Fatalf("entry %d fixed fields (%d,%d,%d) != (%d,%d,%d)", i,
-					v.EntryChild(i), v.EntryObjID(i), v.EntryCount(i), e.Child, e.ObjID, e.Count)
-			}
-			if v.EntryIsObject(i) != e.IsObject() {
-				t.Fatalf("entry %d IsObject mismatch", i)
-			}
-			env := v.EntryEnv(i)
-			if !env.Int.Equal(e.Env.Int) || !env.Uni.Equal(e.Env.Uni) {
-				t.Fatalf("entry %d envelope mismatch", i)
-			}
-			cls := v.EntryClusters(i)
-			if len(cls) != len(e.Clusters) {
-				t.Fatalf("entry %d has %d cluster summaries, want %d", i, len(cls), len(e.Clusters))
-			}
-			for j := range cls {
-				want := &e.Clusters[j]
-				if cls[j].Cluster != want.Cluster || cls[j].Count != want.Count ||
-					!cls[j].Env.Int.Equal(want.Env.Int) || !cls[j].Env.Uni.Equal(want.Env.Uni) {
-					t.Fatalf("entry %d cluster %d mismatch", i, j)
-				}
-			}
-			full := v.Entry(i)
-			if full.Rect != e.Rect || full.Child != e.Child || full.ObjID != e.ObjID || full.Count != e.Count {
-				t.Fatalf("entry %d materialized Entry mismatch", i)
-			}
+		}
+		if again, err := tr.ReadSharedTracked(id, nil); err != nil || again != s {
+			t.Fatalf("second shared read returned %p, %v; want the cached %p", again, err, s)
 		}
 	})
 }
@@ -147,7 +119,7 @@ func TestWriteNodeFuzzCorpus(t *testing.T) {
 		}
 	}
 	// The same real-tree blobs seed both node fuzzers: the codec
-	// round-trip and the view-vs-decode equivalence check.
+	// round-trip and the shared-read-vs-decode equivalence check.
 	for _, target := range []string{"FuzzNodeRoundTrip", "FuzzNodeView"} {
 		dir := filepath.Join("testdata", "fuzz", target)
 		if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -110,7 +110,7 @@ type Config struct {
 // receiver.
 //
 // A snapshot is safe for concurrent readers: ReadNodeTracked,
-// ReadViewTracked, Walk, and the accessor methods may be called from
+// ReadSharedTracked, Walk, and the accessor methods may be called from
 // any number of goroutines, and keep working while Insert/Delete derive
 // successor snapshots from it. The only lifetime rule: once the NodeIDs
 // an update retired are freed (storage.Reclaimer), the superseded
@@ -124,12 +124,13 @@ type Snapshot struct {
 	space       geom.Rect
 	maxD        float64
 	numClusters int         // 0 for plain IUR-trees
-	boundCache  *boundCache // textual bound cache; on by default, see SetBoundCache
+	boundCache  *boundCache // decoded-node cache; on by default, see SetBoundCache
 }
 
 // Fanout resolves a configured fan-out pair as Build does — a zero max
 // becomes rtree.DefaultMaxEntries, a zero min 40% of max — and checks
-// the result with rtree.CheckFanout.
+// the result with rtree.CheckFanout and against the node format's u16
+// entry count.
 func Fanout(min, max int) (int, int, error) {
 	if max == 0 {
 		max = rtree.DefaultMaxEntries
@@ -139,6 +140,10 @@ func Fanout(min, max int) (int, int, error) {
 	}
 	if err := rtree.CheckFanout(min, max); err != nil {
 		return 0, 0, err
+	}
+	if max > math.MaxUint16 {
+		// A node blob stores its entry count as a u16.
+		return 0, 0, fmt.Errorf("iurtree: fan-out max %d exceeds the node format's %d entries", max, math.MaxUint16)
 	}
 	return min, max, nil
 }
@@ -153,9 +158,20 @@ func Build(objects []Object, cfg Config) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Clustering != nil && len(cfg.Clustering.Of) != len(objects) {
-		return nil, fmt.Errorf("iurtree: clustering covers %d objects, have %d",
-			len(cfg.Clustering.Of), len(objects))
+	if cfg.Clustering != nil {
+		if err := checkNumClusters(cfg.Clustering.Clusters); err != nil {
+			return nil, fmt.Errorf("iurtree: clustering: %w", err)
+		}
+		if len(cfg.Clustering.Of) != len(objects) {
+			return nil, fmt.Errorf("iurtree: clustering covers %d objects, have %d",
+				len(cfg.Clustering.Of), len(objects))
+		}
+		for i, c := range cfg.Clustering.Of {
+			if c < 0 || c >= cfg.Clustering.Clusters {
+				return nil, fmt.Errorf("iurtree: object %d in cluster %d, want 0..%d",
+					objects[i].ID, c, cfg.Clustering.Clusters-1)
+			}
+		}
 	}
 	seen := make(map[int32]bool, len(objects))
 	byID := make(map[int32]*Object, len(objects))
@@ -296,12 +312,45 @@ func summarize(n *Node, id storage.NodeID) Entry {
 // simulated I/O is charged to tr (when non-nil) in addition to the
 // store's global counters. It returns a private decoded copy, so the
 // update paths may edit its entries before re-encoding. Queries read
-// through ReadViewTracked instead.
+// through ReadSharedTracked instead.
 func (t *Snapshot) ReadNodeTracked(id storage.NodeID, tr *storage.Tracker) (*Node, error) {
 	blob, err := t.store.GetTracked(id, tr)
 	if err != nil {
 		return nil, err
 	}
+	return decodeStored(id, blob)
+}
+
+// ReadSharedTracked fetches the node stored under id and returns the
+// snapshot's shared decode of it, charging the same simulated I/O as
+// ReadNodeTracked: a bound-cache hit saves only the decode work, never a
+// page access, so traversal cost accounting does not depend on the
+// cache. A miss runs the full decode and caches the result.
+//
+// The returned node, its entries and everything they reference are
+// shared with every other reader and must not be modified. The node is
+// immutable for as long as the caller can reach it.
+func (t *Snapshot) ReadSharedTracked(id storage.NodeID, tr *storage.Tracker) (*Node, error) {
+	blob, err := t.store.GetTracked(id, tr)
+	if err != nil {
+		return nil, err
+	}
+	if t.boundCache == nil {
+		return decodeStored(id, blob)
+	}
+	if n, ok := t.boundCache.get(id); ok {
+		return n, nil
+	}
+	n, err := decodeStored(id, blob)
+	if err != nil {
+		return nil, err
+	}
+	t.boundCache.put(id, n)
+	return n, nil
+}
+
+// decodeStored decodes the blob stored under id.
+func decodeStored(id storage.NodeID, blob []byte) (*Node, error) {
 	n, err := decodeNode(blob)
 	if err != nil {
 		return nil, fmt.Errorf("iurtree: node %d: %w", id, err)
@@ -310,54 +359,13 @@ func (t *Snapshot) ReadNodeTracked(id storage.NodeID, tr *storage.Tracker) (*Nod
 	return n, nil
 }
 
-// ReadViewTracked fetches the node stored under id and returns a
-// zero-copy NodeView over its page bytes, charging the same simulated
-// I/O as ReadNodeTracked: a bound-cache hit saves only the decode work,
-// never a page access, so traversal cost accounting is identical to the
-// eager path. offs is an optional offset buffer to reuse (grown when too
-// small; recover it with NodeView.RecycleBuf).
-//
-// The view aliases the stored blob. It is valid for as long as the
-// caller can rely on the node not being freed — for queries, the
-// lifetime of the snapshot pin.
-func (t *Snapshot) ReadViewTracked(id storage.NodeID, tr *storage.Tracker, offs []int32) (NodeView, error) {
-	blob, err := t.store.GetTracked(id, tr)
-	if err != nil {
-		return NodeView{offs: offs}, err
-	}
-	leaf, offs, err := parseNodeView(blob, offs)
-	if err != nil {
-		return NodeView{offs: offs}, fmt.Errorf("iurtree: node %d: %w", id, err)
-	}
-	var text *nodeText
-	if t.boundCache != nil {
-		text, _ = t.boundCache.get(id)
-	}
-	if text == nil {
-		// First touch (or cache disabled): run the full decode — which
-		// also performs the semantic vector validation parseNodeView
-		// skips — and remember its textual payload.
-		n, err := decodeNode(blob)
-		if err != nil {
-			return NodeView{offs: offs}, fmt.Errorf("iurtree: node %d: %w", id, err)
-		}
-		n.ID = id
-		text = newNodeText(n)
-		if t.boundCache != nil {
-			t.boundCache.put(id, text)
-		}
-	}
-	return NodeView{id: id, blob: blob, offs: offs, text: text, leaf: leaf}, nil
-}
-
 // SetBoundCache resizes (capacity > 0) or disables (capacity <= 0) the
-// textual bound cache: a per-NodeID memoization of decoded envelopes and
-// cluster summaries that the zero-copy read path (ReadViewTracked)
-// shares across queries and rounds. Build and Open enable it at
-// DefaultBoundCacheNodes. Hits never skip the simulated page I/O, so
-// results AND I/O counts are identical with the cache on or off —
-// disabling it only restores the eager per-read decode (the DESIGN.md
-// §10 ablation).
+// bound cache: a per-NodeID memoization of decoded nodes that the query
+// read path (ReadSharedTracked) shares across queries and rounds. Build
+// and Open enable it at DefaultBoundCacheNodes. Hits never skip the
+// simulated page I/O, so results AND I/O counts are identical with the
+// cache on or off — disabling it only restores the per-read decode (the
+// DESIGN.md §10 ablation).
 //
 // Call it before the snapshot serves queries or derives successors: the
 // cache pointer is shared with derived snapshots at derive() time, and
@@ -425,6 +433,16 @@ func (t *Snapshot) Space() geom.Rect { return t.space }
 func checkMaxD(d float64) error {
 	if !(d > 0) || math.IsInf(d, 1) {
 		return fmt.Errorf("normalization distance maxD = %g, want positive and finite", d)
+	}
+	return nil
+}
+
+// checkNumClusters rejects a clustering arity the format cannot hold: an
+// entry stores its cluster-summary count as a u16, one summary per
+// cluster at most.
+func checkNumClusters(n int) error {
+	if n < 0 || n > math.MaxUint16 {
+		return fmt.Errorf("%d clusters, want 0..%d", n, math.MaxUint16)
 	}
 	return nil
 }
@@ -508,6 +526,12 @@ func (t *Snapshot) CheckInvariantsTracked(tr *storage.Tracker) error {
 	leafDepth := t.height - 1
 	var check func(e Entry, depth int) error
 	check = func(e Entry, depth int) error {
+		for _, cs := range e.Clusters {
+			if cs.Cluster < 0 || int(cs.Cluster) >= t.numClusters {
+				return fmt.Errorf("entry (child %d, object %d): cluster ID %d, tree has %d clusters",
+					e.Child, e.ObjID, cs.Cluster, t.numClusters)
+			}
+		}
 		if e.IsObject() {
 			if e.Count != 1 {
 				return fmt.Errorf("object %d has count %d", e.ObjID, e.Count)

@@ -265,6 +265,81 @@ func TestOpenErrors(t *testing.T) {
 	}
 }
 
+// headerClustersOffset is where a saved header stores numClusters: after
+// the magic, the version and three int32 fields.
+const headerClustersOffset = 4 + 2 + 12
+
+// TestOpenRejectsBadNumClusters: a negative cluster count would panic
+// when a query carves its per-cluster histogram, and a huge one would
+// make it allocate that many counters, so Open refuses both.
+func TestOpenRejectsBadNumClusters(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	store := storage.NewStore()
+	tr, err := Build(randObjects(rng, 40, 10), Config{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, err := store.GetTracked(tr.Save(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := int32(binary.LittleEndian.Uint32(header[headerClustersOffset:])); got != 0 {
+		t.Fatalf("numClusters at header offset %d reads %d, want 0", headerClustersOffset, got)
+	}
+	for _, bad := range []int32{-1, 1 << 20} {
+		blob := append([]byte(nil), header...)
+		binary.LittleEndian.PutUint32(blob[headerClustersOffset:], uint32(bad))
+		if _, err := Open(store, store.Put(blob)); err == nil {
+			t.Errorf("Open accepted a header with %d clusters", bad)
+		}
+	}
+}
+
+// TestFormatWidthLimits: the node format stores entry and cluster-summary
+// counts as u16, so a fan-out or a cluster count beyond that is refused
+// up front instead of being silently truncated by the encoder. Neither
+// check builds a tree.
+func TestFormatWidthLimits(t *testing.T) {
+	if _, _, err := Fanout(0, math.MaxUint16); err != nil {
+		t.Errorf("Fanout(0, MaxUint16) = %v, want accepted", err)
+	}
+	if _, _, err := Fanout(0, math.MaxUint16+1); err == nil {
+		t.Error("Fanout accepted a max fan-out above MaxUint16")
+	}
+	objs := randObjects(rand.New(rand.NewSource(10)), 3, 5)
+	for _, clusters := range []int{-1, math.MaxUint16 + 1} {
+		_, err := Build(objs, Config{Store: storage.NewStore(), Clustering: &cluster.Assignment{
+			Clusters: clusters, Of: []int{0, 0, 0},
+		}})
+		if err == nil {
+			t.Errorf("Build accepted a clustering with %d clusters", clusters)
+		}
+	}
+	_, err := Build(objs, Config{Store: storage.NewStore(), Clustering: &cluster.Assignment{
+		Clusters: 2, Of: []int{0, 2, 1},
+	}})
+	if err == nil {
+		t.Error("Build accepted an object outside the clustering's range")
+	}
+}
+
+// TestCheckInvariantsRejectsClusterIDRange: a summary naming a cluster
+// the tree does not have would index past the per-cluster histograms.
+func TestCheckInvariantsRejectsClusterIDRange(t *testing.T) {
+	tr := buildReadTestTree(t, 45, true)
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatalf("pristine clustered tree: %v", err)
+	}
+	top := int32(0)
+	for _, cs := range tr.RootEntry().Clusters {
+		top = max(top, cs.Cluster)
+	}
+	tr.numClusters = int(top) // the highest cluster in use is now out of range
+	if err := tr.CheckInvariants(); err == nil {
+		t.Error("CheckInvariants accepted a cluster ID >= NumClusters")
+	}
+}
+
 // headerMaxDOffset is where a saved header stores maxD: after the magic,
 // the version, four int32 fields and the space rect.
 const headerMaxDOffset = 4 + 2 + 16 + 32

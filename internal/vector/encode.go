@@ -70,37 +70,6 @@ func DecodeVector(buf []byte) (Vector, int, error) {
 	return newVector(terms, weights), off, nil
 }
 
-// SkipVector returns the encoded size of the vector at the front of buf
-// without decoding it: only the length header is read and bounds-checked,
-// no term or weight slice is allocated. It accepts every blob DecodeVector
-// accepts (and additionally blobs whose term IDs are out of order — the
-// lazy read path defers that semantic check to its one-time full decode).
-func SkipVector(buf []byte) (int, error) {
-	if len(buf) < 4 {
-		return 0, fmt.Errorf("vector: truncated header (%d bytes)", len(buf))
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	// Division form for 32-bit safety; see DecodeVector.
-	if n < 0 || n > (len(buf)-4)/(4+8) {
-		return 0, fmt.Errorf("vector: need %d bytes, have %d", 4+n*(4+8), len(buf))
-	}
-	return 4 + n*(4+8), nil
-}
-
-// SkipEnvelope is SkipVector for an encoded envelope (intersection vector
-// then union vector).
-func SkipEnvelope(buf []byte) (int, error) {
-	n1, err := SkipVector(buf)
-	if err != nil {
-		return 0, fmt.Errorf("envelope int: %w", err)
-	}
-	n2, err := SkipVector(buf[n1:])
-	if err != nil {
-		return 0, fmt.Errorf("envelope uni: %w", err)
-	}
-	return n1 + n2, nil
-}
-
 // EncodedSize returns the number of bytes AppendBinary will write for e.
 func (e Envelope) EncodedSize() int {
 	return e.Int.EncodedSize() + e.Uni.EncodedSize()

@@ -250,9 +250,6 @@ func TestDecodeOversizedCount(t *testing.T) {
 		if _, _, err := DecodeVector(buf); err == nil {
 			t.Errorf("DecodeVector accepted count %#x with 64 payload bytes", n)
 		}
-		if _, err := SkipVector(buf); err == nil {
-			t.Errorf("SkipVector accepted count %#x with 64 payload bytes", n)
-		}
 	}
 	// One byte short of the declared payload.
 	short := binary.LittleEndian.AppendUint32(nil, 2)
@@ -260,13 +257,10 @@ func TestDecodeOversizedCount(t *testing.T) {
 	if _, _, err := DecodeVector(short); err == nil {
 		t.Error("DecodeVector accepted a truncated payload")
 	}
-	if _, err := SkipVector(short); err == nil {
-		t.Error("SkipVector accepted a truncated payload")
-	}
-	// The guards must not over-reject: a valid blob still skips exactly.
+	// The guards must not over-reject: a valid blob still decodes exactly.
 	good := vec(1, 1, 3, 1).AppendBinary(nil)
-	if n, err := SkipVector(good); err != nil || n != len(good) {
-		t.Errorf("SkipVector(valid) = %d, %v; want %d, nil", n, err, len(good))
+	if _, n, err := DecodeVector(good); err != nil || n != len(good) {
+		t.Errorf("DecodeVector(valid) consumed %d, %v; want %d, nil", n, err, len(good))
 	}
 }
 

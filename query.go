@@ -100,44 +100,57 @@ func (e *Engine) QueryVectorCtx(ctx context.Context, x, y float64, doc vector.Ve
 	return e.queryVector(ctx, st, x, y, doc, k)
 }
 
-// queryVector runs one reverse query against an already-pinned state.
-func (e *Engine) queryVector(ctx context.Context, st *engineState, x, y float64, doc vector.Vector, k int) (*Result, error) {
+// coreOptions returns the engine's reverse-query options for one
+// traversal: the configured alpha, measure, refinement strategy and
+// group-refinement budget, with the given worker count, context and
+// execution tracker. K is per query and left to the caller.
+func (e *Engine) coreOptions(ctx context.Context, workers int, tr *storage.Tracker) core.Options {
 	strategy := core.RefineByMaxUpper
 	if e.opt.EntropyRefinement {
 		strategy = core.RefineByEntropy
 	}
-	// The tracker is this query's execution context: all simulated I/O
-	// of this query — and only this query — lands on it.
-	var tracker storage.Tracker
-	start := time.Now()
-	out, err := core.RSTkNN(st.tree, core.Query{Loc: geom.Point{X: x, Y: y}, Doc: doc}, core.Options{
-		K:           k,
+	return core.Options{
 		Alpha:       e.opt.Alpha,
 		Sim:         e.measure,
 		Strategy:    strategy,
 		GroupRefine: e.opt.GroupRefine,
-		Workers:     e.opt.Workers,
+		Workers:     workers,
 		Ctx:         ctx,
-		Tracker:     &tracker,
-	})
+		Tracker:     tr,
+	}
+}
+
+// queryStats reports one query's work: its logical counters from m, its
+// I/O from its own tracker, and the wall time d.
+func queryStats(m core.Metrics, tr *storage.Tracker, d time.Duration) QueryStats {
+	return QueryStats{
+		Duration:      d,
+		NodesRead:     m.NodesRead,
+		PageAccesses:  tr.PagesRead(),
+		CacheHits:     tr.CacheHits(),
+		SharedReads:   tr.SharedReads(),
+		ExactSims:     m.ExactSims,
+		BoundEvals:    m.BoundEvals,
+		GroupPruned:   m.GroupPruned,
+		GroupReported: m.GroupReported,
+		Candidates:    m.Candidates,
+		Refinements:   m.Refinements,
+	}
+}
+
+// queryVector runs one reverse query against an already-pinned state.
+func (e *Engine) queryVector(ctx context.Context, st *engineState, x, y float64, doc vector.Vector, k int) (*Result, error) {
+	// The tracker is this query's execution context: all simulated I/O
+	// of this query — and only this query — lands on it.
+	var tracker storage.Tracker
+	opt := e.coreOptions(ctx, e.opt.Workers, &tracker)
+	opt.K = k
+	start := time.Now()
+	out, err := core.RSTkNN(st.tree, core.Query{Loc: geom.Point{X: x, Y: y}, Doc: doc}, opt)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		IDs: out.Results,
-		Stats: QueryStats{
-			Duration:      time.Since(start),
-			NodesRead:     out.Metrics.NodesRead,
-			PageAccesses:  tracker.PagesRead(),
-			CacheHits:     tracker.CacheHits(),
-			ExactSims:     out.Metrics.ExactSims,
-			BoundEvals:    out.Metrics.BoundEvals,
-			GroupPruned:   out.Metrics.GroupPruned,
-			GroupReported: out.Metrics.GroupReported,
-			Candidates:    out.Metrics.Candidates,
-			Refinements:   out.Metrics.Refinements,
-		},
-	}, nil
+	return &Result{IDs: out.Results, Stats: queryStats(out.Metrics, &tracker, time.Since(start))}, nil
 }
 
 // QueryByID answers the reverse query for an object already in the
@@ -354,23 +367,11 @@ func (e *Engine) batchShared(ctx context.Context, st *engineState, reqs []QueryR
 	if len(items) == 0 {
 		return bs
 	}
-	strategy := core.RefineByMaxUpper
-	if e.opt.EntropyRefinement {
-		strategy = core.RefineByEntropy
-	}
 	// batchTracker is the batch's execution context: the once-per-node
 	// physical I/O of the whole traversal — and only it — lands here.
 	var batchTracker storage.Tracker
 	start := time.Now()
-	mo, err := core.MultiRSTkNN(st.tree, items, core.Options{
-		Alpha:       e.opt.Alpha,
-		Sim:         e.measure,
-		Strategy:    strategy,
-		GroupRefine: e.opt.GroupRefine,
-		Workers:     parallelism,
-		Ctx:         ctx,
-		Tracker:     &batchTracker,
-	})
+	mo, err := core.MultiRSTkNN(st.tree, items, e.coreOptions(ctx, parallelism, &batchTracker))
 	if err != nil {
 		for _, i := range idxs {
 			out[i] = BatchResult{Err: err}
@@ -380,22 +381,7 @@ func (e *Engine) batchShared(ctx context.Context, st *engineState, reqs []QueryR
 	elapsed := time.Since(start)
 	for j, i := range idxs {
 		o := mo.Outcomes[j]
-		out[i] = BatchResult{Result: &Result{
-			IDs: o.Results,
-			Stats: QueryStats{
-				Duration:      elapsed,
-				NodesRead:     o.Metrics.NodesRead,
-				PageAccesses:  trackers[i].PagesRead(),
-				CacheHits:     trackers[i].CacheHits(),
-				SharedReads:   trackers[i].SharedReads(),
-				ExactSims:     o.Metrics.ExactSims,
-				BoundEvals:    o.Metrics.BoundEvals,
-				GroupPruned:   o.Metrics.GroupPruned,
-				GroupReported: o.Metrics.GroupReported,
-				Candidates:    o.Metrics.Candidates,
-				Refinements:   o.Metrics.Refinements,
-			},
-		}}
+		out[i] = BatchResult{Result: &Result{IDs: o.Results, Stats: queryStats(o.Metrics, &trackers[i], elapsed)}}
 	}
 	bs.NodesRead = mo.Batch.NodesRead
 	bs.SharedHits = mo.Batch.SharedHits
