@@ -78,7 +78,7 @@ fmt:
 fuzz:
 	go test ./internal/vector/  -run '^$$' -fuzz FuzzVectorRoundTrip -fuzztime $(FUZZTIME)
 	go test ./internal/iurtree/ -run '^$$' -fuzz FuzzNodeRoundTrip   -fuzztime $(FUZZTIME)
-	go test ./internal/iurtree/ -run '^$$' -fuzz FuzzNodeView        -fuzztime $(FUZZTIME)
+	go test ./internal/iurtree/ -run '^$$' -fuzz FuzzSharedRead      -fuzztime $(FUZZTIME)
 	go test ./internal/textual/ -run '^$$' -fuzz FuzzTextualPersist  -fuzztime $(FUZZTIME)
 	go test .                   -run '^$$' -fuzz FuzzLoad            -fuzztime $(FUZZTIME)
 	go test ./internal/core/    -run '^$$' -fuzz FuzzRuleCountsMatchSelection -fuzztime $(FUZZTIME)

@@ -133,11 +133,7 @@ func Build(objects []Object, opt Options) (*Engine, error) {
 	}
 	e.store = storage.NewStore(storeOpts...)
 
-	cfg := iurtree.Config{
-		Store:      e.store,
-		MinEntries: resolved.FanoutMin,
-		MaxEntries: resolved.FanoutMax,
-	}
+	cfg := iurtree.Config{Store: e.store}
 	if resolved.Index == CIUR {
 		cfg.Clustering = cluster.Run(docs, cluster.Config{
 			K:                resolved.Clusters,

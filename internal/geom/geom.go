@@ -23,13 +23,6 @@ func (p Point) Dist(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
 }
 
-// Dist2 returns the squared Euclidean distance between p and q. It avoids
-// the square root for comparisons.
-func (p Point) Dist2(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx + dy*dy
-}
-
 // Rect returns the degenerate rectangle covering exactly p.
 func (p Point) Rect() Rect {
 	return Rect{Min: p, Max: p}
@@ -83,15 +76,6 @@ func (r Rect) ContainsRect(s Rect) bool {
 	return r.Contains(s.Min) && r.Contains(s.Max)
 }
 
-// Intersects reports whether r and s share at least one point.
-func (r Rect) Intersects(s Rect) bool {
-	if r.IsEmpty() || s.IsEmpty() {
-		return false
-	}
-	return r.Min.X <= s.Max.X && s.Min.X <= r.Max.X &&
-		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
-}
-
 // Union returns the smallest rectangle covering both r and s.
 func (r Rect) Union(s Rect) Rect {
 	if r.IsEmpty() {
@@ -117,15 +101,6 @@ func (r Rect) Area() float64 {
 		return 0
 	}
 	return (r.Max.X - r.Min.X) * (r.Max.Y - r.Min.Y)
-}
-
-// Perimeter returns half the perimeter (the classic R*-tree "margin"),
-// i.e. width + height. Empty rectangles have margin 0.
-func (r Rect) Perimeter() float64 {
-	if r.IsEmpty() {
-		return 0
-	}
-	return (r.Max.X - r.Min.X) + (r.Max.Y - r.Min.Y)
 }
 
 // Center returns the center point of r.
@@ -157,11 +132,6 @@ func (r Rect) MinDist(s Rect) float64 {
 	return math.Hypot(dx, dy)
 }
 
-// MinDistPoint returns the minimum distance from point p to rectangle r.
-func (r Rect) MinDistPoint(p Point) float64 {
-	return r.MinDist(p.Rect())
-}
-
 // MaxDist returns the maximum Euclidean distance between any point of r and
 // any point of s: the distance between the farthest pair of corners. It is
 // an upper bound of the distance between any member point of r and any
@@ -171,11 +141,6 @@ func (r Rect) MaxDist(s Rect) float64 {
 	dx := axisSpan(r.Min.X, r.Max.X, s.Min.X, s.Max.X)
 	dy := axisSpan(r.Min.Y, r.Max.Y, s.Min.Y, s.Max.Y)
 	return math.Hypot(dx, dy)
-}
-
-// MaxDistPoint returns the maximum distance from point p to rectangle r.
-func (r Rect) MaxDistPoint(p Point) float64 {
-	return r.MaxDist(p.Rect())
 }
 
 func (r Rect) String() string {
@@ -199,14 +164,4 @@ func axisGap(a1, a2, b1, b2 float64) float64 {
 // point of [b1,b2] on one axis.
 func axisSpan(a1, a2, b1, b2 float64) float64 {
 	return math.Max(math.Abs(a2-b1), math.Abs(b2-a1))
-}
-
-// MBR returns the minimum bounding rectangle of the given points.
-// It returns the empty rectangle when pts is empty.
-func MBR(pts []Point) Rect {
-	r := EmptyRect()
-	for _, p := range pts {
-		r = r.Extend(p)
-	}
-	return r
 }

@@ -25,9 +25,6 @@ func TestPointDist(t *testing.T) {
 		if got := tc.p.Dist(tc.q); !almostEqual(got, tc.want) {
 			t.Errorf("Dist(%v, %v) = %g, want %g", tc.p, tc.q, got, tc.want)
 		}
-		if got := tc.p.Dist2(tc.q); !almostEqual(got, tc.want*tc.want) {
-			t.Errorf("Dist2(%v, %v) = %g, want %g", tc.p, tc.q, got, tc.want*tc.want)
-		}
 	}
 }
 
@@ -49,7 +46,7 @@ func TestEmptyRect(t *testing.T) {
 	if !e.IsEmpty() {
 		t.Fatal("EmptyRect is not empty")
 	}
-	if e.Area() != 0 || e.Perimeter() != 0 || e.Diagonal() != 0 {
+	if e.Area() != 0 || e.Diagonal() != 0 {
 		t.Error("empty rect should have zero measures")
 	}
 	r := Rect{Point{1, 2}, Point{3, 4}}
@@ -61,9 +58,6 @@ func TestEmptyRect(t *testing.T) {
 	}
 	if e.Contains(Point{0, 0}) {
 		t.Error("empty rect contains a point")
-	}
-	if e.Intersects(r) || r.Intersects(e) {
-		t.Error("empty rect intersects something")
 	}
 	if !r.ContainsRect(e) {
 		t.Error("every rect should contain the empty rect")
@@ -82,31 +76,6 @@ func TestRectContains(t *testing.T) {
 	for _, p := range out {
 		if r.Contains(p) {
 			t.Errorf("%v should not contain %v", r, p)
-		}
-	}
-}
-
-func TestRectIntersects(t *testing.T) {
-	a := Rect{Point{0, 0}, Point{4, 4}}
-	tests := []struct {
-		b    Rect
-		want bool
-	}{
-		{Rect{Point{1, 1}, Point{2, 2}}, true},    // contained
-		{Rect{Point{4, 4}, Point{6, 6}}, true},    // corner touch
-		{Rect{Point{-2, -2}, Point{0, 0}}, true},  // corner touch
-		{Rect{Point{5, 5}, Point{7, 7}}, false},   // disjoint diagonal
-		{Rect{Point{0, 5}, Point{4, 6}}, false},   // above
-		{Rect{Point{-3, 0}, Point{-1, 4}}, false}, // left
-		{Rect{Point{-1, -1}, Point{5, 5}}, true},  // covers
-		{Rect{Point{2, -10}, Point{3, 10}}, true}, // vertical slab
-	}
-	for _, tc := range tests {
-		if got := a.Intersects(tc.b); got != tc.want {
-			t.Errorf("%v.Intersects(%v) = %v, want %v", a, tc.b, got, tc.want)
-		}
-		if got := tc.b.Intersects(a); got != tc.want {
-			t.Errorf("%v.Intersects(%v) = %v, want %v (symmetry)", tc.b, a, got, tc.want)
 		}
 	}
 }
@@ -136,8 +105,8 @@ func TestMinMaxDist(t *testing.T) {
 
 func TestUnionProperties(t *testing.T) {
 	f := func(ax, ay, bx, by, cx, cy, dx, dy float64) bool {
-		a := MBR([]Point{{math.Mod(ax, 1e6), math.Mod(ay, 1e6)}, {math.Mod(bx, 1e6), math.Mod(by, 1e6)}})
-		b := MBR([]Point{{math.Mod(cx, 1e6), math.Mod(cy, 1e6)}, {math.Mod(dx, 1e6), math.Mod(dy, 1e6)}})
+		a := Point{math.Mod(ax, 1e6), math.Mod(ay, 1e6)}.Rect().Extend(Point{math.Mod(bx, 1e6), math.Mod(by, 1e6)})
+		b := Point{math.Mod(cx, 1e6), math.Mod(cy, 1e6)}.Rect().Extend(Point{math.Mod(dx, 1e6), math.Mod(dy, 1e6)})
 		u := a.Union(b)
 		return u.ContainsRect(a) && u.ContainsRect(b) &&
 			u.Area() >= a.Area() && u.Area() >= b.Area()
@@ -176,23 +145,6 @@ func TestMinDistIsLowerBound(t *testing.T) {
 	}
 }
 
-func TestMBR(t *testing.T) {
-	pts := []Point{{3, 1}, {-2, 7}, {0, 0}, {5, -4}}
-	r := MBR(pts)
-	want := Rect{Point{-2, -4}, Point{5, 7}}
-	if r != want {
-		t.Errorf("MBR = %v, want %v", r, want)
-	}
-	for _, p := range pts {
-		if !r.Contains(p) {
-			t.Errorf("MBR %v does not contain %v", r, p)
-		}
-	}
-	if !MBR(nil).IsEmpty() {
-		t.Error("MBR(nil) should be empty")
-	}
-}
-
 func TestEnlargement(t *testing.T) {
 	a := Rect{Point{0, 0}, Point{2, 2}}
 	if got := a.Enlargement(Rect{Point{1, 1}, Point{2, 2}}); got != 0 {
@@ -226,16 +178,5 @@ func TestValid(t *testing.T) {
 	nan := math.NaN()
 	if (Rect{Point{nan, 0}, Point{1, 1}}).Valid() {
 		t.Error("NaN rect should be invalid")
-	}
-}
-
-func TestMinDistPointMatchesRect(t *testing.T) {
-	r := Rect{Point{0, 0}, Point{2, 2}}
-	p := Point{5, 6}
-	if got, want := r.MinDistPoint(p), r.MinDist(p.Rect()); !almostEqual(got, want) {
-		t.Errorf("MinDistPoint = %g, want %g", got, want)
-	}
-	if got, want := r.MaxDistPoint(p), r.MaxDist(p.Rect()); !almostEqual(got, want) {
-		t.Errorf("MaxDistPoint = %g, want %g", got, want)
 	}
 }

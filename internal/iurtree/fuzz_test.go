@@ -42,14 +42,14 @@ func FuzzNodeRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzNodeView drives the query read path with arbitrary bytes against
+// FuzzSharedRead drives the query read path with arbitrary bytes against
 // the private decode as the oracle. The blob is stored and read through
 // both ReadNodeTracked and ReadSharedTracked with the bound cache on: the
 // two must accept and reject the same blobs, an accepted node must agree
 // entry by entry with the private decode and stay cached, so a second
 // shared read returns the very same node, and a rejected one must never
 // be cached. Nothing may panic either way.
-func FuzzNodeView(f *testing.F) {
+func FuzzSharedRead(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{1, 0, 0})
@@ -120,7 +120,7 @@ func TestWriteNodeFuzzCorpus(t *testing.T) {
 	}
 	// The same real-tree blobs seed both node fuzzers: the codec
 	// round-trip and the shared-read-vs-decode equivalence check.
-	for _, target := range []string{"FuzzNodeRoundTrip", "FuzzNodeView"} {
+	for _, target := range []string{"FuzzNodeRoundTrip", "FuzzSharedRead"} {
 		dir := filepath.Join("testdata", "fuzz", target)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)

@@ -11,20 +11,22 @@
 // clustering and stores one (count, envelope) summary per cluster, giving
 // much tighter textual bounds when a subtree mixes unrelated documents.
 //
-// The tree topology is produced by the rtree substrate; this package
-// augments it bottom-up and serializes every node onto the simulated disk
-// (package storage), so queries incur the paper's I/O model: one node
-// visit = ceil(nodeBytes/pageSize) page accesses.
+// Build packs the objects into nodes of up to 32 entries with
+// Sort-Tile-Recursive bulk loading, augments them bottom-up and
+// serializes every node onto the simulated disk (package storage), so
+// queries incur the paper's I/O model: one node visit =
+// ceil(nodeBytes/pageSize) page accesses. Insert and Delete (update.go)
+// maintain the tree like an R-tree, with Guttman's quadratic split.
 package iurtree
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"rstknn/internal/cluster"
 	"rstknn/internal/geom"
-	"rstknn/internal/rtree"
 	"rstknn/internal/storage"
 	"rstknn/internal/vector"
 )
@@ -91,15 +93,14 @@ type Node struct {
 type Config struct {
 	// Store is the simulated disk to write nodes to. Required.
 	Store storage.Blobs
-	// MinEntries/MaxEntries set the R-tree fan-out; zero values pick the
-	// defaults (13/32).
-	MinEntries, MaxEntries int
 	// Clustering, when non-nil, builds a CIUR-tree: Of[i] must be the
 	// cluster of objects[i] and Clusters the total cluster count.
 	Clustering *cluster.Assignment
-	// Incremental builds the topology by one-at-a-time R-tree insertion
-	// (quadratic split) instead of STR bulk loading. Slower; mirrors a
-	// dynamically grown index.
+	// Incremental grows the tree by one Snapshot.Insert per object, the
+	// path live updates take, instead of STR bulk loading. Slower; it
+	// mirrors a dynamically grown index. Clustered trees cannot be
+	// updated, so Build refuses Incremental with a Clustering
+	// (ErrClustered).
 	Incremental bool
 }
 
@@ -127,38 +128,16 @@ type Snapshot struct {
 	boundCache  *boundCache // decoded-node cache; on by default, see SetBoundCache
 }
 
-// Fanout resolves a configured fan-out pair as Build does — a zero max
-// becomes rtree.DefaultMaxEntries, a zero min 40% of max — and checks
-// the result with rtree.CheckFanout and against the node format's u16
-// entry count.
-func Fanout(min, max int) (int, int, error) {
-	if max == 0 {
-		max = rtree.DefaultMaxEntries
-	}
-	if min == 0 {
-		min = max * 2 / 5
-	}
-	if err := rtree.CheckFanout(min, max); err != nil {
-		return 0, 0, err
-	}
-	if max > math.MaxUint16 {
-		// A node blob stores its entry count as a u16.
-		return 0, 0, fmt.Errorf("iurtree: fan-out max %d exceeds the node format's %d entries", max, math.MaxUint16)
-	}
-	return min, max, nil
-}
-
 // Build constructs the tree over the given objects and seals it to disk.
 // Object IDs must be unique; they are the identifiers query results use.
 func Build(objects []Object, cfg Config) (*Snapshot, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("iurtree: Config.Store is required")
 	}
-	min, max, err := Fanout(cfg.MinEntries, cfg.MaxEntries)
-	if err != nil {
-		return nil, err
-	}
 	if cfg.Clustering != nil {
+		if cfg.Incremental {
+			return nil, ErrClustered
+		}
 		if err := checkNumClusters(cfg.Clustering.Clusters); err != nil {
 			return nil, fmt.Errorf("iurtree: clustering: %w", err)
 		}
@@ -174,89 +153,98 @@ func Build(objects []Object, cfg Config) (*Snapshot, error) {
 		}
 	}
 	seen := make(map[int32]bool, len(objects))
-	byID := make(map[int32]*Object, len(objects))
 	for i := range objects {
-		o := &objects[i]
-		if seen[o.ID] {
-			return nil, fmt.Errorf("iurtree: duplicate object ID %d", o.ID)
+		if seen[objects[i].ID] {
+			return nil, fmt.Errorf("iurtree: duplicate object ID %d", objects[i].ID)
 		}
-		seen[o.ID] = true
-		byID[o.ID] = o
-	}
-
-	// 1. Spatial topology.
-	rt := rtree.New(min, max)
-	items := make([]rtree.Item, len(objects))
-	for i, o := range objects {
-		items[i] = rtree.Item{ID: o.ID, Rect: o.Loc.Rect()}
-	}
-	if cfg.Incremental {
-		for _, it := range items {
-			rt.Insert(it)
-		}
-	} else {
-		rt.BulkLoad(items)
+		seen[objects[i].ID] = true
 	}
 
 	t := &Snapshot{
 		store:      cfg.Store,
-		height:     rt.Height(),
-		size:       len(objects),
+		height:     1,
 		boundCache: newBoundCache(DefaultBoundCacheNodes),
 	}
-	clusterOf := func(id int32) int32 { return 0 }
+	if cfg.Incremental {
+		return t.insertAll(objects)
+	}
 	if cfg.Clustering != nil {
 		t.numClusters = cfg.Clustering.Clusters
-		idx := make(map[int32]int, len(objects))
-		for i, o := range objects {
-			idx[o.ID] = i
+	}
+
+	// 1. Spatial topology by STR packing.
+	root := &strNode{leaf: true}
+	if len(objects) > 0 {
+		level := make([]strEntry, len(objects))
+		for i := range objects {
+			level[i] = strEntry{rect: objects[i].Loc.Rect(), obj: i}
 		}
-		of := cfg.Clustering.Of
-		clusterOf = func(id int32) int32 { return int32(of[idx[id]]) }
+		nodes := packLevel(level, true)
+		for len(nodes) > 1 {
+			parents := make([]strEntry, len(nodes))
+			for i, n := range nodes {
+				parents[i] = strEntry{rect: n.mbr(), child: n}
+			}
+			nodes = packLevel(parents, false)
+			t.height++
+		}
+		root = nodes[0]
 	}
 
 	// 2. Augment + serialize bottom-up (post-order), so children have IDs
 	// before their parent entry is written.
-	var seal func(n *rtree.Node) (Entry, error)
-	seal = func(n *rtree.Node) (Entry, error) {
-		node := Node{Leaf: n.Leaf}
-		node.Entries = make([]Entry, 0, len(n.Entries))
-		if n.Leaf {
-			for _, re := range n.Entries {
-				o := byID[re.ID]
-				e := Entry{
-					Rect:  re.Rect,
-					Child: storage.InvalidNode,
-					ObjID: o.ID,
-					Count: 1,
-					Env:   vector.Exact(o.Doc),
-				}
-				if t.numClusters > 0 {
-					e.Clusters = []ClusterSummary{{
-						Cluster: clusterOf(o.ID),
-						Count:   1,
-						Env:     e.Env,
-					}}
-				}
-				node.Entries = append(node.Entries, e)
+	var seal func(n *strNode) Entry
+	seal = func(n *strNode) Entry {
+		node := Node{Leaf: n.leaf, Entries: make([]Entry, 0, len(n.entries))}
+		for _, se := range n.entries {
+			if !n.leaf {
+				node.Entries = append(node.Entries, seal(se.child))
+				continue
 			}
-		} else {
-			for _, re := range n.Entries {
-				child, err := seal(re.Child)
-				if err != nil {
-					return Entry{}, err
-				}
-				node.Entries = append(node.Entries, child)
+			e := objectEntry(&objects[se.obj])
+			if t.numClusters > 0 {
+				e.Clusters = []ClusterSummary{{
+					Cluster: int32(cfg.Clustering.Of[se.obj]),
+					Count:   1,
+					Env:     e.Env,
+				}}
 			}
+			node.Entries = append(node.Entries, e)
 		}
 		id := t.store.Put(encodeNode(&node))
-		return summarize(&node, id), nil
+		return summarize(&node, id)
 	}
+	t.size = len(objects)
+	t.setRoot(seal(root))
+	return t, nil
+}
 
-	root, err := seal(rt.Root())
-	if err != nil {
-		return nil, err
+// insertAll grows the empty snapshot t one Insert per object, the path
+// live updates take. Nothing else has seen the nodes an insert retires,
+// so they are freed at once and their IDs recycled.
+func (t *Snapshot) insertAll(objects []Object) (*Snapshot, error) {
+	empty := &Node{Leaf: true}
+	id := t.store.Put(encodeNode(empty))
+	t.setRoot(summarize(empty, id))
+	for i := range objects {
+		next, retired, err := t.Insert(objects[i], nil)
+		if err != nil {
+			return nil, err
+		}
+		for _, id := range retired {
+			if err := t.store.Free(id); err != nil {
+				return nil, err
+			}
+		}
+		t = next
 	}
+	t.setRoot(t.rootEntry)
+	return t, nil
+}
+
+// setRoot installs root as the snapshot's root entry and derives the
+// dataspace and the normalization distance from its rectangle.
+func (t *Snapshot) setRoot(root Entry) {
 	t.rootID = root.Child
 	t.rootEntry = root
 	t.space = root.Rect
@@ -264,7 +252,60 @@ func Build(objects []Object, cfg Config) (*Snapshot, error) {
 	if t.maxD == 0 {
 		t.maxD = 1 // single point or empty dataset; avoid division by zero
 	}
-	return t, nil
+}
+
+// maxFanout is the node capacity: STR packs nodes to it and Insert
+// splits a node that outgrows it. The node format's u16 entry count
+// holds far more.
+const maxFanout = 32
+
+// strNode is one node of the STR topology before sealing. Its entries
+// are object indexes (leaf) or child nodes.
+type strNode struct {
+	leaf    bool
+	entries []strEntry
+}
+
+// strEntry is one STR input: the object objects[obj] at the leaf level,
+// a packed child node above it.
+type strEntry struct {
+	rect  geom.Rect
+	obj   int
+	child *strNode
+}
+
+// mbr returns the union of the node's entry rectangles.
+func (n *strNode) mbr() geom.Rect {
+	r := geom.EmptyRect()
+	for _, e := range n.entries {
+		r = r.Union(e.rect)
+	}
+	return r
+}
+
+// packLevel groups entries into nodes of up to maxFanout with
+// Sort-Tile-Recursive tiling: sort by center X, cut into
+// ceil(sqrt(nodes)) vertical slices, sort each slice by center Y and
+// fill nodes in that order.
+func packLevel(entries []strEntry, leaf bool) []*strNode {
+	n := len(entries)
+	nodeCount := (n + maxFanout - 1) / maxFanout
+	sliceSize := int(math.Ceil(math.Sqrt(float64(nodeCount)))) * maxFanout
+
+	sort.Slice(entries, func(i, j int) bool {
+		return entries[i].rect.Center().X < entries[j].rect.Center().X
+	})
+	nodes := make([]*strNode, 0, nodeCount)
+	for start := 0; start < n; start += sliceSize {
+		slice := entries[start:min(start+sliceSize, n)]
+		sort.Slice(slice, func(i, j int) bool {
+			return slice[i].rect.Center().Y < slice[j].rect.Center().Y
+		})
+		for s := 0; s < len(slice); s += maxFanout {
+			nodes = append(nodes, &strNode{leaf: leaf, entries: slice[s:min(s+maxFanout, len(slice))]})
+		}
+	}
+	return nodes
 }
 
 // summarize builds the parent-level entry describing node (already stored

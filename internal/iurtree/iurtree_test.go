@@ -1,7 +1,10 @@
 package iurtree
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -52,6 +55,13 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(objs, Config{Store: storage.NewStore(), Clustering: a}); err == nil {
 		t.Error("clustering size mismatch should fail")
 	}
+	// Clustered trees cannot take live inserts, so they cannot be grown
+	// by them either.
+	one := []Object{{ID: 1}}
+	_, err := Build(one, Config{Store: storage.NewStore(), Clustering: a, Incremental: true})
+	if !errors.Is(err, ErrClustered) {
+		t.Errorf("incremental clustered build: err = %v, want ErrClustered", err)
+	}
 }
 
 func TestBuildEmptyAndTiny(t *testing.T) {
@@ -94,12 +104,18 @@ func TestBuildEmptyAndTiny(t *testing.T) {
 	}
 }
 
+// TestInvariantsBulkAndIncremental builds the same 1,000 objects by STR
+// packing and by one live Insert per object. Beyond CheckInvariants,
+// every node must hold at most maxFanout entries, every non-root node at
+// least one (minFill when grown by inserts alone), and every object must
+// sit in exactly one leaf.
 func TestInvariantsBulkAndIncremental(t *testing.T) {
+	const n = 1000
 	rng := rand.New(rand.NewSource(1))
-	objs := randObjects(rng, 700, 40)
+	objs := randObjects(rng, n, 40)
 	for _, incremental := range []bool{false, true} {
 		tr := buildIUR(t, objs, incremental)
-		if tr.Len() != 700 {
+		if tr.Len() != n {
 			t.Fatalf("Len = %d", tr.Len())
 		}
 		if err := tr.CheckInvariants(); err != nil {
@@ -108,6 +124,59 @@ func TestInvariantsBulkAndIncremental(t *testing.T) {
 		if tr.Clustered() {
 			t.Error("plain build should not be clustered")
 		}
+		seen := make(map[int32]int, n)
+		err := tr.Walk(func(nd *Node, depth int) error {
+			if len(nd.Entries) > maxFanout {
+				t.Errorf("incremental=%v: node %d holds %d entries, capacity %d", incremental, nd.ID, len(nd.Entries), maxFanout)
+			}
+			if depth > 0 && len(nd.Entries) == 0 {
+				t.Errorf("incremental=%v: empty non-root node %d", incremental, nd.ID)
+			}
+			// Without deletes, every non-root node of the grown tree
+			// came out of a split with at least minFill entries.
+			if incremental && depth > 0 && len(nd.Entries) < minFill {
+				t.Errorf("non-root node %d holds %d entries, below minFill %d", nd.ID, len(nd.Entries), minFill)
+			}
+			if nd.Leaf {
+				for i := range nd.Entries {
+					seen[nd.Entries[i].ObjID]++
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range objs {
+			if seen[o.ID] != 1 {
+				t.Fatalf("incremental=%v: object %d in %d leaves", incremental, o.ID, seen[o.ID])
+			}
+		}
+	}
+}
+
+// TestBulkLoadPacksTightly: STR packs leaves full, so a 1,000-object bulk
+// build has ceil(n/maxFanout) leaves and, at fan-out 32, a height of at
+// most 3.
+func TestBulkLoadPacksTightly(t *testing.T) {
+	const n = 1000
+	objs := randObjects(rand.New(rand.NewSource(3)), n, 40)
+	tr := buildIUR(t, objs, false)
+	leaves := 0
+	err := tr.Walk(func(nd *Node, depth int) error {
+		if nd.Leaf {
+			leaves++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (n + maxFanout - 1) / maxFanout; leaves != want {
+		t.Errorf("bulk build has %d leaves, want %d packed full", leaves, want)
+	}
+	if tr.Height() > 3 {
+		t.Errorf("bulk build height = %d, want <= 3", tr.Height())
 	}
 }
 
@@ -295,17 +364,10 @@ func TestOpenRejectsBadNumClusters(t *testing.T) {
 	}
 }
 
-// TestFormatWidthLimits: the node format stores entry and cluster-summary
-// counts as u16, so a fan-out or a cluster count beyond that is refused
-// up front instead of being silently truncated by the encoder. Neither
-// check builds a tree.
+// TestFormatWidthLimits: the node format stores cluster-summary counts
+// as u16, so a cluster count beyond that is refused up front instead of
+// being silently truncated by the encoder. No check builds a tree.
 func TestFormatWidthLimits(t *testing.T) {
-	if _, _, err := Fanout(0, math.MaxUint16); err != nil {
-		t.Errorf("Fanout(0, MaxUint16) = %v, want accepted", err)
-	}
-	if _, _, err := Fanout(0, math.MaxUint16+1); err == nil {
-		t.Error("Fanout accepted a max fan-out above MaxUint16")
-	}
 	objs := randObjects(rand.New(rand.NewSource(10)), 3, 5)
 	for _, clusters := range []int{-1, math.MaxUint16 + 1} {
 		_, err := Build(objs, Config{Store: storage.NewStore(), Clustering: &cluster.Assignment{
@@ -472,5 +534,58 @@ func TestClusterCounts(t *testing.T) {
 	var plain Entry
 	if plain.ClusterCounts(4) != nil {
 		t.Error("unclustered entry should return nil")
+	}
+}
+
+// bulkStoreDigest builds a seeded 1,200-object STR tree (three levels at
+// fan-out 32), optionally clustered, and returns SHA-256 over every
+// store slot's (NodeID, blob) in ID order.
+func bulkStoreDigest(t *testing.T, clustered bool) string {
+	t.Helper()
+	objs := randObjects(rand.New(rand.NewSource(81)), 1200, 30)
+	store := storage.NewStore()
+	cfg := Config{Store: store}
+	if clustered {
+		docs := make([]vector.Vector, len(objs))
+		for i := range objs {
+			docs[i] = objs[i].Doc
+		}
+		cfg.Clustering = cluster.Run(docs, cluster.Config{K: 5, Seed: 3})
+	}
+	if _, err := Build(objs, cfg); err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var hdr [8]byte
+	for id := 0; id < store.Len(); id++ {
+		blob, err := store.GetTracked(storage.NodeID(id), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(hdr[:4], uint32(id))
+		binary.LittleEndian.PutUint32(hdr[4:], uint32(len(blob)))
+		h.Write(hdr[:])
+		h.Write(blob)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestBulkBuildBytesGolden pins the exact store contents of seeded IUR
+// and CIUR bulk builds, NodeIDs included. The page counts of every
+// experiment and the golden query counters follow from these bytes, so
+// a change to STR packing or to the post-order sealing shows up here
+// first.
+func TestBulkBuildBytesGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		clustered bool
+		want      string
+	}{
+		{"IUR", false, "9e13485ef62799395ff632a7a298262286fc2b88ec80363cbe6723844132758e"},
+		{"CIUR", true, "f5659615b2f998603af14ba461c8d53421f833c4c8b10444625fada9540ce8e6"},
+	} {
+		if got := bulkStoreDigest(t, tc.clustered); got != tc.want {
+			t.Errorf("%s bulk build digest = %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }

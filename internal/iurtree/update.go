@@ -158,16 +158,14 @@ func (t *Snapshot) copyNode(old storage.NodeID, node *Node, tr *storage.Tracker,
 	return summarize(node, id), &se, nil
 }
 
-// maxFanout is the node capacity used by dynamic inserts. Static
-// construction packs to the configured fan-out; updates use the same
-// default ceiling.
-const maxFanout = 32
+// minFill is the fewest entries either half of a split receives: 40%
+// of maxFanout, the classic R-tree minimum.
+const minFill = maxFanout * 2 / 5
 
 // splitEntries divides an over-full entry list with Guttman's quadratic
 // heuristics (seeds maximizing dead area, then least-enlargement
 // assignment with a minimum-fill guarantee).
 func splitEntries(entries []Entry) (left, right []Entry) {
-	minFill := len(entries) * 2 / 5
 	s1, s2 := 0, 1
 	worst := math.Inf(-1)
 	for i := 0; i < len(entries); i++ {
@@ -182,30 +180,27 @@ func splitEntries(entries []Entry) (left, right []Entry) {
 	left = append(left, entries[s1])
 	right = append(right, entries[s2])
 	lRect, rRect := entries[s1].Rect, entries[s2].Rect
+	unassigned := len(entries) - 2 // non-seed entries not yet placed, e included
 	for i, e := range entries {
 		if i == s1 || i == s2 {
 			continue
 		}
-		rest := len(entries) - i - 1 // entries after this one (excluding seeds already taken)
-		switch {
-		case len(left)+rest < minFill:
-			left = append(left, e)
-			lRect = lRect.Union(e.Rect)
-			continue
-		case len(right)+rest < minFill:
-			right = append(right, e)
-			rRect = rRect.Union(e.Rect)
-			continue
+		// A side that needs every unassigned entry to reach minFill
+		// takes them all.
+		toLeft := len(left)+unassigned <= minFill
+		if !toLeft && len(right)+unassigned > minFill {
+			d1, d2 := lRect.Enlargement(e.Rect), rRect.Enlargement(e.Rect)
+			//rstknn:allow floatcmp exact tie-break between identical enlargements; any split is correct
+			toLeft = d1 < d2 || (d1 == d2 && len(left) <= len(right))
 		}
-		d1, d2 := lRect.Enlargement(e.Rect), rRect.Enlargement(e.Rect)
-		//rstknn:allow floatcmp exact tie-break between identical enlargements; any split is correct
-		if d1 < d2 || (d1 == d2 && len(left) <= len(right)) {
+		if toLeft {
 			left = append(left, e)
 			lRect = lRect.Union(e.Rect)
 		} else {
 			right = append(right, e)
 			rRect = rRect.Union(e.Rect)
 		}
+		unassigned--
 	}
 	return left, right
 }

@@ -347,3 +347,39 @@ func TestInterleavedUpdatesKeepInvariants(t *testing.T) {
 		t.Errorf("LiveBytes=%d != TotalBytes=%d with all garbage freed", lb, tb)
 	}
 }
+
+// TestSplitEntriesKeepsMinFill overflows a node whose entries all crowd
+// one seed, so every least-enlargement choice goes right and the left
+// side only reaches minimum fill by forced assignment. The seeds sit at
+// the front, in the middle and at the end of the entry list: the forced
+// phase must count only entries not yet assigned, wherever the seeds are.
+func TestSplitEntriesKeepsMinFill(t *testing.T) {
+	const n = maxFanout + 1
+	for _, tc := range []struct {
+		name   string
+		s1, s2 int
+	}{
+		{"seeds at front", 0, 1},
+		{"seeds in middle", n/2 - 1, n/2 + 1},
+		{"seeds at end", n - 2, n - 1},
+	} {
+		entries := make([]Entry, 0, n)
+		for i := 0; i < n; i++ {
+			p := geom.Point{X: 99 + float64(i)/n, Y: 99 + float64(n-i)/n}
+			switch i {
+			case tc.s1:
+				p = geom.Point{X: 0, Y: 0}
+			case tc.s2:
+				p = geom.Point{X: 101, Y: 101}
+			}
+			entries = append(entries, Entry{Rect: p.Rect(), ObjID: int32(i)})
+		}
+		left, right := splitEntries(entries)
+		if len(left)+len(right) != n {
+			t.Fatalf("%s: split %d+%d entries, want %d", tc.name, len(left), len(right), n)
+		}
+		if len(left) < minFill || len(right) < minFill {
+			t.Errorf("%s: split %d/%d, want both sides >= %d", tc.name, len(left), len(right), minFill)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package rstknn
 import (
 	"fmt"
 
-	"rstknn/internal/iurtree"
 	"rstknn/internal/storage"
 	"rstknn/internal/textual"
 	"rstknn/internal/vector"
@@ -44,6 +43,9 @@ func (k IndexKind) String() string {
 // Options configure an Engine. The zero value gives a sensible default:
 // alpha 0.5, TF-IDF weighting, Extended Jaccard similarity, a plain
 // IUR-tree with 4 KiB pages and no buffer pool (cold-query I/O counting).
+// The tree's fan-out is fixed at 32 entries per node and is not an
+// option; meta.json files that still carry FanoutMin/FanoutMax open
+// with those fields ignored.
 type Options struct {
 	// Alpha in [0,1] weighs spatial proximity against text similarity;
 	// the conventional default is 0.5. Use AlphaSet to pass an explicit 0.
@@ -73,8 +75,6 @@ type Options struct {
 	// Large pools are sharded by node ID so concurrent queries do not
 	// contend on one cache mutex.
 	BufferPoolPages int
-	// FanoutMin/FanoutMax override the R-tree fan-out.
-	FanoutMin, FanoutMax int
 	// Workers bounds intra-query parallelism: each query's
 	// branch-and-bound frontier is processed in rounds fanned across
 	// this many goroutines (and Influence fans its per-user loop the
@@ -113,7 +113,7 @@ func (o *Options) withDefaults() (Options, error) {
 
 // validate checks resolved options — what Build keeps and Save writes
 // to meta.json — so Build and Open return an error for inputs the
-// storage and R-tree layers would otherwise panic on.
+// storage layer would otherwise panic on.
 func (o *Options) validate() error {
 	if o.Alpha < 0 || o.Alpha > 1 {
 		return fmt.Errorf("rstknn: Alpha must be in [0,1], got %g", o.Alpha)
@@ -126,9 +126,6 @@ func (o *Options) validate() error {
 	}
 	if o.PageSize <= 0 {
 		return fmt.Errorf("rstknn: PageSize must be positive, got %d", o.PageSize)
-	}
-	if _, _, err := iurtree.Fanout(o.FanoutMin, o.FanoutMax); err != nil {
-		return fmt.Errorf("rstknn: %w", err)
 	}
 	return nil
 }

@@ -51,9 +51,9 @@ func noPanic(t *testing.T, f func() error) error {
 }
 
 // TestInvalidOptionsReturnErrors checks that Build and Open reject
-// options the storage and R-tree layers cannot serve with an error, not
-// a panic: a non-positive page size, a fan-out pair the R-tree split
-// rule forbids, and an out-of-range alpha or unknown weighting/measure.
+// options the storage layer cannot serve with an error, not a panic: a
+// non-positive page size, an out-of-range alpha, and an unknown
+// weighting or measure.
 func TestInvalidOptionsReturnErrors(t *testing.T) {
 	objs := genRestaurants(rand.New(rand.NewSource(3)), 60)
 	for _, tc := range []struct {
@@ -61,10 +61,6 @@ func TestInvalidOptionsReturnErrors(t *testing.T) {
 		opt  Options
 	}{
 		{"negative page size", Options{PageSize: -1}},
-		{"fan-out max 3", Options{FanoutMax: 3}},
-		{"fan-out min 1", Options{FanoutMin: 1}},
-		{"fan-out min above max/2", Options{FanoutMin: 9, FanoutMax: 16}},
-		{"negative fan-out max", Options{FanoutMax: -4}},
 		{"alpha above 1", Options{Alpha: 1.5}},
 		{"unknown weighting", Options{Weighting: "bm25"}},
 		{"unknown measure", Options{Measure: "dice"}},
@@ -90,8 +86,6 @@ func TestInvalidOptionsReturnErrors(t *testing.T) {
 	}{
 		{"zero page size", map[string]any{"PageSize": 0}},
 		{"negative page size", map[string]any{"PageSize": -1}},
-		{"fan-out max 3", map[string]any{"FanoutMax": 3}},
-		{"fan-out min 1", map[string]any{"FanoutMin": 1}},
 		{"alpha above 1", map[string]any{"Alpha": 2}},
 		{"unknown weighting", map[string]any{"Weighting": "bm25"}},
 		{"unknown measure", map[string]any{"Measure": "dice"}},
@@ -109,5 +103,25 @@ func TestInvalidOptionsReturnErrors(t *testing.T) {
 				t.Fatalf("Open with meta options %v succeeded", tc.patch)
 			}
 		})
+	}
+}
+
+// TestOpenIgnoresRemovedFanoutFields: indexes saved while the fan-out
+// was an option carry FanoutMin/FanoutMax in meta.json. The fan-out is
+// now fixed, so Open ignores those fields, whatever their values.
+func TestOpenIgnoresRemovedFanoutFields(t *testing.T) {
+	objs := genRestaurants(rand.New(rand.NewSource(3)), 60)
+	eng, err := Build(objs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := saveWithPatchedMeta(t, eng, map[string]any{"FanoutMin": 1, "FanoutMax": 3})
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open with old fan-out fields: %v", err)
+	}
+	defer re.Close()
+	if err := re.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
