@@ -82,6 +82,7 @@ fuzz:
 	go test ./internal/textual/ -run '^$$' -fuzz FuzzTextualPersist  -fuzztime $(FUZZTIME)
 	go test .                   -run '^$$' -fuzz FuzzLoad            -fuzztime $(FUZZTIME)
 	go test ./internal/core/    -run '^$$' -fuzz FuzzRuleCountsMatchSelection -fuzztime $(FUZZTIME)
+	go test ./internal/core/    -run '^$$' -fuzz FuzzSearchMatchesNaive       -fuzztime $(FUZZTIME)
 
 # Vet and test the benchmark module (benchmark/, its own go.mod). The
 # root ./... pattern never enters a nested module, yet benchmark/

@@ -172,16 +172,12 @@ func TestKNNBoundsSkipsZeroCountParts(t *testing.T) {
 
 func TestRefinableStrategySelection(t *testing.T) {
 	node := func(hi float64, clusters []iurtree.ClusterSummary) contributor {
-		return contributor{
-			entry: &iurtree.Entry{Child: 1, Count: 5, Clusters: clusters},
-			parts: []part{{lo: 0, hi: hi, count: 5}},
-		}
+		return newContributor(&iurtree.Entry{Child: 1, Count: 5, Clusters: clusters},
+			[]part{{lo: 0, hi: hi, count: 5}}, false)
 	}
 	object := func(hi float64) contributor {
-		return contributor{
-			entry: &iurtree.Entry{Child: storage.InvalidNode, Count: 1},
-			parts: []part{{lo: hi, hi: hi, count: 1}},
-		}
+		return newContributor(&iurtree.Entry{Child: storage.InvalidNode, Count: 1},
+			[]part{{lo: hi, hi: hi, count: 1}}, false)
 	}
 	var cl contributionList
 	cl.contributors = []contributor{
@@ -205,7 +201,7 @@ func TestRefinableStrategySelection(t *testing.T) {
 func TestReplacePreservesOthers(t *testing.T) {
 	var cl contributionList
 	mk := func(id int32) contributor {
-		return contributor{entry: &iurtree.Entry{ObjID: id, Child: storage.InvalidNode}}
+		return newContributor(&iurtree.Entry{ObjID: id, Child: storage.InvalidNode}, nil, false)
 	}
 	cl.contributors = []contributor{mk(0), mk(1), mk(2)}
 	cl.replace(nil, 1, []contributor{mk(10), mk(11)}, nil)

@@ -145,7 +145,7 @@ func TestRuleCountsIncremental(t *testing.T) {
 	// other side, as if inherited from an ancestor.
 	contrib := func(j int, stale bool) contributor {
 		from := sideOf(&entries[rng.Intn(len(entries))])
-		return contributor{entry: &entries[j], parts: s.entryBoundsInto(sc, from, &entries[j]), stale: stale}
+		return newContributor(&entries[j], boundsInto(s, sc, from, &entries[j]), stale)
 	}
 	for trial := 0; trial < 50; trial++ {
 		gi := rng.Intn(len(entries))
@@ -224,7 +224,7 @@ func TestRefinableMaxUpperWithoutKNNU(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				e = &iurtree.Entry{Child: storage.InvalidNode, Count: 1}
 			}
-			c := contributor{entry: e, stale: rng.Intn(2) == 0}
+			c := newContributor(e, nil, rng.Intn(2) == 0)
 			for m := rng.Intn(3); m > 0; m-- {
 				hi := palette[rng.Intn(len(palette))]
 				// A zero-count part leaves maxHi at -Inf.

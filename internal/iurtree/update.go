@@ -36,6 +36,9 @@ import (
 // quality degrades), empty nodes are removed. maxD only grows: inserts
 // outside the original dataspace extend it, deletions never shrink it,
 // so similarity scores remain comparable across the tree's lifetime.
+// The one exception is the placeholder 1 of a single-point dataspace,
+// which the first insert that gives the space a positive diagonal
+// replaces, so a tree grown from empty normalizes like a built one.
 
 // ErrClustered is returned by Insert/Delete on CIUR-trees.
 var ErrClustered = errors.New("iurtree: clustered trees are sealed; rebuild to update")
@@ -134,7 +137,10 @@ func (t *Snapshot) Insert(o Object, tr *storage.Tracker) (*Snapshot, []storage.N
 	}
 	next.size = t.size + 1
 	next.space = t.space.Extend(o.Loc)
-	if d := next.space.Diagonal(); d > next.maxD {
+	// A degenerate dataspace (one point, diagonal 0) carries the
+	// placeholder maxD 1, which the first positive diagonal replaces;
+	// from then on maxD only grows.
+	if d := next.space.Diagonal(); d > next.maxD || (d > 0 && t.space.Diagonal() <= 0) {
 		next.maxD = d
 	}
 	return next, retired, nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -399,4 +400,62 @@ func TestConcurrentQueryMutateRace(t *testing.T) {
 	// Final contents: originals plus exactly the inserts each writer left
 	// live (i%3==2 inserts are deleted again; i%3==1 deletes i-2).
 	queriesAgree(t, eng, rng, 5)
+}
+
+// An engine grown by Insert from an empty start must normalize distances
+// like an engine built over the same objects: the placeholder maxD 1 of a
+// single-point dataspace gives way to the first positive diagonal.
+func TestInsertFromEmptyMatchesBuildMaxD(t *testing.T) {
+	objs := []Object{
+		{ID: 1, X: 0, Y: 0, Text: "sushi ramen"},
+		{ID: 2, X: 0.3, Y: 0.4, Text: "ramen noodle bar"},
+	}
+	built, err := Build(objs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := built.Stats().MaxDistance; got != 0.5 {
+		t.Fatalf("built engine maxD = %g, want 0.5", got)
+	}
+	fromNil, err := Build(nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Emptied keeps the build-time vocabulary, so its documents weigh
+	// exactly like the built engine's and the answers must agree.
+	emptied, err := Build(objs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range objs {
+		if _, _, err := emptied.Delete(o.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, eng := range map[string]*Engine{"built empty": fromNil, "emptied": emptied} {
+		for _, o := range objs {
+			if _, err := eng.Insert(o); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		if got := eng.Stats().MaxDistance; got != 0.5 {
+			t.Errorf("%s: maxD = %g after inserts, want 0.5 as built", name, got)
+		}
+	}
+	for _, q := range []struct {
+		x, y float64
+		text string
+	}{{0.1, 0.1, "ramen"}, {0.2, 0.3, "sushi"}, {0.15, 0.2, "noodle bar"}, {0.05, 0.05, "bar"}} {
+		want, err := built.Query(q.x, q.y, q.text, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := emptied.Query(q.x, q.y, q.text, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.IDs, want.IDs) {
+			t.Errorf("query (%g,%g,%q): grown engine %v, built engine %v", q.x, q.y, q.text, got.IDs, want.IDs)
+		}
+	}
 }
