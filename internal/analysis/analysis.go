@@ -4,9 +4,8 @@
 // on go/ast and go/types alone), a function-level dataflow engine that
 // propagates behavioral facts across packages (summary.go, facts.go),
 // an intraprocedural CFG constructor with a generic forward dataflow
-// solver (cfg.go, dataflow.go), an SSA-lite def-use layer with value
-// numbering and phi-merging (ssa.go), and nine domain analyzers that
-// enforce invariants the compiler and go vet cannot:
+// solver (cfg.go, dataflow.go), and eight domain analyzers that enforce
+// invariants the compiler and go vet cannot:
 //
 //   - ctxflow: context.Context parameters come first, exported *Ctx entry
 //     points really take a context, and library internals never mint their
@@ -33,13 +32,6 @@
 //   - lockorder: per-function lock-acquisition sequences fold into a
 //     module-wide lock-order graph via the LockClasses/LockPairs facts;
 //     ordering cycles and double-acquisition on a path are flagged.
-//   - untrustedlen: lengths, counts, and offsets decoded from untrusted
-//     page bytes (binary.Uvarint / binary.LittleEndian.* over stored
-//     blobs) must pass a dominating bounds check before they reach an
-//     allocation size, a slice index or reslice, or a narrowing integer
-//     conversion — cross-package too, via the TaintResults/SinkParams
-//     facts. The //rstknn:validated directive is the escape hatch for
-//     bounds the analyzer cannot prove.
 //
 // Analyzers run under "go vet -vettool=$(go build -o /tmp/rstknn-lint
 // ./cmd/rstknn-lint)" via the unitchecker protocol (see vet.go) and under
@@ -62,14 +54,6 @@
 //
 // placed in a function's doc comment. The function and everything
 // statically reachable from it must be allocation-free.
-//
-// A third directive declares a value validated for untrustedlen:
-//
-//	//rstknn:validated [reason...]
-//
-// with the same line/next-line/doc-comment coverage as allow. It marks
-// sinks whose operands are in fact bounds-checked in a way the analyzer
-// cannot prove structurally (the reason should say where the proof is).
 package analysis
 
 import (
@@ -175,28 +159,13 @@ func (p *Pass) SourceFiles() []*ast.File {
 // All returns every domain analyzer, in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{CtxFlow, LockSafe, FloatCmp, HotAlloc, ErrLost,
-		PinSafe, RetirePub, LockOrder, UntrustedLen}
+		PinSafe, RetirePub, LockOrder}
 }
 
 // ------------------------------------------------------------------
 // Allow directives
 
 const directivePrefix = "rstknn:allow"
-
-// validatedPrefix marks a value-producing line as trusted for the
-// untrustedlen taint analysis:
-//
-//	//rstknn:validated [reason...]
-//
-// Unlike //rstknn:allow untrustedlen — which silences a diagnostic —
-// the validated directive is a sanitizer: sinks on the covered line are
-// treated as operating on fully validated values. It indexes under the
-// reserved pseudo-analyzer name validatedMark (the ':' cannot appear in
-// a real analyzer name, so the two namespaces cannot collide).
-const (
-	validatedPrefix = "rstknn:validated"
-	validatedMark   = "untrustedlen:validated"
-)
 
 // directiveIndex records which analyzers are allowed on which lines.
 type directiveIndex struct {
@@ -258,15 +227,8 @@ func indexDirectives(fset *token.FileSet, files []*ast.File) *directiveIndex {
 }
 
 // parseDirective extracts the analyzer names from an allow directive
-// comment, reporting whether the comment is one. A validated directive
-// parses to the reserved validatedMark name.
+// comment, reporting whether the comment is one.
 func parseDirective(text string) ([]string, bool) {
-	if body, ok := strings.CutPrefix(text, "//"+validatedPrefix); ok {
-		if body == "" || body[0] == ' ' || body[0] == '\t' {
-			return []string{validatedMark}, true
-		}
-		return nil, false
-	}
 	body, ok := strings.CutPrefix(text, "//"+directivePrefix)
 	if !ok {
 		return nil, false

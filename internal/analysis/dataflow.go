@@ -40,12 +40,6 @@ type Flow[S any] struct {
 	// argument) with a newly arriving predecessor out-state (second).
 	// It may mutate and return the first argument.
 	Join func(S, S) S
-	// JoinAt, when non-nil, is used instead of Join and additionally
-	// receives the index of the block being joined into. Analyses whose
-	// merge must be keyed by join point — SSA construction memoizes one
-	// phi per (block, variable) so repeated sweeps converge on a stable
-	// value identity — need the block; plain lattice joins do not.
-	JoinAt func(block int, a, b S) S
 	// Equal reports whether two states are indistinguishable — the
 	// fixed-point test.
 	Equal func(S, S) bool
@@ -100,12 +94,7 @@ func Solve[S any](g *CFG, f *Flow[S]) *Solution[S] {
 					changed = true
 					continue
 				}
-				var joined S
-				if f.JoinAt != nil {
-					joined = f.JoinAt(succ.Index, f.copyState(sol.In[succ.Index]), f.copyState(out))
-				} else {
-					joined = f.Join(f.copyState(sol.In[succ.Index]), f.copyState(out))
-				}
+				joined := f.Join(f.copyState(sol.In[succ.Index]), f.copyState(out))
 				if !f.Equal(joined, sol.In[succ.Index]) {
 					sol.In[succ.Index] = joined
 					changed = true

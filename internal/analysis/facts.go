@@ -25,8 +25,9 @@ import (
 // lock-order facts (LockClasses/LockPairs). Version 3 added the taint
 // facts (TaintResults/SinkParams) for untrustedlen. Version 4 dropped
 // the never-read lock-acquisition bit and the shared-write facts of the
-// retired goroutine-closure analyzer.
-const factsVersion = 4
+// retired goroutine-closure analyzer. Version 5 dropped the taint facts
+// with untrustedlen.
+const factsVersion = 5
 
 // FuncSummary is the behavioral summary of one function: everything a
 // caller-side analyzer needs to know without the function's source.
@@ -79,53 +80,13 @@ type FuncSummary struct {
 	// import closure is the lock-order graph lockorder checks for
 	// cycles.
 	LockPairs []string `json:"lock_pairs,omitempty"`
-
-	// TaintResults lists the function's integer results that derive
-	// from untrusted page bytes, with the taint level and magnitude
-	// bound untrustedlen computed. Callers treat such a result exactly
-	// like a local binary.* decode.
-	TaintResults []TaintSpec `json:"taint_results,omitempty"`
-
-	// SinkParams lists the parameters the function feeds into a taint
-	// sink (allocation size, slice index, narrowing conversion) without
-	// validating them first: the caller must pass bounded values.
-	SinkParams []SinkSpec `json:"sink_params,omitempty"`
-}
-
-// TaintSpec describes the taint of one function result.
-type TaintSpec struct {
-	// Result is the result index.
-	Result int `json:"result"`
-	// Level is "bounded" (proportional to validated input) or "wild"
-	// (attacker-chosen with no dominating check).
-	Level string `json:"level"`
-	// Hi is the saturating upper bound on the result's magnitude.
-	Hi uint64 `json:"hi,omitempty"`
-	// Neg reports that the result may be negative.
-	Neg bool `json:"neg,omitempty"`
-	// Why names the originating source for diagnostics.
-	Why string `json:"why,omitempty"`
-}
-
-// SinkSpec describes one unvalidated parameter-to-sink flow.
-type SinkSpec struct {
-	// Param is the signature parameter index (receiver excluded).
-	Param int `json:"param"`
-	// Kind is the sink class: "alloc", "index", or "narrow".
-	Kind string `json:"kind"`
-	// Hi is the largest magnitude the sink tolerates (narrow sinks:
-	// the conversion target's max; zero otherwise).
-	Hi uint64 `json:"hi,omitempty"`
-	// Why locates the sink for diagnostics.
-	Why string `json:"why,omitempty"`
 }
 
 // interesting reports whether the summary carries any information worth
 // serializing; all-false summaries are omitted from the facts file.
 func (s *FuncSummary) interesting() bool {
 	return s.Allocates || s.PerformsIO || s.CapBacked ||
-		s.Publishes || s.Retires || len(s.LockClasses) > 0 || len(s.LockPairs) > 0 ||
-		len(s.TaintResults) > 0 || len(s.SinkParams) > 0
+		s.Publishes || s.Retires || len(s.LockClasses) > 0 || len(s.LockPairs) > 0
 }
 
 // FactStore maps function keys (see FuncKey) to summaries. One store

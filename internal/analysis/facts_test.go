@@ -29,20 +29,6 @@ func sampleStore() *FactStore {
 		LockClasses: []string{"pkg/c.Store.mu", "pkg/c.poolShard.mu"},
 		LockPairs:   []string{"pkg/c.Store.mu=>pkg/c.poolShard.mu"},
 	})
-	s.add("pkg/d.DecodeCount", &FuncSummary{
-		Func: "DecodeCount",
-		TaintResults: []TaintSpec{
-			{Result: 0, Level: "wild", Hi: 1<<32 - 1, Why: "a 32-bit value decoded from untrusted bytes at d.go:7"},
-			{Result: 1, Level: "bounded", Hi: 10, Neg: true, Why: "the byte count of a varint at d.go:8"},
-		},
-	})
-	s.add("pkg/d.Fill", &FuncSummary{
-		Func: "Fill",
-		SinkParams: []SinkSpec{
-			{Param: 1, Kind: "index", Why: "index at d.go:12"},
-			{Param: 2, Kind: "narrow", Hi: 1<<16 - 1, Why: "narrow at d.go:13"},
-		},
-	})
 	return s
 }
 
@@ -117,29 +103,6 @@ func TestFactsVersionMismatch(t *testing.T) {
 	got, err := ReadFactsFile(path)
 	if err != nil || got.Len() != 0 {
 		t.Fatalf("stale facts file: %d entries, %v; want empty store, nil", got.Len(), err)
-	}
-}
-
-// TestFactsTaintSpecsInteresting: the v3 taint fields alone make a
-// summary worth exporting — a pure decode helper with no behavioral
-// flags must still cross package boundaries.
-func TestFactsTaintSpecsInteresting(t *testing.T) {
-	taintOnly := &FuncSummary{
-		Func:         "Decode",
-		TaintResults: []TaintSpec{{Result: 0, Level: "wild", Hi: 42, Why: "w"}},
-	}
-	if !taintOnly.interesting() {
-		t.Error("TaintResults-only summary not interesting; it would never be exported")
-	}
-	sinkOnly := &FuncSummary{
-		Func:       "Fill",
-		SinkParams: []SinkSpec{{Param: 0, Kind: "alloc", Why: "w"}},
-	}
-	if !sinkOnly.interesting() {
-		t.Error("SinkParams-only summary not interesting; it would never be exported")
-	}
-	if (&FuncSummary{Func: "Nop"}).interesting() {
-		t.Error("empty summary claims to be interesting")
 	}
 }
 

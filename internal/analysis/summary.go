@@ -58,14 +58,6 @@ type FuncNode struct {
 	// locks is the solved lockset walk (nil when the body acquires no
 	// lock), shared by the lockorder and locksafe passes.
 	locks *lockScan
-
-	// ssa caches the SSA-lite form for the taint scan (built once;
-	// ssaTried distinguishes "not built yet" from "bodiless").
-	ssa      *FuncSSA
-	ssaTried bool
-	// taint is the function's final taint-scan result (findings to
-	// replay plus exported specs), set by fixTaint.
-	taint *taintScan
 }
 
 // PkgFacts bundles one package's dataflow results with the facts of its
@@ -293,10 +285,6 @@ func Summarize(fset *token.FileSet, files []*ast.File, pkg *types.Package, info 
 	// behavioral facts fixed above.
 	pf.fixLifecycle(info, dirs)
 	pf.fixLockOrder(info)
-
-	// Pass 5: SSA-lite taint. Runs last so untrustedlen's sources can
-	// consult every behavioral fact already fixed above.
-	pf.fixTaint(info, dirs)
 	return pf
 }
 

@@ -140,7 +140,7 @@ func blessed(a, b float64) bool {
 	if unit.Counts["floatcmp"] != 1 {
 		t.Fatalf("counts[floatcmp] = %d, want 1", unit.Counts["floatcmp"])
 	}
-	for _, name := range []string{"pinsafe", "retirepub", "lockorder", "untrustedlen"} {
+	for _, name := range []string{"pinsafe", "retirepub", "lockorder"} {
 		if n, ok := unit.Counts[name]; !ok || n != 0 {
 			t.Fatalf("counts[%s] = %d, %v; want an explicit 0", name, n, ok)
 		}

@@ -20,7 +20,7 @@ import (
 func init() {
 	Experiments = append(Experiments,
 		Experiment{"F10", "Dataset profile sensitivity (where CIUR wins)", RunF10Profiles},
-		Experiment{"F11", "Ablation: lazy bound inheritance and group refinement", RunF11Ablation},
+		Experiment{"F11", "Ablation: group refinement budget and refinement strategy", RunF11Ablation},
 		Experiment{"F12", "Buffer pool: cold vs warm page accesses", RunF12BufferPool},
 	)
 }
@@ -52,11 +52,9 @@ func RunF10Profiles(cfg Config) error {
 	return nil
 }
 
-// RunF11Ablation toggles the implementation's two main knobs on the same
-// workload: lazy vs eager bound inheritance, and the group refinement
-// budget. Lazy bounds should cut bound evaluations without changing
-// results; a small group budget trades extra node reads for group
-// decisions.
+// RunF11Ablation toggles the implementation's search knobs on the same
+// workload: the group refinement budget and the refinement strategy. A
+// small group budget trades extra node reads for group decisions.
 func RunF11Ablation(cfg Config) error {
 	cfg = cfg.withDefaults()
 	col, queries := fixture(cfg, defaultN/2)
@@ -77,8 +75,7 @@ func RunF11Ablation(cfg Config) error {
 		name string
 		opt  core.Options
 	}{
-		{"lazy (default)", core.Options{K: defaultK, Alpha: defaultAlpha}},
-		{"eager bounds", core.Options{K: defaultK, Alpha: defaultAlpha, EagerBounds: true}},
+		{"default", core.Options{K: defaultK, Alpha: defaultAlpha}},
 		{"group-refine 2", core.Options{K: defaultK, Alpha: defaultAlpha, GroupRefine: 2}},
 		{"group-refine 8", core.Options{K: defaultK, Alpha: defaultAlpha, GroupRefine: 8}},
 		{"entropy strategy", core.Options{K: defaultK, Alpha: defaultAlpha, Strategy: core.RefineByEntropy}},

@@ -123,7 +123,7 @@ func (b *batchTable) load(id storage.NodeID) (*iurtree.Node, error) {
 // neighbor queries in one shared tree traversal. Per-query inputs (the
 // query point/vector, K, BoundTrace, the attribution Tracker) come from
 // the items; everything else — Alpha, Sim, Strategy, GroupRefine,
-// EagerBounds, Workers, Ctx, and the batch-level Tracker the physical
+// Workers, Ctx, and the batch-level Tracker the physical
 // I/O is charged to — comes from opt (opt.K and opt.BoundTrace are
 // ignored). The returned Outcomes are index-aligned with items and
 // bit-identical — Results, Metrics, and traced kNN bounds — to

@@ -58,12 +58,6 @@ type Options struct {
 	// bounds are always performed; 0 expands as soon as rebounds stop
 	// helping.
 	GroupRefine int
-	// EagerBounds disables the lazy bound inheritance: every contributor
-	// of every new candidate group is bounded against the group
-	// immediately at expansion time instead of on first use. Exists for
-	// the DESIGN.md ablation; lazy (false) is strictly better in
-	// practice because pruned groups never pay for tight bounds.
-	EagerBounds bool
 	// Workers bounds the intra-query parallelism: the candidate frontier
 	// is processed in rounds, fanning the per-candidate work (bound
 	// tightening, hit/prune decisions, node reads) across this many
@@ -591,9 +585,6 @@ func (w *worker) buildChildren(parent *iurtree.Entry, children []iurtree.Entry, 
 			g.cl.self = w.scorer.selfPartsInto(w.scratch, child, pg.cluster, cs.Env, cs.Count)
 			// pg was expanded, so its first rebound materialized its list.
 			g.cl.inh = inherited{parent: pg.cl.contributors, siblings: children, sibParts: sibParts, own: i}
-			if w.s.opt.EagerBounds {
-				w.reboundStale(gSide, &g.cl, nil)
-			}
 			groups = append(groups, g)
 		}
 		if len(groups) == 0 {

@@ -93,16 +93,13 @@ func TestRSTkNNMatchesNaive(t *testing.T) {
 		incr     bool
 		strategy core.RefineStrategy
 		group    int
-		eager    bool
 	}{
-		{"iur", 0, false, core.RefineByMaxUpper, 0, false},
-		{"iur-incremental", 0, true, core.RefineByMaxUpper, 0, false},
-		{"iur-group-refine", 0, false, core.RefineByMaxUpper, 2, false},
-		{"iur-eager", 0, false, core.RefineByMaxUpper, 0, true},
-		{"ciur", 6, false, core.RefineByMaxUpper, 0, false},
-		{"ciur-entropy", 6, false, core.RefineByEntropy, 0, false},
-		{"ciur-entropy-group", 6, false, core.RefineByEntropy, 3, false},
-		{"ciur-eager", 6, false, core.RefineByMaxUpper, 0, true},
+		{"iur", 0, false, core.RefineByMaxUpper, 0},
+		{"iur-incremental", 0, true, core.RefineByMaxUpper, 0},
+		{"iur-group-refine", 0, false, core.RefineByMaxUpper, 2},
+		{"ciur", 6, false, core.RefineByMaxUpper, 0},
+		{"ciur-entropy", 6, false, core.RefineByEntropy, 0},
+		{"ciur-entropy-group", 6, false, core.RefineByEntropy, 3},
 	}
 	sims := []vector.TextSim{vector.EJ{}, vector.Cosine{}}
 	for _, cfg := range configs {
@@ -121,7 +118,6 @@ func TestRSTkNNMatchesNaive(t *testing.T) {
 				got, err := core.RSTkNN(tree, q, core.Options{
 					K: k, Alpha: alpha, Sim: sim,
 					Strategy: cfg.strategy, GroupRefine: cfg.group,
-					EagerBounds: cfg.eager,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -179,10 +179,7 @@ func decodeEntry(buf []byte) (Entry, int, error) {
 		if len(e.Clusters) == 0 {
 			return e, 0, fmt.Errorf("derived envelope with no cluster summaries")
 		}
-		e.Env = e.Clusters[0].Env
-		for _, cs := range e.Clusters[1:] {
-			e.Env = vector.Merge(e.Env, cs.Env)
-		}
+		e.Env = mergeClusters(e.Clusters)
 	}
 	return e, off, nil
 }
@@ -194,11 +191,20 @@ func envDerivable(e *Entry) bool {
 	if len(e.Clusters) == 0 {
 		return false
 	}
-	m := e.Clusters[0].Env
-	for _, cs := range e.Clusters[1:] {
-		m = vector.Merge(m, cs.Env)
-	}
+	m := mergeClusters(e.Clusters)
 	return m.Int.Equal(e.Env.Int) && m.Uni.Equal(e.Env.Uni)
+}
+
+// mergeClusters returns the merge of the summaries' envelopes. Its
+// allocation is linear in the summaries' terms: a derived envelope is
+// rebuilt from untrusted bytes, and a pairwise fold over thousands of
+// summaries would allocate quadratically in them.
+func mergeClusters(cs []ClusterSummary) vector.Envelope {
+	es := make([]vector.Envelope, len(cs))
+	for i := range cs {
+		es[i] = cs[i].Env
+	}
+	return vector.MergeAll(es)
 }
 
 func encodeNode(n *Node) []byte {

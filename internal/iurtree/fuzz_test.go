@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"testing"
 
+	"rstknn/internal/allocbound"
 	"rstknn/internal/cluster"
 	"rstknn/internal/storage"
 	"rstknn/internal/vector"
@@ -18,12 +19,17 @@ import (
 // point after one re-encode: the encoder canonicalizes envelope shapes
 // (degenerate/full/derived), so the first re-encode may legitimately
 // shrink the input, but encode(decode(x)) must be stable from then on.
+// The first decode, accepting or rejecting, stays within allocbound.Node.
 func FuzzNodeRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{1, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n1, err := decodeNode(data)
+		var (
+			n1  *Node
+			err error
+		)
+		allocbound.Check(t, allocbound.Node, len(data), func() { n1, err = decodeNode(data) })
 		if err != nil {
 			return
 		}
@@ -48,7 +54,8 @@ func FuzzNodeRoundTrip(f *testing.F) {
 // two must accept and reject the same blobs, an accepted node must agree
 // entry by entry with the private decode and stay cached, so a second
 // shared read returns the very same node, and a rejected one must never
-// be cached. Nothing may panic either way.
+// be cached. Nothing may panic either way, and each read stays within
+// allocbound.Node.
 func FuzzSharedRead(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})
@@ -57,8 +64,12 @@ func FuzzSharedRead(f *testing.F) {
 		store := storage.NewStore()
 		id := store.Put(data)
 		tr := &Snapshot{store: store, boundCache: newBoundCache(16)}
-		n, privErr := tr.ReadNodeTracked(id, nil)
-		s, sharedErr := tr.ReadSharedTracked(id, nil)
+		var (
+			n, s               *Node
+			privErr, sharedErr error
+		)
+		allocbound.Check(t, allocbound.Node, len(data), func() { n, privErr = tr.ReadNodeTracked(id, nil) })
+		allocbound.Check(t, allocbound.Node, len(data), func() { s, sharedErr = tr.ReadSharedTracked(id, nil) })
 		if (privErr == nil) != (sharedErr == nil) {
 			t.Fatalf("reads disagree: private %v, shared %v\nblob: %x", privErr, sharedErr, data)
 		}

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"testing"
 
+	"rstknn/internal/allocbound"
 	"rstknn/internal/cluster"
 	"rstknn/internal/storage"
 	"rstknn/internal/vector"
@@ -127,20 +128,47 @@ func TestBoundCacheGetDoesNotAllocate(t *testing.T) {
 
 // readBlob stores blob on a fresh store and reads it back through both
 // node reads, returning their errors (private decode, shared read) and
-// whether the shared read left the node cached.
-func readBlob(blob []byte) (privErr, sharedErr error, cached bool) {
+// whether the shared read left the node cached. Each read must stay
+// within allocbound.Node.
+func readBlob(t *testing.T, blob []byte) (privErr, sharedErr error, cached bool) {
+	t.Helper()
 	store := storage.NewStore()
 	id := store.Put(blob)
-	t := &Snapshot{store: store, boundCache: newBoundCache(16)}
-	_, privErr = t.ReadNodeTracked(id, nil)
-	_, sharedErr = t.ReadSharedTracked(id, nil)
-	return privErr, sharedErr, t.boundCache.contains(id)
+	tr := &Snapshot{store: store, boundCache: newBoundCache(16)}
+	allocbound.Check(t, allocbound.Node, len(blob), func() { _, privErr = tr.ReadNodeTracked(id, nil) })
+	allocbound.Check(t, allocbound.Node, len(blob), func() { _, sharedErr = tr.ReadSharedTracked(id, nil) })
+	return privErr, sharedErr, tr.boundCache.contains(id)
+}
+
+// TestDerivedEnvelopeDecodeStaysLinear: a derived envelope is rebuilt at
+// decode time from the entry's cluster summaries, whose count the blob
+// chooses (up to 65535). A pairwise fold over them allocated every
+// intermediate union, quadratic in the count: 2,000 one-term summaries
+// (50 KB of blob) asked for about 26 MB.
+func TestDerivedEnvelopeDecodeStaysLinear(t *testing.T) {
+	cs := make([]ClusterSummary, 2000)
+	envs := make([]vector.Envelope, len(cs))
+	for i := range cs {
+		envs[i] = vector.Exact(vector.New(map[vector.TermID]float64{vector.TermID(i): 1}))
+		cs[i] = ClusterSummary{Cluster: int32(i), Count: 1, Env: envs[i]}
+	}
+	entry := Entry{Count: int32(len(cs)), Env: vector.MergeAll(envs), Clusters: cs}
+	blob := encodeNode(&Node{Leaf: true, Entries: []Entry{entry}})
+	if blob[3+32+12] != 2 {
+		t.Fatalf("entry envelope shape %d, want 2 (derived)", blob[3+32+12])
+	}
+	if privErr, sharedErr, _ := readBlob(t, blob); privErr != nil || sharedErr != nil {
+		t.Fatalf("private read %v, shared read %v", privErr, sharedErr)
+	}
 }
 
 // TestCorruptNodeRejectedByBothReads: both node reads must reject every
-// corruption of a node blob — oversized entry counts, truncation at any
-// byte, trailing garbage, and a negative cluster ID — never panic, never
-// accept, and never cache a rejected node.
+// corruption of a node blob — oversized entry and cluster counts,
+// truncation at any byte, trailing garbage, and a negative cluster ID —
+// never panic, never accept, and never cache a rejected node. Rejecting
+// is not enough for an oversized count: a decoder that allocates for the
+// count before checking it against the blob still ends in an error, so
+// readBlob holds every read to the allocation bound.
 func TestCorruptNodeRejectedByBothReads(t *testing.T) {
 	env := vector.Envelope{
 		Int: vector.New(map[vector.TermID]float64{1: 0.5}),
@@ -154,7 +182,7 @@ func TestCorruptNodeRejectedByBothReads(t *testing.T) {
 	blob := encodeNode(n)
 	reject := func(what string, b []byte) {
 		t.Helper()
-		privErr, sharedErr, cached := readBlob(b)
+		privErr, sharedErr, cached := readBlob(t, b)
 		if privErr == nil || sharedErr == nil {
 			t.Errorf("%s accepted: private read %v, shared read %v", what, privErr, sharedErr)
 		}
@@ -162,7 +190,7 @@ func TestCorruptNodeRejectedByBothReads(t *testing.T) {
 			t.Errorf("%s: rejected node left in the bound cache", what)
 		}
 	}
-	if privErr, sharedErr, cached := readBlob(blob); privErr != nil || sharedErr != nil || !cached {
+	if privErr, sharedErr, cached := readBlob(t, blob); privErr != nil || sharedErr != nil || !cached {
 		t.Fatalf("pristine blob: private read %v, shared read %v, cached %v", privErr, sharedErr, cached)
 	}
 
@@ -179,11 +207,20 @@ func TestCorruptNodeRejectedByBothReads(t *testing.T) {
 	// Trailing garbage is corruption too.
 	reject("trailing byte", append(append([]byte(nil), blob...), 0))
 
+	// Oversized cluster count: the first entry's u16 summary count
+	// follows the node header, the entry's rect and three int32s, and
+	// its derived-envelope shape byte.
+	off := 3 + 32 + 12 + 1
+	c = append([]byte(nil), blob...)
+	if got := binary.LittleEndian.Uint16(c[off:]); got != 1 {
+		t.Fatalf("cluster count at offset %d reads %d, want 1", off, got)
+	}
+	binary.LittleEndian.PutUint16(c[off:], 0xFFFF)
+	reject("oversized cluster count", c)
+
 	// A negative cluster ID would index a per-cluster histogram at -1.
-	// The first entry's only summary follows the node header, the
-	// entry's rect and three int32s, its derived-envelope shape byte and
-	// the u16 summary count.
-	off := 3 + 32 + 12 + 1 + 2
+	// The first entry's only summary follows the u16 summary count.
+	off += 2
 	c = append([]byte(nil), blob...)
 	if got := int32(binary.LittleEndian.Uint32(c[off:])); got != 2 {
 		t.Fatalf("cluster ID at offset %d reads %d, want 2", off, got)

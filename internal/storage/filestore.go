@@ -79,9 +79,16 @@ func OpenFileStore(path string, opts ...Option) (*FileStore, error) {
 	var off int64
 	var header [fileRecordHeader]byte
 	for {
-		_, err = f.ReadAt(header[:], off)
-		if err == io.EOF {
+		var n int
+		n, err = f.ReadAt(header[:], off)
+		if err == io.EOF && n == 0 {
 			break
+		}
+		if err == io.EOF {
+			// A torn header: the next append would land after it, and
+			// the reopen scan would then parse it as a record.
+			f.Close() //rstknn:allow errlost best-effort close; the corruption error is returned
+			return nil, fmt.Errorf("storage: torn record header (%d bytes) at %d", n, off)
 		}
 		if err != nil {
 			f.Close() //rstknn:allow errlost best-effort close; the scan error is returned
@@ -93,7 +100,10 @@ func OpenFileStore(path string, opts ...Option) (*FileStore, error) {
 			f.Close() //rstknn:allow errlost best-effort close; the corruption error is returned
 			return nil, fmt.Errorf("storage: corrupt record id %d at %d", id, off)
 		}
-		if size < 0 {
+		// A payload that runs past the end of the file is a torn or
+		// corrupt record; admitting it would let a read size its
+		// buffer from the header alone.
+		if size < 0 || off+fileRecordHeader+int64(size) > st.Size() {
 			f.Close() //rstknn:allow errlost best-effort close; the corruption error is returned
 			return nil, fmt.Errorf("storage: corrupt record size %d at %d", size, off)
 		}

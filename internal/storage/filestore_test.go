@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"rstknn/internal/allocbound"
 )
 
 func newTestFileStore(t *testing.T, opts ...Option) *FileStore {
@@ -112,6 +114,10 @@ func TestFileStoreOpenMissing(t *testing.T) {
 // garbage must fail the reopen scan. The pre-fix scan indexed offsets[id]
 // straight off the decoded value — 0x80000000 flips negative as int32
 // (index panic) and a large positive id grows the index without bound.
+// The scan still ends in an error for an id it has grown the index to
+// (the records below it are missing), so each open is also held to
+// allocbound.FileStore. Ids stay at or below 1<<20: a scan that trusts
+// the id allocates 16 B per id before any check can run.
 func TestFileStoreOpenCorruptID(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "blobs.log")
 	fs, err := CreateFileStore(path)
@@ -132,11 +138,79 @@ func TestFileStoreOpenCorruptID(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o666); err != nil {
 			t.Fatal(err)
 		}
-		if re, err := OpenFileStore(path); err == nil {
+		if re := openWithinBound(t, path, len(data)); re != nil {
 			re.Close()
 			t.Errorf("OpenFileStore accepted corrupt record id %#x", id)
 		}
 	}
+}
+
+// TestFileStoreOpenTornRecord: a record whose declared payload runs past
+// the end of the log (a torn final write, or a corrupt size field), or a
+// log that ends inside a record header, must fail the reopen. The scan
+// used to index the first and leave a later read to allocate the declared
+// size, up to 2 GiB, before finding the file short; it skipped the second,
+// and the next append landed after the torn bytes, so the reopen after it
+// parsed them as a record header.
+func TestFileStoreOpenTornRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "blobs.log")
+	fs, err := CreateFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.Put([]byte("first"))
+	fs.Put([]byte("second"))
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pristine, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re := openWithinBound(t, path, len(pristine)); re == nil {
+		t.Fatal("OpenFileStore rejected a pristine log")
+	} else {
+		re.Close()
+	}
+	second := fileRecordHeader + len("first")
+	for _, c := range []struct {
+		what string
+		data []byte
+	}{
+		{"a log cut inside its last payload", pristine[:len(pristine)-1]},
+		{"a log ending in 3 bytes of a record header", append(append([]byte(nil), pristine...), 1, 0, 0)},
+		{"a size field of 2 GiB - 1", func() []byte {
+			d := append([]byte(nil), pristine...)
+			binary.LittleEndian.PutUint32(d[second+4:], 1<<31-1)
+			return d
+		}()},
+	} {
+		if err := os.WriteFile(path, c.data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		if re := openWithinBound(t, path, len(c.data)); re != nil {
+			re.Close()
+			t.Errorf("OpenFileStore accepted %s", c.what)
+		}
+	}
+}
+
+// openWithinBound opens the n-byte log at path, failing t if the open
+// allocates more than allocbound.FileStore allows. It returns the store,
+// or nil when the open fails.
+func openWithinBound(t *testing.T, path string, n int) *FileStore {
+	t.Helper()
+	var fs *FileStore
+	allocbound.Check(t, allocbound.FileStore, n, func() {
+		if fs != nil { // Check may run the open twice
+			fs.Close()
+		}
+		var err error
+		if fs, err = OpenFileStore(path); err != nil {
+			fs = nil
+		}
+	})
+	return fs
 }
 
 func TestFileStoreCompact(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"testing"
 
+	"rstknn/internal/allocbound"
 	"rstknn/internal/textual"
 )
 
@@ -14,12 +15,19 @@ import (
 // bytes. Loading must never panic, and any input the loader accepts must
 // survive a Save/Load cycle and reach a byte-stable Save after the first
 // normalization (the loader tolerates CSV variations — quoting, \r\n —
-// that Save writes canonically).
+// that Save writes canonically). The first load, accepting or
+// rejecting, stays within allocbound.Vocabulary.
 func FuzzTextualPersist(f *testing.F) {
 	f.Add([]byte("docs,0\n"))
 	f.Add([]byte("docs,3\nsushi,2\nnoodles,1\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v1, err := textual.LoadVocabulary(bytes.NewReader(data))
+		var (
+			v1  *textual.Vocabulary
+			err error
+		)
+		allocbound.Check(t, allocbound.Vocabulary, len(data), func() {
+			v1, err = textual.LoadVocabulary(bytes.NewReader(data))
+		})
 		if err != nil {
 			return
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 )
 
 // Vocabulary persistence. The format is CSV: a header record carrying the
@@ -18,6 +19,8 @@ import (
 //	...
 
 // Save writes the vocabulary (terms in ID order plus corpus statistics).
+// A term holding a carriage return is an error: a CSV reader turns a
+// quoted "\r\n" into "\n", so the term would not load back as written.
 func (v *Vocabulary) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	cw := csv.NewWriter(bw)
@@ -25,6 +28,9 @@ func (v *Vocabulary) Save(w io.Writer) error {
 		return err
 	}
 	for id, term := range v.terms {
+		if strings.ContainsRune(term, '\r') {
+			return fmt.Errorf("textual: term %q holds a carriage return, which CSV does not preserve", term)
+		}
 		if err := cw.Write([]string{term, strconv.Itoa(v.df[id])}); err != nil {
 			return err
 		}
@@ -65,6 +71,9 @@ func LoadVocabulary(r io.Reader) (*Vocabulary, error) {
 		df, err := strconv.Atoi(rec[1])
 		if err != nil {
 			return nil, fmt.Errorf("textual: bad df %q for term %q: %w", rec[1], rec[0], err)
+		}
+		if strings.ContainsRune(rec[0], '\r') {
+			return nil, fmt.Errorf("textual: term %q holds a carriage return", rec[0])
 		}
 		if _, exists := v.ids[rec[0]]; exists {
 			return nil, fmt.Errorf("textual: duplicate term %q in vocabulary", rec[0])

@@ -2,6 +2,7 @@ package textual
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -54,16 +55,28 @@ func TestVocabularySaveLoadEmpty(t *testing.T) {
 
 func TestLoadVocabularyErrors(t *testing.T) {
 	cases := []string{
-		"",                   // no header
-		"nope,3\n",           // wrong header tag
-		"docs,abc\n",         // bad count
-		"docs,1\nterm,xyz\n", // bad df
-		"docs,1\na,1\na,2\n", // duplicate term
+		"",                     // no header
+		"nope,3\n",             // wrong header tag
+		"docs,abc\n",           // bad count
+		"docs,1\nterm,xyz\n",   // bad df
+		"docs,1\na,1\na,2\n",   // duplicate term
+		"docs,0\n\"\r\r\n\",0", // reads as "\r\n", which would save back as "\n"
 	}
 	for _, in := range cases {
 		if _, err := LoadVocabulary(strings.NewReader(in)); err == nil {
 			t.Errorf("LoadVocabulary(%q) should fail", in)
 		}
+	}
+}
+
+// TestSaveRejectsCarriageReturn: CSV does not preserve a carriage return
+// inside a quoted field, so Save must fail rather than write a term that
+// loads back as a different string.
+func TestSaveRejectsCarriageReturn(t *testing.T) {
+	v := NewVocabulary()
+	v.AddDocument([]string{"a\r\nb"})
+	if err := v.Save(io.Discard); err == nil {
+		t.Error("Save accepted a term with a carriage return")
 	}
 }
 

@@ -1,5 +1,11 @@
 package vector
 
+import (
+	"cmp"
+	"math"
+	"slices"
+)
+
 // Envelope is the textual summary an IUR-tree node stores for its subtree:
 // the intersection vector Int (per-term minimum weight over all member
 // documents; a term missing from any member has minimum 0 and is dropped)
@@ -31,17 +37,68 @@ func Merge(a, b Envelope) Envelope {
 	}
 }
 
-// MergeAll folds Merge over a list of envelopes. It returns the zero
-// Envelope when the list is empty.
+// MergeAll merges a list of envelopes in one pass: Int keeps the terms
+// every Int holds, at their minimum weight, and Uni every term, at its
+// maximum weight. The result equals folding Merge over the list (min and
+// max do not depend on order), but a fold allocates every intermediate
+// union, quadratic in the list length, while MergeAll allocates in
+// proportion to the total terms. It returns the zero Envelope when the
+// list is empty and es[0] itself for a list of one.
 func MergeAll(es []Envelope) Envelope {
-	if len(es) == 0 {
+	switch len(es) {
+	case 0:
 		return Envelope{}
+	case 1:
+		return es[0]
 	}
-	acc := es[0]
-	for _, e := range es[1:] {
-		acc = Merge(acc, e)
+	var ints, unis []termWeight
+	for i := range es {
+		ints = es[i].Int.appendPairs(ints)
+		unis = es[i].Uni.appendPairs(unis)
 	}
-	return acc
+	return Envelope{
+		Int: foldPairs(ints, len(es), math.Min),
+		Uni: foldPairs(unis, 1, math.Max),
+	}
+}
+
+type termWeight struct {
+	t TermID
+	w float64
+}
+
+func (v Vector) appendPairs(dst []termWeight) []termWeight {
+	for i, t := range v.terms {
+		dst = append(dst, termWeight{t, v.weights[i]})
+	}
+	return dst
+}
+
+// foldPairs sorts pairs by term and folds each term's weights with pick,
+// keeping the terms that occur at least need times. It compacts the kept
+// terms into the front of pairs before copying them out.
+func foldPairs(pairs []termWeight, need int, pick func(a, b float64) float64) Vector {
+	slices.SortFunc(pairs, func(a, b termWeight) int { return cmp.Compare(a.t, b.t) })
+	kept := pairs[:0]
+	for i := 0; i < len(pairs); {
+		j, w := i+1, pairs[i].w
+		for ; j < len(pairs) && pairs[j].t == pairs[i].t; j++ {
+			w = pick(w, pairs[j].w)
+		}
+		if j-i >= need {
+			kept = append(kept, termWeight{pairs[i].t, w})
+		}
+		i = j
+	}
+	if len(kept) == 0 {
+		return Vector{}
+	}
+	terms := make([]TermID, len(kept))
+	weights := make([]float64, len(kept))
+	for i, p := range kept {
+		terms[i], weights[i] = p.t, p.w
+	}
+	return newVector(terms, weights)
 }
 
 // Contains reports whether vector x lies inside the envelope:

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"testing"
 
+	"rstknn/internal/allocbound"
 	"rstknn/internal/vector"
 )
 
@@ -14,12 +15,19 @@ import (
 // bytes. Decoding must never panic, and any input the decoder accepts
 // must re-encode byte-for-byte (the encoding is canonical: strictly
 // increasing term IDs, weights preserved bit-exactly). The same holds
-// one layer up for envelopes (an intersection/union vector pair).
+// one layer up for envelopes (an intersection/union vector pair). Both
+// decodes, accepting or rejecting, stay within allocbound.Vector.
 func FuzzVectorRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, n, err := vector.DecodeVector(data)
+		var (
+			v   vector.Vector
+			e   vector.Envelope
+			n   int
+			err error
+		)
+		allocbound.Check(t, allocbound.Vector, len(data), func() { v, n, err = vector.DecodeVector(data) })
 		if err == nil {
 			if n > len(data) {
 				t.Fatalf("DecodeVector consumed %d of %d bytes", n, len(data))
@@ -28,7 +36,7 @@ func FuzzVectorRoundTrip(f *testing.F) {
 				t.Fatalf("vector round-trip changed bytes:\n in: %x\nout: %x", data[:n], re)
 			}
 		}
-		e, n, err := vector.DecodeEnvelope(data)
+		allocbound.Check(t, allocbound.Vector, len(data), func() { e, n, err = vector.DecodeEnvelope(data) })
 		if err != nil {
 			return
 		}

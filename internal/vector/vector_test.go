@@ -2,10 +2,13 @@ package vector
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"rstknn/internal/allocbound"
 )
 
 func vec(pairs ...float64) Vector {
@@ -242,21 +245,28 @@ func TestDecodeErrors(t *testing.T) {
 
 // TestDecodeOversizedCount: counts whose byte requirement overflows the
 // old multiplied guard (4 + n*12 wraps at 32-bit int widths) must be
-// rejected by header inspection, never fed to make().
+// rejected by header inspection, never fed to make(). The overflow exists
+// only where int is 32 bits wide, so this test sees a multiplied guard
+// only when run with GOARCH=386 (make test-386); the allocation bound
+// holds the rejection to a few hundred bytes on every platform.
 func TestDecodeOversizedCount(t *testing.T) {
+	reject := func(what string, buf []byte) {
+		t.Helper()
+		var err error
+		allocbound.Check(t, allocbound.Vector, len(buf), func() { _, _, err = DecodeVector(buf) })
+		if err == nil {
+			t.Errorf("DecodeVector accepted %s", what)
+		}
+	}
 	for _, n := range []uint32{0xFFFFFFFF, 0x80000000, 0x15555556} {
 		buf := binary.LittleEndian.AppendUint32(nil, n)
 		buf = append(buf, make([]byte, 64)...)
-		if _, _, err := DecodeVector(buf); err == nil {
-			t.Errorf("DecodeVector accepted count %#x with 64 payload bytes", n)
-		}
+		reject(fmt.Sprintf("count %#x with 64 payload bytes", n), buf)
 	}
 	// One byte short of the declared payload.
 	short := binary.LittleEndian.AppendUint32(nil, 2)
 	short = append(short, make([]byte, 2*(4+8)-1)...)
-	if _, _, err := DecodeVector(short); err == nil {
-		t.Error("DecodeVector accepted a truncated payload")
-	}
+	reject("a truncated payload", short)
 	// The guards must not over-reject: a valid blob still decodes exactly.
 	good := vec(1, 1, 3, 1).AppendBinary(nil)
 	if _, n, err := DecodeVector(good); err != nil || n != len(good) {
@@ -420,6 +430,35 @@ func TestMergeAll(t *testing.T) {
 	}
 	if !e.Uni.Equal(vec(1, 3, 2, 1)) {
 		t.Errorf("Uni = %v", e.Uni)
+	}
+}
+
+// TestMergeAllMatchesFold: the one-pass merge must equal folding Merge
+// over the list, bit for bit, at every list length.
+func TestMergeAllMatchesFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	randVec := func() Vector {
+		m := map[TermID]float64{}
+		for i := rng.Intn(6); i > 0; i-- {
+			m[TermID(rng.Intn(12))] = float64(1+rng.Intn(8)) / 4
+		}
+		return New(m)
+	}
+	for trial := 0; trial < 200; trial++ {
+		es := make([]Envelope, 1+rng.Intn(8))
+		for i := range es {
+			a, b := randVec(), randVec()
+			es[i] = Envelope{Int: a.Min(b), Uni: a.Max(b)}
+		}
+		want := es[0]
+		for _, e := range es[1:] {
+			want = Merge(want, e)
+		}
+		got := MergeAll(es)
+		if !got.Int.Equal(want.Int) || !got.Uni.Equal(want.Uni) ||
+			got.Int.Norm2() != want.Int.Norm2() || got.Uni.Norm2() != want.Uni.Norm2() {
+			t.Fatalf("trial %d: MergeAll = %v, fold = %v", trial, got, want)
+		}
 	}
 }
 
