@@ -9,9 +9,10 @@
 //
 // build creates the directory from a raw-text CSV (id,x,y,free text);
 // insert/delete run one live update through the copy-on-write engine and
-// persist the successor snapshot; compact rewrites the node log dropping
-// superseded blobs. Flag-only invocations keep the original in-memory
-// behavior (see main.go).
+// Save the successor snapshot over the directory; compact reclaims the
+// retired nodes and Saves, so their slots become empty log records.
+// Flag-only invocations keep the original in-memory behavior (see
+// main.go).
 package main
 
 import (
@@ -136,25 +137,6 @@ func runBuild(args []string, out io.Writer) error {
 	return nil
 }
 
-// saveOver persists the engine next to dir and swaps the directories, so
-// the open FileStore under e is never truncated while it is still read.
-func saveOver(e *rstknn.Engine, dir string) error {
-	tmp := dir + ".tmp"
-	if err := os.RemoveAll(tmp); err != nil {
-		return err
-	}
-	if err := e.Save(tmp); err != nil {
-		return err
-	}
-	if err := e.Close(); err != nil {
-		return err
-	}
-	if err := os.RemoveAll(dir); err != nil {
-		return err
-	}
-	return os.Rename(tmp, dir)
-}
-
 // parseXYText splits "x,y,free text" for engine-level queries.
 func parseXYText(s string) (x, y float64, text string, err error) {
 	parts := strings.SplitN(s, ",", 3)
@@ -247,9 +229,9 @@ func runInsert(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	defer e.Close()
 	st, err := e.Insert(rstknn.Object{ID: int32(*id), X: *x, Y: *y, Text: *text})
 	if err != nil {
-		e.Close()
 		return err
 	}
 	fmt.Fprintf(out, "inserted object %d (%d objects total)\n", *id, e.Len())
@@ -257,7 +239,7 @@ func runInsert(args []string, out io.Writer) error {
 	if *stats {
 		printEngineStats(out, e.Stats())
 	}
-	return saveOver(e, *dir)
+	return e.Save(*dir)
 }
 
 func runDelete(args []string, out io.Writer) error {
@@ -277,21 +259,21 @@ func runDelete(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	defer e.Close()
 	found, st, err := e.Delete(int32(*id))
 	if err != nil {
-		e.Close()
 		return err
 	}
 	if !found {
 		fmt.Fprintf(out, "object %d not in the index; nothing to do\n", *id)
-		return e.Close()
+		return nil
 	}
 	fmt.Fprintf(out, "deleted object %d (%d objects remain)\n", *id, e.Len())
 	printUpdateStats(out, st)
 	if *stats {
 		printEngineStats(out, e.Stats())
 	}
-	return saveOver(e, *dir)
+	return e.Save(*dir)
 }
 
 func runCompact(args []string, out io.Writer) error {
@@ -318,11 +300,12 @@ func runCompact(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	defer e.Close()
 	freed := e.Compact()
 	if *stats {
 		printEngineStats(out, e.Stats())
 	}
-	if err := saveOver(e, *dir); err != nil {
+	if err := e.Save(*dir); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "compacted: %d retired nodes reclaimed, node log %d -> %d bytes\n",

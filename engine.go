@@ -62,7 +62,8 @@ type Engine struct {
 	scheme  textual.Scheme
 	measure vector.TextSim
 	vocab   *textual.Vocabulary
-	store   storage.Blobs
+	store   *storage.Store
+	log     *storage.FileStore // the index.log an Open engine reads; nil when built
 	rec     *storage.Reclaimer
 	build   time.Duration
 

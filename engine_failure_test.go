@@ -1,7 +1,11 @@
 package rstknn
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"rstknn/internal/storage"
@@ -20,51 +24,89 @@ func TestQueryStorageErrorReleasesPin(t *testing.T) {
 	if _, err := eng.Query(50, 50, "sushi seafood", 3); err != nil {
 		t.Fatalf("healthy query: %v", err)
 	}
-
-	// Corrupt every stored node blob: the next traversal dies decoding a
-	// node mid-query. Update errors on recycled slots are irrelevant.
-	// Queries read cached decodes, which stay valid because a stored
-	// node never changes in place: its slot is rewritten only after the
-	// reclaimer frees it and evicts its decode. Overwriting live slots
-	// here, the test evicts the decodes as that hook does.
-	store := eng.store.(*storage.Store)
-	garbage := []byte{0xde, 0xad, 0xbe, 0xef}
-	st, unpin := eng.pin()
-	for id := 0; id < store.Len()+8; id++ {
-		_ = store.Update(storage.NodeID(id), garbage)
-		st.tree.InvalidateNode(storage.NodeID(id))
+	dir := filepath.Join(t.TempDir(), "idx")
+	if err := eng.Save(dir); err != nil {
+		t.Fatal(err)
 	}
-	unpin()
-	if _, err := eng.Query(50, 50, "sushi seafood", 3); err == nil {
+
+	// Corrupt every node record of the saved log, keeping the header:
+	// the engine opens, and its first traversal dies decoding a node
+	// read from disk mid-query.
+	corruptNodeRecords(t, dir)
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if _, err := re.Query(50, 50, "sushi seafood", 3); err == nil {
 		t.Fatal("query over corrupted storage succeeded")
 	}
 
 	// The failed query must not leak its pin.
-	if pins := eng.rec.Stats().Pins; pins != 0 {
+	if pins := re.rec.Stats().Pins; pins != 0 {
 		t.Fatalf("failed query left %d pins registered", pins)
 	}
 
 	// With the frontier clear, retirement reclaims immediately.
-	doomed := store.Put([]byte("doomed"))
-	eng.rec.Retire([]storage.NodeID{doomed})
-	if p := eng.rec.Stats().Pending; p != 0 {
+	doomed := re.store.Put([]byte("doomed"))
+	re.rec.Retire([]storage.NodeID{doomed})
+	if p := re.rec.Stats().Pending; p != 0 {
 		t.Fatalf("pending = %d after retire with no pins, want 0", p)
 	}
-	if _, err := store.GetTracked(doomed, nil); err == nil {
+	if _, err := re.store.GetTracked(doomed, nil); err == nil {
 		t.Fatal("retired node is still readable; it should have been freed")
 	}
 
 	// Contrast: a live pin does hold the frontier — proving the previous
 	// assertions measured the release, not a reclaimer that frees
 	// unconditionally.
-	_, release := eng.pin()
-	parked := store.Put([]byte("parked"))
-	eng.rec.Retire([]storage.NodeID{parked})
-	if p := eng.rec.Stats().Pending; p != 1 {
+	_, release := re.pin()
+	parked := re.store.Put([]byte("parked"))
+	re.rec.Retire([]storage.NodeID{parked})
+	if p := re.rec.Stats().Pending; p != 1 {
 		t.Fatalf("pending = %d under a live pin, want 1", p)
 	}
 	release()
-	if p := eng.rec.Stats().Pending; p != 0 {
+	if p := re.rec.Stats().Pending; p != 0 {
 		t.Fatalf("pending = %d after release, want 0", p)
+	}
+}
+
+// corruptNodeRecords overwrites the payload of every record in dir's
+// index.log but the tree header's with 0xff bytes, keeping each record's
+// size.
+func corruptNodeRecords(t *testing.T, dir string) {
+	t.Helper()
+	buf, err := os.ReadFile(filepath.Join(dir, "meta.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta persistMeta
+	if err := json.Unmarshal(buf, &meta); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "index.log")
+	log, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := 0
+	for off := 0; off < len(log); {
+		id := int32(binary.LittleEndian.Uint32(log[off:]))
+		size := int(binary.LittleEndian.Uint32(log[off+4:]))
+		off += 8
+		if id != meta.HeaderID && size > 0 {
+			for i := off; i < off+size; i++ {
+				log[i] = 0xff
+			}
+			nodes++
+		}
+		off += size
+	}
+	if nodes == 0 {
+		t.Fatal("index.log holds no node record")
+	}
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -35,11 +35,11 @@ var (
 	// and an 8 B weight per 12-byte pair read 1.0 to 1.1 B per byte
 	// (allocation size classes); a rejection's error about 200 B.
 	Vector = Bound{PerByte: 4, Base: 1024}
-	// FileStore covers storage.OpenFileStore. The offset index holds
-	// 16 B per record and a log of empty records is 8 B per record, so
-	// growing the index one record at a time reads up to 11.2 B per log
-	// byte (100,000 empty records); opening the file costs about 600 B.
-	FileStore = Bound{PerByte: 24, Base: 4096}
+	// FileStore covers storage.OpenFileStore. The slot table holds
+	// 40 B per record, allocated once at its final size, and a log of
+	// empty records is 8 B per record: 5.0 B per log byte (100,000
+	// empty records); opening the file costs about 600 B.
+	FileStore = Bound{PerByte: 10, Base: 4096}
 	// Vocabulary covers textual.LoadVocabulary. Terms of one or two
 	// characters ("ab,1\n") cost 45 B of map and slices per input byte,
 	// a line of bare commas 107 B of CSV fields per byte before the

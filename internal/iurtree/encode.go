@@ -248,9 +248,9 @@ func decodeNode(buf []byte) (*Node, error) {
 	return n, nil
 }
 
-// Save serializes the tree header onto the store and returns its NodeID,
-// allowing the tree to be reopened with Open against the same store.
-func (t *Snapshot) Save() storage.NodeID {
+// Header encodes the tree header. Stored under some NodeID, it lets
+// Open reopen the tree against a store holding the tree's nodes.
+func (t *Snapshot) Header() []byte {
 	buf := make([]byte, 0, 128)
 	buf = append(buf, headerMagic...)
 	buf = binary.LittleEndian.AppendUint16(buf, headerVersion)
@@ -259,11 +259,11 @@ func (t *Snapshot) Save() storage.NodeID {
 	}
 	buf = appendRect(buf, t.space)
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.maxD))
-	buf = appendEntry(buf, &t.rootEntry)
-	return t.store.Put(buf)
+	return appendEntry(buf, &t.rootEntry)
 }
 
-// Open reopens a tree previously Saved under headerID on the given store.
+// Open reopens a tree from the Header stored under headerID on the given
+// store.
 func Open(store storage.Blobs, headerID storage.NodeID) (*Snapshot, error) {
 	// A one-time header read at open, before any query exists: no
 	// tracker to charge.

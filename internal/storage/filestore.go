@@ -1,14 +1,16 @@
 package storage
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 )
 
-// File-backed mode: blobs live in an append-only log file instead of
-// memory, so a sealed index survives the process. The simulated-I/O
+// File-backed mode: a Store whose slots start out as the records of a log
+// file, so a sealed index survives the process. The simulated-I/O
 // accounting is identical to the in-memory store (the page counters model
 // the paper's cost metric, not the host filesystem).
 //
@@ -18,391 +20,156 @@ import (
 //	u32 payload length
 //	payload bytes
 //
-// Update appends a new record under the same ID; the highest-offset
-// record wins on reopen. Compact rewrites the log dropping superseded
-// records.
-
-// FileStore is a Store whose blobs are persisted to a log file. It keeps
-// only the offset index in memory.
-type FileStore struct {
-	Store // embedded for options plumbing; blobs field unused
-
-	f       *os.File
-	path    string
-	offsets []recordRef // indexed by NodeID
-}
-
-type recordRef struct {
-	off  int64
-	size int32
-}
+// Record i carries node ID i, and a freed slot is an empty record.
+// WriteLog is the only writer of a log. An opened log is read-only: a
+// slot reads its record until a Free and a later Put reuse it, and every
+// Put lands in memory, as in a NewStore. Those writes reach a log only
+// when WriteLog writes a new one.
 
 const fileRecordHeader = 8
 
-// CreateFileStore creates (or truncates) a log file and returns an empty
-// file-backed store.
-func CreateFileStore(path string, opts ...Option) (*FileStore, error) {
-	f, err := os.Create(path)
+// FileStore is a Store opened from a log file. It keeps only the record
+// offsets in memory, plus whatever is Put after the open.
+type FileStore struct {
+	*Store
+
+	f    *os.File
+	path string
+}
+
+// OpenFileStore opens a log written by WriteLog, indexing its records
+// from their headers. It accepts only the layout WriteLog writes:
+// record i carries ID i, and every record lies inside the file.
+func OpenFileStore(path string, opts ...Option) (*FileStore, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	fs := &FileStore{f: f, path: path}
-	fs.pageSize = DefaultPageSize
-	for _, o := range opts {
-		o(&fs.Store)
+	fs := &FileStore{Store: NewStore(opts...), f: f, path: path}
+	fs.log = f
+	if err := fs.scan(); err != nil {
+		f.Close() //rstknn:allow errlost best-effort close; the scan error is returned
+		return nil, fmt.Errorf("storage: %s: %w", path, err)
 	}
 	return fs, nil
 }
 
-// OpenFileStore reopens an existing log file, rebuilding the offset index
-// by scanning the records.
-func OpenFileStore(path string, opts ...Option) (*FileStore, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
+// scan builds the slot table from the log's record headers: one pass to
+// check them and count the records, so the table is allocated once at
+// its final size, and one to fill it.
+func (fs *FileStore) scan() error {
+	st, err := fs.f.Stat()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	fs := &FileStore{f: f, path: path}
-	fs.pageSize = DefaultPageSize
-	for _, o := range opts {
-		o(&fs.Store)
-	}
-	st, err := f.Stat()
+	n, err := scanLog(fs.f, st.Size(), nil)
 	if err != nil {
-		f.Close() //rstknn:allow errlost best-effort close; the stat error is returned
-		return nil, fmt.Errorf("storage: stat %s: %w", path, err)
+		return err
 	}
-	// Every record needs at least a header, so no valid id can reach
-	// size/fileRecordHeader — checking decoded ids against it bounds the
-	// offset index (and the append loop growing it) by the file size,
-	// whatever a corrupt header claims.
-	maxID := st.Size() / fileRecordHeader
-	var off int64
+	fs.slots = make([]slot, n)
+	m, err := scanLog(fs.f, st.Size(), fs.slots)
+	if err == nil && m != n {
+		err = fmt.Errorf("log changed while opening: %d records, then %d", n, m)
+	}
+	return err
+}
+
+// scanLog checks the record headers of a log of the given size and
+// returns the record count. It fills the first len(slots) slots with the
+// records' payload offsets and sizes.
+func scanLog(r io.ReaderAt, size int64, slots []slot) (int, error) {
 	var header [fileRecordHeader]byte
-	for {
-		var n int
-		n, err = f.ReadAt(header[:], off)
-		if err == io.EOF && n == 0 {
-			break
+	i := 0
+	for off := int64(0); off < size; i++ {
+		if size-off < fileRecordHeader {
+			return 0, fmt.Errorf("torn record header (%d bytes) at %d", size-off, off)
 		}
-		if err == io.EOF {
-			// A torn header: the next append would land after it, and
-			// the reopen scan would then parse it as a record.
-			f.Close() //rstknn:allow errlost best-effort close; the corruption error is returned
-			return nil, fmt.Errorf("storage: torn record header (%d bytes) at %d", n, off)
+		if _, err := r.ReadAt(header[:], off); err != nil {
+			return 0, fmt.Errorf("reading record header at %d: %w", off, err)
 		}
-		if err != nil {
-			f.Close() //rstknn:allow errlost best-effort close; the scan error is returned
-			return nil, fmt.Errorf("storage: scanning %s at %d: %w", path, off, err)
-		}
-		id := NodeID(binary.LittleEndian.Uint32(header[0:]))
-		size := int32(binary.LittleEndian.Uint32(header[4:]))
-		if id < 0 || int64(id) >= maxID {
-			f.Close() //rstknn:allow errlost best-effort close; the corruption error is returned
-			return nil, fmt.Errorf("storage: corrupt record id %d at %d", id, off)
+		// Checking the id against the record's position bounds the
+		// slot table by the number of records actually read, whatever
+		// a corrupt header claims.
+		if id := binary.LittleEndian.Uint32(header[0:]); id != uint32(i) {
+			return 0, fmt.Errorf("record %d at %d carries id %d", i, off, id)
 		}
 		// A payload that runs past the end of the file is a torn or
 		// corrupt record; admitting it would let a read size its
 		// buffer from the header alone.
-		if size < 0 || off+fileRecordHeader+int64(size) > st.Size() {
-			f.Close() //rstknn:allow errlost best-effort close; the corruption error is returned
-			return nil, fmt.Errorf("storage: corrupt record size %d at %d", size, off)
+		n := int64(binary.LittleEndian.Uint32(header[4:]))
+		off += fileRecordHeader
+		if n > size-off || n > math.MaxInt32 {
+			return 0, fmt.Errorf("corrupt record size %d at %d", n, off-fileRecordHeader)
 		}
-		for int(id) >= len(fs.offsets) {
-			fs.offsets = append(fs.offsets, recordRef{off: -1})
+		if i < len(slots) {
+			slots[i] = slot{off: off, size: int32(n)}
 		}
-		fs.offsets[id] = recordRef{off: off + fileRecordHeader, size: size}
-		off += fileRecordHeader + int64(size)
+		off += n
 	}
-	for i, r := range fs.offsets {
-		if r.off < 0 {
-			f.Close() //rstknn:allow errlost best-effort close; the missing-record error is returned
-			return nil, fmt.Errorf("storage: missing record for node %d", i)
-		}
-	}
-	return fs, nil
+	return i, nil
 }
 
-// Close flushes and closes the log file.
+// Close closes the log file.
 func (fs *FileStore) Close() error { return fs.f.Close() }
 
 // Path returns the log file path.
 func (fs *FileStore) Path() string { return fs.path }
 
-// Len returns the number of stored blobs.
-func (fs *FileStore) Len() int {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	return len(fs.offsets)
-}
+// WriteLog writes the store's blobs to a new log at path, slot i as
+// record i and a freed slot as an empty record, and with them extra, a
+// blob the store does not hold, under the ID the store's next Put would
+// take. It returns that ID. The bytes are copied from memory or from the
+// opened log directly, so WriteLog charges no I/O and leaves the buffer
+// pool alone. The log is written under a temporary name and renamed over
+// path: a store opened on path keeps reading the file it opened.
+func (s *Store) WriteLog(path string, extra []byte) (NodeID, error) {
+	s.mu.RLock()
+	slots := append([]slot(nil), s.slots...)
+	id := s.free
+	s.mu.RUnlock()
+	if id == InvalidNode {
+		id = NodeID(len(slots))
+		slots = append(slots, slot{})
+	}
+	slots[id] = slot{data: extra, size: int32(len(extra))}
 
-// Put appends a new blob and returns its NodeID, reusing a freed slot
-// when one is available.
-func (fs *FileStore) Put(data []byte) NodeID { return fs.PutTracked(data, nil) }
-
-// PutTracked is Put with per-writer attribution: the write I/O lands on
-// the global counters and, when tr is non-nil, on the caller's tracker.
-func (fs *FileStore) PutTracked(data []byte, tr *Tracker) NodeID {
-	fs.mu.Lock()
-	id, reused := fs.takeFreeSlot()
-	if !reused {
-		id = NodeID(len(fs.offsets))
-	}
-	if err := fs.append(id, data); err != nil {
-		// The in-memory Store's Put cannot fail; keep the signature and
-		// surface the failure at the next read instead.
-		if !reused {
-			fs.offsets = append(fs.offsets, recordRef{off: -1})
-			fs.ensureSlotState(len(fs.offsets))
-		} else {
-			fs.offsets[id] = recordRef{off: -1}
-		}
-		fs.mu.Unlock()
-		return id
-	}
-	if !reused {
-		fs.ensureSlotState(len(fs.offsets))
-	}
-	fs.mu.Unlock()
-	fs.stats.chargeWrite(int64(fs.pagesFor(len(data))), tr)
-	if fs.cache != nil {
-		fs.cache.put(id, cloneBytes(data), fs.pagesFor(len(data)))
-	}
-	return id
-}
-
-// Retire marks the blob as superseded garbage: still readable for
-// pinned snapshots, excluded from LivePages/LiveBytes.
-func (fs *FileStore) Retire(id NodeID) {
-	fs.mu.Lock()
-	fs.markRetired(id, len(fs.offsets))
-	fs.mu.Unlock()
-}
-
-// Free reclaims a slot: reads return ErrFreed and the ID is recycled by
-// a later Put. The superseded record stays in the log until Compact
-// rewrites it as an empty tombstone (ID density is required on reopen).
-func (fs *FileStore) Free(id NodeID) error {
-	fs.mu.Lock()
-	if int(id) < 0 || int(id) >= len(fs.offsets) {
-		fs.mu.Unlock()
-		return fmt.Errorf("storage: free of unknown node %d", id)
-	}
-	if !fs.markFreed(id, len(fs.offsets)) {
-		fs.mu.Unlock()
-		return fmt.Errorf("storage: double free of node %d: %w", id, ErrFreed)
-	}
-	fs.mu.Unlock()
-	if fs.cache != nil {
-		fs.cache.remove(id)
-	}
-	return nil
-}
-
-// Update replaces the blob stored under id by appending a fresh record.
-func (fs *FileStore) Update(id NodeID, data []byte) error {
-	fs.mu.Lock()
-	if int(id) < 0 || int(id) >= len(fs.offsets) {
-		fs.mu.Unlock()
-		return fmt.Errorf("storage: update of unknown node %d", id)
-	}
-	if fs.slotFreed(id) {
-		fs.mu.Unlock()
-		return fmt.Errorf("storage: update of node %d: %w", id, ErrFreed)
-	}
-	// append overwrites fs.offsets[id] only on success, so a failed
-	// update leaves the previous record visible.
-	prev := fs.offsets[id]
-	if err := fs.append(id, data); err != nil {
-		fs.offsets[id] = prev
-		fs.mu.Unlock()
-		return err
-	}
-	fs.mu.Unlock()
-	fs.stats.chargeWrite(int64(fs.pagesFor(len(data))), nil)
-	if fs.cache != nil {
-		fs.cache.put(id, cloneBytes(data), fs.pagesFor(len(data)))
-	}
-	return nil
-}
-
-// append writes a record at the end of the log and records its offset.
-// Caller holds the lock.
-func (fs *FileStore) append(id NodeID, data []byte) error {
-	end, err := fs.f.Seek(0, io.SeekEnd)
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
-		return err
+		return InvalidNode, err
 	}
+	err = s.writeRecords(f, slots)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp) //rstknn:allow errlost best-effort cleanup; the write error is returned
+		return InvalidNode, err
+	}
+	return id, nil
+}
+
+// writeRecords writes slots to w as log records.
+func (s *Store) writeRecords(w io.Writer, slots []slot) error {
+	bw := bufio.NewWriter(w)
 	var header [fileRecordHeader]byte
-	binary.LittleEndian.PutUint32(header[0:], uint32(id))
-	binary.LittleEndian.PutUint32(header[4:], uint32(len(data)))
-	if _, err := fs.f.Write(header[:]); err != nil {
-		return err
-	}
-	if _, err := fs.f.Write(data); err != nil {
-		return err
-	}
-	ref := recordRef{off: end + fileRecordHeader, size: int32(len(data))}
-	if int(id) == len(fs.offsets) {
-		fs.offsets = append(fs.offsets, ref)
-	} else {
-		fs.offsets[id] = ref
-	}
-	return nil
-}
-
-// GetTracked returns the blob stored under id, charging simulated I/O
-// unless the buffer pool holds it. The charge lands on the global
-// counters and, when tr is non-nil, on the caller's tracker.
-// os.File.ReadAt is safe for concurrent use, so readers only share-lock
-// the offset index.
-func (fs *FileStore) GetTracked(id NodeID, tr *Tracker) ([]byte, error) {
-	fs.mu.RLock()
-	if int(id) < 0 || int(id) >= len(fs.offsets) {
-		fs.mu.RUnlock()
-		return nil, fmt.Errorf("storage: read of unknown node %d", id)
-	}
-	if fs.slotFreed(id) {
-		fs.mu.RUnlock()
-		return nil, fmt.Errorf("storage: read of node %d: %w", id, ErrFreed)
-	}
-	ref := fs.offsets[id]
-	fs.mu.RUnlock()
-	if fs.cache != nil {
-		if b, ok := fs.cache.get(id); ok {
-			fs.stats.chargeHit(tr)
-			return b, nil
+	for id := range slots {
+		sl := &slots[id]
+		binary.LittleEndian.PutUint32(header[0:], uint32(id))
+		binary.LittleEndian.PutUint32(header[4:], uint32(sl.size))
+		if _, err := bw.Write(header[:]); err != nil {
+			return err
 		}
-	}
-	if ref.off < 0 {
-		return nil, fmt.Errorf("storage: node %d has no durable record (failed write?)", id)
-	}
-	buf := make([]byte, ref.size)
-	if _, err := fs.f.ReadAt(buf, ref.off); err != nil {
-		return nil, fmt.Errorf("storage: reading node %d: %w", id, err)
-	}
-	fs.stats.chargeRead(int64(fs.pagesFor(len(buf))), tr)
-	if fs.cache != nil {
-		fs.cache.put(id, buf, fs.pagesFor(len(buf)))
-	}
-	return buf, nil
-}
-
-// TotalPages returns the page footprint of every non-freed blob
-// (log records superseded by Update are not counted; see Compact).
-func (fs *FileStore) TotalPages() int64 {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	var n int64
-	for id, r := range fs.offsets {
-		if fs.slotFreed(NodeID(id)) {
-			continue
-		}
-		n += int64(fs.pagesFor(int(r.size)))
-	}
-	return n
-}
-
-// TotalBytes returns the payload bytes of every non-freed blob.
-func (fs *FileStore) TotalBytes() int64 {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	var n int64
-	for id, r := range fs.offsets {
-		if fs.slotFreed(NodeID(id)) {
-			continue
-		}
-		n += int64(r.size)
-	}
-	return n
-}
-
-// LivePages returns the page footprint of the blobs the current index
-// version references (TotalPages minus retired garbage).
-func (fs *FileStore) LivePages() int64 {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	var n int64
-	for id, r := range fs.offsets {
-		if fs.slotFreed(NodeID(id)) || fs.slotRetired(NodeID(id)) {
-			continue
-		}
-		n += int64(fs.pagesFor(int(r.size)))
-	}
-	return n
-}
-
-// LiveBytes returns the payload bytes of the live blobs.
-func (fs *FileStore) LiveBytes() int64 {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	var n int64
-	for id, r := range fs.offsets {
-		if fs.slotFreed(NodeID(id)) || fs.slotRetired(NodeID(id)) {
-			continue
-		}
-		n += int64(r.size)
-	}
-	return n
-}
-
-// Compact rewrites the log keeping only the live record of every node,
-// reclaiming space left by updates. The store remains usable afterwards.
-func (fs *FileStore) Compact() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	tmpPath := fs.path + ".compact"
-	tmp, err := os.Create(tmpPath)
-	if err != nil {
-		return err
-	}
-	newOffsets := make([]recordRef, len(fs.offsets))
-	var off int64
-	for id, ref := range fs.offsets {
-		var buf []byte
-		if !fs.slotFreed(NodeID(id)) {
-			buf = make([]byte, ref.size)
-			if _, err := fs.f.ReadAt(buf, ref.off); err != nil {
-				tmp.Close()        //rstknn:allow errlost best-effort cleanup; the read error is returned
-				os.Remove(tmpPath) //rstknn:allow errlost best-effort cleanup; the read error is returned
+		if !sl.inLog() {
+			if _, err := bw.Write(sl.data); err != nil {
 				return err
 			}
+		} else if _, err := io.CopyN(bw, io.NewSectionReader(s.log, sl.off, int64(sl.size)), int64(sl.size)); err != nil {
+			return fmt.Errorf("storage: copying node %d: %w", id, err)
 		}
-		// Freed slots compact to empty tombstone records: reopening
-		// requires every ID to be present, and a zero payload keeps the
-		// slot's accounting at zero until Put recycles it.
-		var header [fileRecordHeader]byte
-		binary.LittleEndian.PutUint32(header[0:], uint32(id))
-		binary.LittleEndian.PutUint32(header[4:], uint32(len(buf)))
-		if _, err := tmp.Write(header[:]); err != nil {
-			tmp.Close()        //rstknn:allow errlost best-effort cleanup; the write error is returned
-			os.Remove(tmpPath) //rstknn:allow errlost best-effort cleanup; the write error is returned
-			return err
-		}
-		if _, err := tmp.Write(buf); err != nil {
-			tmp.Close()        //rstknn:allow errlost best-effort cleanup; the write error is returned
-			os.Remove(tmpPath) //rstknn:allow errlost best-effort cleanup; the write error is returned
-			return err
-		}
-		newOffsets[id] = recordRef{off: off + fileRecordHeader, size: int32(len(buf))}
-		off += fileRecordHeader + int64(len(buf))
 	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := fs.f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpPath, fs.path); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(fs.path, os.O_RDWR, 0)
-	if err != nil {
-		return err
-	}
-	fs.f = f
-	fs.offsets = newOffsets
-	if fs.cache != nil {
-		fs.cache.clear()
-	}
-	return nil
+	return bw.Flush()
 }

@@ -11,9 +11,25 @@ import (
 	"rstknn/internal/allocbound"
 )
 
-func newTestFileStore(t *testing.T, opts ...Option) *FileStore {
+// writeTestLog writes blobs to a new log at path through WriteLog, the
+// last one as its extra blob, so record i holds blobs[i].
+func writeTestLog(t *testing.T, path string, blobs ...[]byte) {
 	t.Helper()
-	fs, err := CreateFileStore(filepath.Join(t.TempDir(), "blobs.log"), opts...)
+	s := NewStore()
+	for _, b := range blobs[:len(blobs)-1] {
+		s.Put(b)
+	}
+	if _, err := s.WriteLog(path, blobs[len(blobs)-1]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// openTestLog writes blobs to a log and opens it.
+func openTestLog(t *testing.T, opts []Option, blobs ...[]byte) *FileStore {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "blobs.log")
+	writeTestLog(t, path, blobs...)
+	fs, err := OpenFileStore(path, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,27 +37,39 @@ func newTestFileStore(t *testing.T, opts ...Option) *FileStore {
 	return fs
 }
 
+// checkBlobs fails t unless s serves want[i] under ID i.
+func checkBlobs(t *testing.T, s Blobs, want [][]byte) {
+	t.Helper()
+	if s.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", s.Len(), len(want))
+	}
+	for id, w := range want {
+		got, err := s.GetTracked(NodeID(id), nil)
+		if err != nil || !bytes.Equal(got, w) {
+			t.Errorf("blob %d = %q, %v; want %q", id, got, err, w)
+		}
+	}
+}
+
 func TestFileStoreImplementsBlobs(t *testing.T) {
-	var _ Blobs = newTestFileStore(t)
+	var _ Blobs = openTestLog(t, nil, []byte("x"))
 	var _ Blobs = NewStore()
 }
 
 func TestFileStorePutGet(t *testing.T) {
-	fs := newTestFileStore(t, WithPageSize(100))
-	a := fs.Put([]byte("alpha"))
-	b := fs.Put(make([]byte, 250))
-	got, err := fs.GetTracked(a, nil)
+	fs := openTestLog(t, []Option{WithPageSize(100)}, []byte("alpha"), make([]byte, 250))
+	got, err := fs.GetTracked(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, []byte("alpha")) {
-		t.Errorf("Get(a) = %q", got)
+		t.Errorf("Get(0) = %q", got)
 	}
 	if fs.Len() != 2 {
 		t.Errorf("Len = %d", fs.Len())
 	}
 	fs.ResetStats()
-	fs.GetTracked(b, nil)
+	fs.GetTracked(1, nil)
 	st := fs.Stats()
 	if st.Reads != 1 || st.PagesRead != 3 {
 		t.Errorf("I/O accounting: %+v", st)
@@ -49,59 +77,134 @@ func TestFileStorePutGet(t *testing.T) {
 	if _, err := fs.GetTracked(NodeID(99), nil); err == nil {
 		t.Error("unknown node should fail")
 	}
-}
-
-func TestFileStoreUpdate(t *testing.T) {
-	fs := newTestFileStore(t)
-	id := fs.Put([]byte("v1"))
-	if err := fs.Update(id, []byte("version-two")); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := fs.GetTracked(id, nil)
-	if !bytes.Equal(got, []byte("version-two")) {
-		t.Errorf("after update: %q", got)
-	}
-	if err := fs.Update(NodeID(42), nil); err == nil {
-		t.Error("update of unknown node should fail")
+	id := fs.Put([]byte("gamma"))
+	if got, err := fs.GetTracked(id, nil); err != nil || string(got) != "gamma" {
+		t.Errorf("Put after open: %q, %v", got, err)
 	}
 }
 
+// TestFileStoreReopen writes a store with freed slots, reopens it,
+// then writes the opened store — log slots, a recycled slot and a new
+// one — back and reopens that.
 func TestFileStoreReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "blobs.log")
-	fs, err := CreateFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []NodeID
+	dir := t.TempDir()
+	path := filepath.Join(dir, "blobs.log")
+	s := NewStore()
+	var want [][]byte
 	for i := 0; i < 20; i++ {
-		ids = append(ids, fs.Put([]byte(fmt.Sprintf("blob-%d", i))))
+		want = append(want, []byte(fmt.Sprintf("blob-%d", i)))
+		s.Put(want[i])
 	}
-	fs.Update(ids[3], []byte("blob-3-updated"))
-	if err := fs.Close(); err != nil {
-		t.Fatal(err)
+	for _, id := range []NodeID{3, 7} {
+		s.Retire(id)
+		if err := s.Free(id); err != nil {
+			t.Fatal(err)
+		}
 	}
-
+	want[3], want[7] = nil, []byte("extra")
+	if id, err := s.WriteLog(path, want[7]); err != nil || id != 7 {
+		t.Fatalf("WriteLog = %d, %v; want the last freed slot 7", id, err)
+	}
 	re, err := OpenFileStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Len() != 20 {
-		t.Fatalf("reopened Len = %d", re.Len())
+	checkBlobs(t, re, want)
+
+	re.Retire(5)
+	if err := re.Free(5); err != nil {
+		t.Fatal(err)
 	}
-	for i, id := range ids {
-		want := fmt.Sprintf("blob-%d", i)
-		if i == 3 {
-			want = "blob-3-updated"
-		}
-		got, err := re.GetTracked(id, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != want {
-			t.Errorf("blob %d = %q, want %q", i, got, want)
-		}
+	want[5] = []byte("recycled")
+	if id := re.Put(want[5]); id != 5 {
+		t.Fatalf("Put took slot %d, want the freed slot 5", id)
 	}
+	re.Put([]byte("appended"))
+	want = append(want, []byte("appended"), []byte("header"))
+	again := filepath.Join(dir, "again.log")
+	if id, err := re.WriteLog(again, want[21]); err != nil || id != 21 {
+		t.Fatalf("WriteLog = %d, %v; want a new slot 21", id, err)
+	}
+	re2, err := OpenFileStore(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re2.Close()
+	checkBlobs(t, re2, want)
+}
+
+// TestFileStoreWritesStayInMemory: every write to an opened store lands
+// in memory. The log file stays byte-identical, and reopening it serves
+// the blobs it was opened with.
+func TestFileStoreWritesStayInMemory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "blobs.log")
+	want := [][]byte{[]byte("zero"), []byte("one"), []byte("two")}
+	writeTestLog(t, path, want...)
+	pristine, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.Retire(1)
+	if err := fs.Free(1); err != nil {
+		t.Fatal(err)
+	}
+	if id := fs.Put([]byte("recycled")); id != 1 {
+		t.Fatalf("Put took slot %d, want the freed slot 1", id)
+	}
+	fresh := fs.Put([]byte("fresh"))
+	checkBlobs(t, fs, [][]byte{want[0], []byte("recycled"), want[2], []byte("fresh")})
+	if err := fs.Free(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, pristine) {
+		t.Fatalf("writes to an opened store changed its log: %q -> %q (%v)", pristine, after, err)
+	}
+	re, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	checkBlobs(t, re, want)
+}
+
+// TestWriteLogOverOpenedLog: WriteLog onto the path a store was opened
+// from replaces the file, and the store keeps serving the one it
+// opened. WriteLog charges no I/O and leaves the buffer pool as it was.
+func TestWriteLogOverOpenedLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "blobs.log")
+	want := [][]byte{[]byte("zero"), []byte("one"), []byte("two")}
+	writeTestLog(t, path, want...)
+	fs, err := OpenFileStore(path, WithPageSize(64), WithBufferPool(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	fs.GetTracked(0, nil)
+	before := fs.Stats()
+	if _, err := fs.WriteLog(path, []byte("three")); err != nil {
+		t.Fatal(err)
+	}
+	if got := fs.Stats(); got != before {
+		t.Errorf("WriteLog moved the I/O counters: %+v -> %+v", before, got)
+	}
+	checkBlobs(t, fs, want)
+	if got := fs.Stats().Sub(before); got.CacheHits != 1 || got.Reads != 2 {
+		t.Errorf("reads after WriteLog: %+v, want blob 0 pooled and 1, 2 cold", got)
+	}
+	re, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	checkBlobs(t, re, append(want, []byte("three")))
 }
 
 func TestFileStoreOpenMissing(t *testing.T) {
@@ -110,29 +213,21 @@ func TestFileStoreOpenMissing(t *testing.T) {
 	}
 }
 
-// TestFileStoreOpenCorruptID: a record header whose node ID field holds
-// garbage must fail the reopen scan. The pre-fix scan indexed offsets[id]
-// straight off the decoded value — 0x80000000 flips negative as int32
-// (index panic) and a large positive id grows the index without bound.
-// The scan still ends in an error for an id it has grown the index to
-// (the records below it are missing), so each open is also held to
-// allocbound.FileStore. Ids stay at or below 1<<20: a scan that trusts
-// the id allocates 16 B per id before any check can run.
+// TestFileStoreOpenCorruptID: a record whose node ID field is not its
+// position in the log must fail the open. An early scan indexed
+// offsets[id] straight off the decoded value — 0x80000000 flips negative
+// as int32 (index panic) and a large positive id grew the index without
+// bound — so each open is also held to allocbound.FileStore. A log that
+// repeats an ID, the layout an append-on-update log once wrote, is
+// rejected too.
 func TestFileStoreOpenCorruptID(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "blobs.log")
-	fs, err := CreateFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs.Put([]byte("payload"))
-	if err := fs.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeTestLog(t, path, []byte("payload"))
 	pristine, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []uint32{0x80000000, 0xFFFFFFFF, 1 << 20} {
+	for _, id := range []uint32{0x80000000, 0xFFFFFFFF, 1 << 20, 1} {
 		data := append([]byte(nil), pristine...)
 		binary.LittleEndian.PutUint32(data, id)
 		if err := os.WriteFile(path, data, 0o666); err != nil {
@@ -143,26 +238,24 @@ func TestFileStoreOpenCorruptID(t *testing.T) {
 			t.Errorf("OpenFileStore accepted corrupt record id %#x", id)
 		}
 	}
+	superseded := append(append([]byte(nil), pristine...), pristine...)
+	if err := os.WriteFile(path, superseded, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if re := openWithinBound(t, path, len(superseded)); re != nil {
+		re.Close()
+		t.Error("OpenFileStore accepted a log whose second record carries id 0")
+	}
 }
 
 // TestFileStoreOpenTornRecord: a record whose declared payload runs past
 // the end of the log (a torn final write, or a corrupt size field), or a
 // log that ends inside a record header, must fail the reopen. The scan
 // used to index the first and leave a later read to allocate the declared
-// size, up to 2 GiB, before finding the file short; it skipped the second,
-// and the next append landed after the torn bytes, so the reopen after it
-// parsed them as a record header.
+// size, up to 2 GiB, before finding the file short; it skipped the second.
 func TestFileStoreOpenTornRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "blobs.log")
-	fs, err := CreateFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs.Put([]byte("first"))
-	fs.Put([]byte("second"))
-	if err := fs.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeTestLog(t, path, []byte("first"), []byte("second"))
 	pristine, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -195,6 +288,23 @@ func TestFileStoreOpenTornRecord(t *testing.T) {
 	}
 }
 
+// TestFileStoreOpenEmptyRecords opens the densest valid log, one of
+// empty records, within allocbound.FileStore: the slot table is
+// allocated once, at its final size.
+func TestFileStoreOpenEmptyRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "blobs.log")
+	blobs := make([][]byte, 10000)
+	writeTestLog(t, path, blobs...)
+	fs := openWithinBound(t, path, len(blobs)*fileRecordHeader)
+	if fs == nil {
+		t.Fatal("OpenFileStore rejected a log of empty records")
+	}
+	defer fs.Close()
+	if fs.Len() != len(blobs) {
+		t.Errorf("Len = %d, want %d", fs.Len(), len(blobs))
+	}
+}
+
 // openWithinBound opens the n-byte log at path, failing t if the open
 // allocates more than allocbound.FileStore allows. It returns the store,
 // or nil when the open fails.
@@ -213,77 +323,38 @@ func openWithinBound(t *testing.T, path string, n int) *FileStore {
 	return fs
 }
 
-func TestFileStoreCompact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "blobs.log")
-	fs, err := CreateFileStore(path, WithPageSize(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	id := fs.Put(make([]byte, 100))
-	for i := 0; i < 10; i++ {
-		if err := fs.Update(id, []byte(fmt.Sprintf("final-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	other := fs.Put([]byte("other"))
-	before := fileSize(t, path)
-	if err := fs.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	after := fileSize(t, path)
-	if after >= before {
-		t.Errorf("compact did not shrink the log: %d -> %d", before, after)
-	}
-	got, err := fs.GetTracked(id, nil)
-	if err != nil || string(got) != "final-9" {
-		t.Errorf("post-compact Get = %q, %v", got, err)
-	}
-	if got, _ := fs.GetTracked(other, nil); string(got) != "other" {
-		t.Errorf("post-compact other = %q", got)
-	}
-	// Store still writable after compaction.
-	third := fs.Put([]byte("third"))
-	if got, _ := fs.GetTracked(third, nil); string(got) != "third" {
-		t.Error("store unusable after compact")
-	}
-}
-
 func TestFileStoreBufferPool(t *testing.T) {
-	fs := newTestFileStore(t, WithPageSize(64), WithBufferPool(4))
+	fs := openTestLog(t, []Option{WithPageSize(64), WithBufferPool(4)}, []byte("logged"))
+	fs.GetTracked(0, nil)
+	fs.GetTracked(0, nil)
+	if st := fs.Stats(); st.Reads != 1 || st.CacheHits != 1 {
+		t.Errorf("cold/warm: %+v", st)
+	}
 	id := fs.Put([]byte("cached"))
 	fs.ResetStats()
 	fs.GetTracked(id, nil)
 	if st := fs.Stats(); st.CacheHits != 1 {
 		t.Errorf("Put should prime the pool: %+v", st)
 	}
-	fs.DropCache()
-	fs.ResetStats()
-	fs.GetTracked(id, nil)
-	fs.GetTracked(id, nil)
-	st := fs.Stats()
-	if st.Reads != 1 || st.CacheHits != 1 {
-		t.Errorf("cold/warm: %+v", st)
-	}
 }
 
 func TestFileStoreTotals(t *testing.T) {
-	fs := newTestFileStore(t, WithPageSize(100))
-	fs.Put(make([]byte, 150))
-	fs.Put(make([]byte, 10))
+	fs := openTestLog(t, []Option{WithPageSize(100)}, make([]byte, 150), make([]byte, 10))
 	if got := fs.TotalPages(); got != 3 {
 		t.Errorf("TotalPages = %d", got)
 	}
 	if got := fs.TotalBytes(); got != 160 {
 		t.Errorf("TotalBytes = %d", got)
 	}
-}
-
-func fileSize(t *testing.T, path string) int64 {
-	t.Helper()
-	fi, err := os.Stat(path)
-	if err != nil {
+	fs.Retire(0)
+	if got := fs.LivePages(); got != 1 {
+		t.Errorf("LivePages after retire = %d", got)
+	}
+	if err := fs.Free(0); err != nil {
 		t.Fatal(err)
 	}
-	return fi.Size()
+	fs.Put(make([]byte, 30))
+	if got := fs.TotalBytes(); got != 40 {
+		t.Errorf("TotalBytes after free and put = %d", got)
+	}
 }

@@ -18,6 +18,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 )
@@ -35,8 +36,7 @@ type NodeID int32
 const InvalidNode NodeID = -1
 
 // ErrFreed is wrapped by reads of a slot that was freed and not yet
-// reused. Maintenance scans (persistence, compaction) detect it with
-// errors.Is to emit tombstones instead of failing.
+// reused, and by a second Free of a slot.
 var ErrFreed = errors.New("storage: node freed")
 
 // Stats aggregates the simulated I/O counters of a Store.
@@ -48,7 +48,7 @@ type Stats struct {
 	PagesRead int64
 	// CacheHits counts GetTracked calls served by the buffer pool.
 	CacheHits int64
-	// Writes and PagesWritten mirror the read counters for Put/Update.
+	// Writes and PagesWritten mirror the read counters for Put.
 	Writes       int64
 	PagesWritten int64
 }
@@ -262,12 +262,11 @@ func (c *counters) chargeWrite(pages int64, t *Tracker) {
 }
 
 // Blobs is the storage abstraction the index layers build on: a blob
-// store with simulated-I/O accounting. Two implementations exist: the
-// in-memory Store and the persistent FileStore. Both are safe for
-// concurrent readers; writes (Put/Update/Retire/Free) must be issued by
-// one writer at a time, but may run concurrently with readers — the
-// copy-on-write update path never touches a blob a published snapshot
-// references.
+// store with simulated-I/O accounting. Store implements it; a FileStore
+// is a Store opened from a log. Reads are safe for concurrent use;
+// writes (Put/Retire/Free) must be issued by one writer at a time, but
+// may run concurrently with readers — the copy-on-write update path
+// never touches a blob a published snapshot references.
 type Blobs interface {
 	// Put stores a new blob and returns its NodeID, reusing a freed slot
 	// when one is available.
@@ -275,8 +274,6 @@ type Blobs interface {
 	// PutTracked is Put with per-writer attribution: the write I/O is
 	// charged to tr (when non-nil) in addition to the global counters.
 	PutTracked(data []byte, tr *Tracker) NodeID
-	// Update replaces the blob stored under id.
-	Update(id NodeID, data []byte) error
 	// GetTracked returns the blob stored under id, charging simulated
 	// I/O unless a buffer pool holds it. The charge lands on the global
 	// counters and, when tr is non-nil, on the caller's tracker. The
@@ -311,79 +308,46 @@ type Blobs interface {
 	LiveBytes() int64
 }
 
-// Store is a simulated disk. The zero value is not usable; call NewStore.
+// Store is a simulated disk: a table of slots, one per NodeID. A slot
+// holds its blob in memory or, in a store opened from a log
+// (OpenFileStore), the place of its record there. The zero value is not
+// usable; call NewStore.
 type Store struct {
-	mu       sync.RWMutex // guards blobs+slot state (Store) / offsets+file (FileStore)
+	mu       sync.RWMutex // guards slots and free
 	pageSize int
-	blobs    [][]byte
+	slots    []slot
+	free     NodeID      // head of the free list; InvalidNode when empty
+	log      io.ReaderAt // the log in-log slots read from; nil for NewStore
 	stats    counters
 	cache    *pool // nil when no buffer pool is configured
-
-	// Slot lifecycle, shared with FileStore through embedding: a slot is
-	// live, retired (superseded garbage still readable by pinned
-	// snapshots), or freed (reclaimed, ID queued for reuse).
-	retired []bool
-	freed   []bool
-	freeIDs []NodeID
 }
 
-// ensureSlotState grows the slot-state arrays to cover n slots. Caller
-// holds the lock.
-func (s *Store) ensureSlotState(n int) {
-	for len(s.retired) < n {
-		s.retired = append(s.retired, false)
-		s.freed = append(s.freed, false)
-	}
+// slotState is where a slot is in its lifecycle: live, retired
+// (superseded garbage still readable by pinned snapshots), or freed
+// (reclaimed, its ID on the free list).
+type slotState uint8
+
+const (
+	slotLive slotState = iota
+	slotRetired
+	slotFreed
+)
+
+// slot is one NodeID's entry in a Store's slot table.
+type slot struct {
+	// data is the blob once a Put stored it: never nil then, even when
+	// empty. It is nil while the blob is only in the log, and once the
+	// slot is freed.
+	data []byte
+	// off is the offset of the blob's payload in the log; for a freed
+	// slot, the next ID on the free list.
+	off   int64
+	size  int32 // the blob's length; 0 once freed
+	state slotState
 }
 
-// takeFreeSlot pops a recycled NodeID, if any. Caller holds the lock.
-func (s *Store) takeFreeSlot() (NodeID, bool) {
-	if len(s.freeIDs) == 0 {
-		return InvalidNode, false
-	}
-	id := s.freeIDs[len(s.freeIDs)-1]
-	s.freeIDs = s.freeIDs[:len(s.freeIDs)-1]
-	s.retired[id] = false
-	s.freed[id] = false
-	return id, true
-}
-
-// markRetired flags slot id as garbage. Caller holds the lock.
-func (s *Store) markRetired(id NodeID, n int) {
-	if int(id) < 0 || int(id) >= n {
-		return
-	}
-	s.ensureSlotState(n)
-	if !s.freed[id] {
-		s.retired[id] = true
-	}
-}
-
-// markFreed transitions slot id to freed and queues it for reuse.
-// Caller holds the lock; returns false when already freed or unknown.
-func (s *Store) markFreed(id NodeID, n int) bool {
-	if int(id) < 0 || int(id) >= n {
-		return false
-	}
-	s.ensureSlotState(n)
-	if s.freed[id] {
-		return false
-	}
-	s.freed[id] = true
-	s.retired[id] = false
-	s.freeIDs = append(s.freeIDs, id)
-	return true
-}
-
-// slotFreed reports whether id is freed. Caller holds the lock.
-func (s *Store) slotFreed(id NodeID) bool {
-	return int(id) < len(s.freed) && s.freed[id]
-}
-
-// slotRetired reports whether id is retired. Caller holds the lock.
-func (s *Store) slotRetired(id NodeID) bool {
-	return int(id) < len(s.retired) && s.retired[id]
-}
+// inLog reports whether the slot's blob must be read from the log.
+func (sl *slot) inLog() bool { return sl.data == nil && sl.size > 0 }
 
 // Option configures a Store.
 type Option func(*Store)
@@ -411,7 +375,7 @@ func WithBufferPool(capacityPages int) Option {
 
 // NewStore returns an empty simulated disk.
 func NewStore(opts ...Option) *Store {
-	s := &Store{pageSize: DefaultPageSize}
+	s := &Store{pageSize: DefaultPageSize, free: InvalidNode}
 	for _, o := range opts {
 		o(s)
 	}
@@ -421,71 +385,54 @@ func NewStore(opts ...Option) *Store {
 // PageSize returns the configured page size in bytes.
 func (s *Store) PageSize() int { return s.pageSize }
 
-// Len returns the number of stored blobs.
+// Len returns the number of slots.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.blobs)
+	return len(s.slots)
+}
+
+// footprint is the page and byte size of a store's non-freed blobs, and
+// of the live ones among them.
+type footprint struct {
+	pages, bytes, livePages, liveBytes int64
+}
+
+// footprint walks the slot table once.
+func (s *Store) footprint() footprint {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var f footprint
+	for i := range s.slots {
+		sl := &s.slots[i]
+		if sl.state == slotFreed {
+			continue
+		}
+		pages := int64(s.pagesFor(int(sl.size)))
+		f.pages += pages
+		f.bytes += int64(sl.size)
+		if sl.state == slotLive {
+			f.livePages += pages
+			f.liveBytes += int64(sl.size)
+		}
+	}
+	return f
 }
 
 // TotalPages returns the total page footprint of all non-freed blobs —
 // the simulated index size on disk, including retired garbage that
 // awaits reclamation.
-func (s *Store) TotalPages() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var n int64
-	for id, b := range s.blobs {
-		if s.slotFreed(NodeID(id)) {
-			continue
-		}
-		n += int64(s.pagesFor(len(b)))
-	}
-	return n
-}
+func (s *Store) TotalPages() int64 { return s.footprint().pages }
 
 // TotalBytes returns the summed sizes of all non-freed blobs.
-func (s *Store) TotalBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var n int64
-	for id, b := range s.blobs {
-		if s.slotFreed(NodeID(id)) {
-			continue
-		}
-		n += int64(len(b))
-	}
-	return n
-}
+func (s *Store) TotalBytes() int64 { return s.footprint().bytes }
 
 // LivePages returns the page footprint of the blobs the current index
 // version references: TotalPages minus retired-but-unreclaimed garbage.
-func (s *Store) LivePages() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var n int64
-	for id, b := range s.blobs {
-		if s.slotFreed(NodeID(id)) || s.slotRetired(NodeID(id)) {
-			continue
-		}
-		n += int64(s.pagesFor(len(b)))
-	}
-	return n
-}
+func (s *Store) LivePages() int64 { return s.footprint().livePages }
 
 // LiveBytes returns the payload bytes of the live blobs.
-func (s *Store) LiveBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var n int64
-	for id, b := range s.blobs {
-		if s.slotFreed(NodeID(id)) || s.slotRetired(NodeID(id)) {
-			continue
-		}
-		n += int64(len(b))
-	}
-	return n
-}
+func (s *Store) LiveBytes() int64 { return s.footprint().liveBytes }
 
 func (s *Store) pagesFor(size int) int {
 	if size <= 0 {
@@ -500,21 +447,23 @@ func (s *Store) Put(data []byte) NodeID { return s.PutTracked(data, nil) }
 
 // PutTracked is Put with per-writer attribution: the write I/O lands on
 // the global counters and, when tr is non-nil, on the caller's tracker.
+// The blob stays in memory; a store opened from a log never writes it.
 func (s *Store) PutTracked(data []byte, tr *Tracker) NodeID {
+	b := cloneBytes(data)
 	s.mu.Lock()
-	id, reused := s.takeFreeSlot()
-	if reused {
-		s.blobs[id] = cloneBytes(data)
+	id := s.free
+	if id != InvalidNode {
+		s.free = NodeID(s.slots[id].off)
+		s.slots[id] = slot{data: b, size: int32(len(b))}
 	} else {
-		id = NodeID(len(s.blobs))
-		s.blobs = append(s.blobs, cloneBytes(data))
-		s.ensureSlotState(len(s.blobs))
+		id = NodeID(len(s.slots))
+		s.slots = append(s.slots, slot{data: b, size: int32(len(b))})
 	}
-	b := s.blobs[id]
 	s.mu.Unlock()
-	s.stats.chargeWrite(int64(s.pagesFor(len(data))), tr)
+	pages := s.pagesFor(len(b))
+	s.stats.chargeWrite(int64(pages), tr)
 	if s.cache != nil {
-		s.cache.put(id, b, s.pagesFor(len(data)))
+		s.cache.put(id, b, pages)
 	}
 	return id
 }
@@ -524,7 +473,9 @@ func (s *Store) PutTracked(data []byte, tr *Tracker) NodeID {
 // or unknown slot is a no-op.
 func (s *Store) Retire(id NodeID) {
 	s.mu.Lock()
-	s.markRetired(id, len(s.blobs))
+	if int(id) >= 0 && int(id) < len(s.slots) && s.slots[id].state == slotLive {
+		s.slots[id].state = slotRetired
+	}
 	s.mu.Unlock()
 }
 
@@ -532,39 +483,19 @@ func (s *Store) Retire(id NodeID) {
 // and the ID is recycled by a later Put. Freeing twice is an error.
 func (s *Store) Free(id NodeID) error {
 	s.mu.Lock()
-	if int(id) < 0 || int(id) >= len(s.blobs) {
+	if int(id) < 0 || int(id) >= len(s.slots) {
 		s.mu.Unlock()
 		return fmt.Errorf("storage: free of unknown node %d", id)
 	}
-	if !s.markFreed(id, len(s.blobs)) {
+	if s.slots[id].state == slotFreed {
 		s.mu.Unlock()
 		return fmt.Errorf("storage: double free of node %d: %w", id, ErrFreed)
 	}
-	s.blobs[id] = nil
+	s.slots[id] = slot{off: int64(s.free), state: slotFreed}
+	s.free = id
 	s.mu.Unlock()
 	if s.cache != nil {
 		s.cache.remove(id)
-	}
-	return nil
-}
-
-// Update replaces the blob stored under id. The blob is copied.
-func (s *Store) Update(id NodeID, data []byte) error {
-	s.mu.Lock()
-	if int(id) < 0 || int(id) >= len(s.blobs) {
-		s.mu.Unlock()
-		return fmt.Errorf("storage: update of unknown node %d", id)
-	}
-	if s.slotFreed(id) {
-		s.mu.Unlock()
-		return fmt.Errorf("storage: update of node %d: %w", id, ErrFreed)
-	}
-	s.blobs[id] = cloneBytes(data)
-	b := s.blobs[id]
-	s.mu.Unlock()
-	s.stats.chargeWrite(int64(s.pagesFor(len(data))), nil)
-	if s.cache != nil {
-		s.cache.put(id, b, s.pagesFor(len(data)))
 	}
 	return nil
 }
@@ -575,20 +506,28 @@ func (s *Store) Update(id NodeID, data []byte) error {
 // returned slice must not be modified.
 func (s *Store) GetTracked(id NodeID, tr *Tracker) ([]byte, error) {
 	s.mu.RLock()
-	if int(id) < 0 || int(id) >= len(s.blobs) {
+	if int(id) < 0 || int(id) >= len(s.slots) {
 		s.mu.RUnlock()
 		return nil, fmt.Errorf("storage: read of unknown node %d", id)
 	}
-	if s.slotFreed(id) {
-		s.mu.RUnlock()
+	sl := s.slots[id]
+	s.mu.RUnlock()
+	if sl.state == slotFreed {
 		return nil, fmt.Errorf("storage: read of node %d: %w", id, ErrFreed)
 	}
-	b := s.blobs[id]
-	s.mu.RUnlock()
 	if s.cache != nil {
 		if cached, ok := s.cache.get(id); ok {
 			s.stats.chargeHit(tr)
 			return cached, nil
+		}
+	}
+	b := sl.data
+	if sl.inLog() {
+		// The log never changes under an open store, and
+		// os.File.ReadAt is safe for concurrent use.
+		b = make([]byte, sl.size)
+		if _, err := s.log.ReadAt(b, sl.off); err != nil {
+			return nil, fmt.Errorf("storage: reading node %d: %w", id, err)
 		}
 	}
 	pages := s.pagesFor(len(b))

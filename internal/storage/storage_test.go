@@ -44,21 +44,6 @@ func TestPutCopies(t *testing.T) {
 	}
 }
 
-func TestUpdate(t *testing.T) {
-	s := NewStore()
-	id := s.Put([]byte("v1"))
-	if err := s.Update(id, []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := s.GetTracked(id, nil)
-	if !bytes.Equal(got, []byte("v2")) {
-		t.Errorf("after update: %q", got)
-	}
-	if err := s.Update(NodeID(99), nil); err == nil {
-		t.Error("update of unknown node should fail")
-	}
-}
-
 func TestGetErrors(t *testing.T) {
 	s := NewStore()
 	if _, err := s.GetTracked(InvalidNode, nil); err == nil {

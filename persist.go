@@ -2,7 +2,6 @@ package rstknn
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -20,11 +19,14 @@ import (
 //	meta.json     options, tree header blob ID, format version
 //	vocab.csv     terms in ID order + corpus statistics
 //	objects.csv   the indexed objects with their weighted vectors
-//	index.log     every tree node blob, in a persistent FileStore
+//	index.log     every tree node blob and the tree header, one record per
+//	              NodeID (storage.Store.WriteLog)
 //
 // Open reverses it without re-tokenizing, re-weighting, re-clustering, or
 // rebuilding the tree: queries against a reopened engine return exactly
-// what the original returned.
+// what the original returned. The nodes stay in index.log and are read on
+// demand; the file is never written while an engine has it open. Updates
+// to an opened engine live in memory until the next Save.
 
 const persistVersion = 1
 
@@ -37,12 +39,15 @@ type persistMeta struct {
 }
 
 // Save persists the engine into dir (created if missing). The directory
-// is self-contained and can be reopened with Open. Save serializes with
-// the write path and pins the snapshot it persists, so it is safe with
-// queries and updates in flight.
+// is self-contained and can be reopened with Open. Save is the only
+// writer of index.log, and it is safe into the directory the engine was
+// opened from: the new log is renamed into place, and the engine keeps
+// reading the file it opened. Save serializes with the write path and
+// pins the snapshot it persists, so it is safe with queries and updates
+// in flight. It charges no I/O and leaves the buffer pool alone.
 func (e *Engine) Save(dir string) error {
-	// Hold the writer lock: the store must not grow (or recycle slots)
-	// while the blob copy walks it.
+	// Hold the writer lock: the snapshot saved is the current one, and
+	// no update lands between loading it and copying the slots.
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 	st, release := e.pin()
@@ -51,40 +56,13 @@ func (e *Engine) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	// 1. Tree header onto the live store, so the blob copy includes it.
-	headerID := st.tree.Save()
-
-	// 2. Node blobs into a fresh file store, preserving IDs. Freed slots
-	// become empty tombstone records: unreachable from the header, but
-	// they keep the IDs dense so the copy stays slot-for-slot.
-	fs, err := storage.CreateFileStore(filepath.Join(dir, "index.log"),
-		storage.WithPageSize(e.opt.PageSize))
+	// 1. Node blobs, slot for slot, and the tree header under a free ID.
+	headerID, err := e.store.WriteLog(filepath.Join(dir, "index.log"), st.tree.Header())
 	if err != nil {
 		return err
 	}
-	n := e.store.Len()
-	for id := 0; id < n; id++ {
-		// A maintenance copy outside any query: no tracker to charge,
-		// and the stats are reset below.
-		//rstknn:allow locksafe Save holds writeMu so the store cannot grow or recycle slots mid-copy
-		blob, err := e.store.GetTracked(storage.NodeID(id), nil)
-		if errors.Is(err, storage.ErrFreed) {
-			blob = nil
-		} else if err != nil {
-			fs.Close()
-			return fmt.Errorf("rstknn: copying node %d: %w", id, err)
-		}
-		if got := fs.Put(blob); got != storage.NodeID(id) {
-			fs.Close()
-			return fmt.Errorf("rstknn: blob ID drift: %d became %d", id, got)
-		}
-	}
-	if err := fs.Close(); err != nil {
-		return err
-	}
-	e.store.ResetStats() // the copy is maintenance, not query I/O
 
-	// 3. Vocabulary.
+	// 2. Vocabulary.
 	vf, err := os.Create(filepath.Join(dir, "vocab.csv"))
 	if err != nil {
 		return err
@@ -97,12 +75,12 @@ func (e *Engine) Save(dir string) error {
 		return err
 	}
 
-	// 4. Objects with their weighted vectors.
+	// 3. Objects with their weighted vectors.
 	if err := dataset.SaveFile(filepath.Join(dir, "objects.csv"), st.objects, e.vocab); err != nil {
 		return err
 	}
 
-	// 5. Metadata.
+	// 4. Metadata.
 	meta := persistMeta{
 		Version:   persistVersion,
 		Options:   e.opt,
@@ -119,7 +97,9 @@ func (e *Engine) Save(dir string) error {
 
 // Open loads an engine previously written by Save. The node blobs stay on
 // disk (the FileStore) and are read on demand, charging the same
-// simulated I/O as the original engine.
+// simulated I/O as the original engine. Open never writes index.log:
+// inserts, deletes and compactions of the opened engine stay in memory,
+// and reach the directory only through Save.
 func Open(dir string) (*Engine, error) {
 	buf, err := os.ReadFile(filepath.Join(dir, "meta.json"))
 	if err != nil {
@@ -170,8 +150,8 @@ func Open(dir string) (*Engine, error) {
 		return nil, err
 	}
 	// The header blob is only needed to decode the snapshot; free its
-	// slot so the next Save's fresh header recycles it instead of
-	// leaking one slot per save/open cycle.
+	// slot so the next Save's header recycles it instead of leaking one
+	// slot per save/open cycle.
 	//rstknn:allow retirepub the store is private until Open returns: no snapshot pointer is published yet and no reader can hold a pin
 	fs.Retire(storage.NodeID(meta.HeaderID))
 	_ = fs.Free(storage.NodeID(meta.HeaderID)) //rstknn:allow errlost first free of a just-retired slot cannot fail
@@ -183,7 +163,8 @@ func Open(dir string) (*Engine, error) {
 		scheme:  scheme,
 		measure: vector.ByName(meta.Options.Measure),
 		vocab:   vocab,
-		store:   fs,
+		store:   fs.Store,
+		log:     fs,
 		build:   meta.BuildTime,
 	}
 	byID := make(map[int32]int, len(objs))
@@ -199,8 +180,8 @@ func Open(dir string) (*Engine, error) {
 // Close releases the on-disk store of an engine loaded with Open. It is a
 // no-op for engines built in memory.
 func (e *Engine) Close() error {
-	if fs, ok := e.store.(*storage.FileStore); ok {
-		return fs.Close()
+	if e.log != nil {
+		return e.log.Close()
 	}
 	return nil
 }

@@ -219,3 +219,157 @@ func TestOpenIgnoresRemovedOptions(t *testing.T) {
 		t.Errorf("reopened engine's bound cache is off: %d entries, %d misses", st.BoundCacheEntries, st.BoundCacheMisses)
 	}
 }
+
+// persistQueries is a fixed query list for comparing engines.
+var persistQueries = []struct {
+	x, y float64
+	text string
+	k    int
+}{
+	{50, 50, "sushi seafood", 3},
+	{10, 90, "pizza", 5},
+	{70, 20, "ramen noodles curry", 2},
+	{33, 66, "vegan salad", 4},
+	{90, 5, "bbq steak burger", 6},
+}
+
+// answers runs persistQueries on e and returns each result's IDs and
+// QueryStats, without the wall time.
+func answers(t *testing.T, e *Engine) []string {
+	t.Helper()
+	var out []string
+	for _, q := range persistQueries {
+		res, err := e.Query(q.x, q.y, q.text, q.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Stats.Duration = 0
+		out = append(out, fmt.Sprintf("%v %+v", res.IDs, res.Stats))
+	}
+	return out
+}
+
+// answersOf opens dir, runs answers on it and closes it.
+func answersOf(t *testing.T, dir string) []string {
+	t.Helper()
+	e, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	return answers(t, e)
+}
+
+func checkSameAnswers(t *testing.T, what string, got, want []string) {
+	t.Helper()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("%s, query %d: %s, want %s", what, i, got[i], want[i])
+		}
+	}
+}
+
+// mutateOpened runs every kind of write on an opened engine: Insert,
+// Delete, Apply and Compact.
+func mutateOpened(t *testing.T, e *Engine) {
+	t.Helper()
+	if _, err := e.Insert(Object{ID: 1000, X: 50, Y: 51, Text: "sushi seafood ramen"}); err != nil {
+		t.Fatal(err)
+	}
+	if found, _, err := e.Delete(3); err != nil || !found {
+		t.Fatalf("Delete(3) = %v, %v", found, err)
+	}
+	if _, err := e.Apply(Batch{
+		Insert: []Object{{ID: 1001, X: 11, Y: 89, Text: "pizza pasta"}, {ID: 1002, X: 69, Y: 21, Text: "curry"}},
+		Delete: []int32{7, 1000},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	e.Compact()
+}
+
+// TestOpenedIndexUnchangedUntilSave: writes to an opened engine live in
+// memory, so closing it without Save leaves a directory that reopens
+// and answers exactly as before.
+func TestOpenedIndexUnchangedUntilSave(t *testing.T) {
+	eng, err := Build(genRestaurants(rand.New(rand.NewSource(26)), 300), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "idx")
+	if err := eng.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	want := answersOf(t, dir)
+	e, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutateOpened(t, e)
+	if e.Len() != 300 {
+		t.Fatalf("mutated engine holds %d objects, want 300", e.Len())
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkSameAnswers(t, "reopened after unsaved writes", answersOf(t, dir), want)
+}
+
+// TestSaveIntoOpenedDirectory: Save into the directory an engine was
+// opened from replaces the index, and the saving engine keeps answering
+// from the log it opened until it closes.
+func TestSaveIntoOpenedDirectory(t *testing.T) {
+	eng, err := Build(genRestaurants(rand.New(rand.NewSource(27)), 300), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "idx")
+	if err := eng.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	e, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutateOpened(t, e)
+	want := answers(t, e)
+	if err := e.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	checkSameAnswers(t, "saver after its Save", answers(t, e), want)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkSameAnswers(t, "reopened after Save", answersOf(t, dir), want)
+}
+
+// TestSaveLeavesIOStateAlone: Save charges no I/O and leaves the buffer
+// pool as it was, so an engine that saved reports the same index
+// statistics, and answers its next query at the same cost, as a twin
+// that did not.
+func TestSaveLeavesIOStateAlone(t *testing.T) {
+	objs := genRestaurants(rand.New(rand.NewSource(28)), 300)
+	opt := Options{BufferPoolPages: 8, Workers: 1}
+	saver, err := Build(objs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := Build(objs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers(t, saver)
+	answers(t, twin)
+	if err := saver.Save(filepath.Join(t.TempDir(), "idx")); err != nil {
+		t.Fatal(err)
+	}
+	a, b := saver.Stats(), twin.Stats()
+	a.BuildTime, b.BuildTime = 0, 0
+	if a != b {
+		t.Errorf("index stats after Save: %+v, twin %+v", a, b)
+	}
+	if a.BufferPoolHits == 0 || a.BufferPoolMisses == 0 {
+		t.Errorf("queries left no pool history to compare: %+v", a)
+	}
+	checkSameAnswers(t, "query after Save", answers(t, saver), answers(t, twin))
+}
