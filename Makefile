@@ -83,6 +83,7 @@ fmt:
 # package's testdata/fuzz directory.
 fuzz:
 	go test ./internal/vector/  -run '^$$' -fuzz FuzzVectorRoundTrip -fuzztime $(FUZZTIME)
+	go test ./internal/vector/  -run '^$$' -fuzz FuzzIndexedDot      -fuzztime $(FUZZTIME)
 	go test ./internal/storage/ -run '^$$' -fuzz FuzzOpenFileStore   -fuzztime $(FUZZTIME)
 	go test ./internal/iurtree/ -run '^$$' -fuzz FuzzNodeRoundTrip   -fuzztime $(FUZZTIME)
 	go test ./internal/iurtree/ -run '^$$' -fuzz FuzzSharedRead      -fuzztime $(FUZZTIME)

@@ -45,7 +45,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	// A bare first word dispatches to the persistent-index subcommands
-	// (build/query/insert/delete/compact/stats — see subcmd.go); plain
+	// (build/query/insert/delete/stats — see subcmd.go); plain
 	// flags keep the original one-shot in-memory behavior.
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		return runSub(args[0], args[1:], out)

@@ -211,14 +211,6 @@ func TestSubcommandLifecycle(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := run([]string{"compact", "-dir", idx}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "compacted:") {
-		t.Errorf("compact output:\n%s", buf.String())
-	}
-
-	buf.Reset()
 	if err := run([]string{"stats", "-dir", idx}, &buf); err != nil {
 		t.Fatal(err)
 	}

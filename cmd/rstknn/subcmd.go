@@ -4,13 +4,14 @@
 //	rstknn query   -dir IDX -query "x,y,text" -k 10
 //	rstknn insert  -dir IDX -id 42 -x 3 -y 4 -text "sushi bar"
 //	rstknn delete  -dir IDX -id 42
-//	rstknn compact -dir IDX
 //	rstknn stats   -dir IDX
 //
 // build creates the directory from a raw-text CSV (id,x,y,free text);
 // insert/delete run one live update through the copy-on-write engine and
-// Save the successor snapshot over the directory; compact reclaims the
-// retired nodes and Saves, so their slots become empty log records.
+// Save the successor snapshot over the directory. A CLI process has no
+// concurrent reader, so the update's superseded nodes are reclaimed at
+// once and Save writes their slots as empty log records, which the next
+// Open puts back on the free list.
 // Flag-only invocations keep the original in-memory behavior (see
 // main.go).
 package main
@@ -37,12 +38,10 @@ func runSub(cmd string, args []string, out io.Writer) error {
 		return runInsert(args, out)
 	case "delete":
 		return runDelete(args, out)
-	case "compact":
-		return runCompact(args, out)
 	case "stats":
 		return runStatsSub(args, out)
 	default:
-		return fmt.Errorf("unknown subcommand %q (want build|query|insert|delete|compact|stats)", cmd)
+		return fmt.Errorf("unknown subcommand %q (want build|query|insert|delete|stats)", cmd)
 	}
 }
 
@@ -274,43 +273,6 @@ func runDelete(args []string, out io.Writer) error {
 		printEngineStats(out, e.Stats())
 	}
 	return e.Save(*dir)
-}
-
-func runCompact(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("rstknn compact", flag.ContinueOnError)
-	var (
-		dir   = fs.String("dir", "", "index directory (required)")
-		stats = fs.Bool("stats", false, "print index statistics after compaction")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *dir == "" {
-		return fmt.Errorf("compact: -dir is required")
-	}
-	logPath := func() int64 {
-		fi, err := os.Stat(fmt.Sprintf("%s%cindex.log", *dir, os.PathSeparator))
-		if err != nil {
-			return 0
-		}
-		return fi.Size()
-	}
-	before := logPath()
-	e, err := rstknn.Open(*dir)
-	if err != nil {
-		return err
-	}
-	defer e.Close()
-	freed := e.Compact()
-	if *stats {
-		printEngineStats(out, e.Stats())
-	}
-	if err := e.Save(*dir); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "compacted: %d retired nodes reclaimed, node log %d -> %d bytes\n",
-		freed, before, logPath())
-	return nil
 }
 
 func runStatsSub(args []string, out io.Writer) error {

@@ -60,9 +60,19 @@ func NewScorer(alpha, maxD float64, sim vector.TextSim) *Scorer {
 	return &Scorer{Alpha: alpha, MaxD: maxD, Sim: sim}
 }
 
-// Exact returns SimST between two concrete objects.
+// Exact returns SimST between two concrete objects. It is a single call,
+// within the inlining budget, so an exhaustive scan (baseline.Naive,
+// KthSimilarities) pays one call per object pair besides the measure's.
 func (s *Scorer) Exact(aLoc geom.Point, aDoc vector.Vector, bLoc geom.Point, bDoc vector.Vector) float64 {
-	return s.exactWith(aLoc, bLoc, s.Sim.Exact(aDoc, bDoc))
+	return s.exactDocs(aLoc, aDoc, bLoc, bDoc)
+}
+
+// exactDocs is Exact's body: the spatial and the textual similarity of
+// one pair in one frame.
+//
+//rstknn:hotpath one call per exact object-object similarity of a scan
+func (s *Scorer) exactDocs(aLoc geom.Point, aDoc vector.Vector, bLoc geom.Point, bDoc vector.Vector) float64 {
+	return s.blend(1-aLoc.Dist(bLoc)/s.MaxD, s.Sim.Exact(aDoc, bDoc))
 }
 
 // exactWith returns SimST between two concrete objects given their
@@ -70,8 +80,13 @@ func (s *Scorer) Exact(aLoc geom.Point, aDoc vector.Vector, bLoc geom.Point, bDo
 //
 //rstknn:hotpath one call per exact object-object similarity
 func (s *Scorer) exactWith(aLoc, bLoc geom.Point, simT float64) float64 {
+	return s.blend(1-aLoc.Dist(bLoc)/s.MaxD, simT)
+}
+
+// blend counts one exact evaluation and weighs its spatial and textual
+// similarity into SimST.
+func (s *Scorer) blend(spatial, simT float64) float64 {
 	s.ExactCount++
-	spatial := 1 - aLoc.Dist(bLoc)/s.MaxD
 	return s.Alpha*spatial + (1-s.Alpha)*simT
 }
 

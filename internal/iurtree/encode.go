@@ -57,12 +57,18 @@ func decodeRect(buf []byte) (geom.Rect, int, error) {
 	if len(buf) < 32 {
 		return geom.Rect{}, 0, fmt.Errorf("truncated rect (%d bytes)", len(buf))
 	}
-	f := func(i int) float64 {
-		return math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+	var c [4]float64
+	for i := range c {
+		c[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+		// A NaN compares false with everything, so no distance bound
+		// or containment check could hold it.
+		if math.IsNaN(c[i]) {
+			return geom.Rect{}, 0, fmt.Errorf("rect coordinate %d is NaN", i)
+		}
 	}
 	return geom.Rect{
-		Min: geom.Point{X: f(0), Y: f(1)},
-		Max: geom.Point{X: f(2), Y: f(3)},
+		Min: geom.Point{X: c[0], Y: c[1]},
+		Max: geom.Point{X: c[2], Y: c[3]},
 	}, 32, nil
 }
 

@@ -15,8 +15,12 @@ import (
 
 func buildReadTestTree(t *testing.T, seed int64, clustered bool) *Snapshot {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	objs := randObjects(rng, 250, 20)
+	return buildTreeOf(t, randObjects(rand.New(rand.NewSource(seed)), 250, 20), seed, clustered)
+}
+
+// buildTreeOf builds a plain or clustered (4 clusters) tree over objs.
+func buildTreeOf(t *testing.T, objs []Object, seed int64, clustered bool) *Snapshot {
+	t.Helper()
 	cfg := Config{Store: storage.NewStore()}
 	if clustered {
 		docs := make([]vector.Vector, len(objs))
@@ -81,6 +85,56 @@ func TestSharedReadMatchesDecode(t *testing.T) {
 			}
 		}
 		walk(tr.RootID())
+	}
+}
+
+// TestCachedNodesIndexLongUnions: a node the bound cache holds carries
+// a term index on every union vector WithIndex admits, each non-object
+// entry's and each cluster summary's, so the scorer's asymmetric dots
+// against them take the indexed path. A private decode carries none.
+func TestCachedNodesIndexLongUnions(t *testing.T) {
+	for _, clustered := range []bool{false, true} {
+		// 200 terms: node unions run to 32 terms and past, and their
+		// spans are dense enough to index.
+		tr := buildTreeOf(t, randObjects(rand.New(rand.NewSource(45)), 600, 200), 45, clustered)
+		indexed := map[bool]int{} // by whether the union is a cluster summary's
+		check := func(id storage.NodeID, cluster bool, u vector.Vector) {
+			switch {
+			case u.HasIndex():
+				indexed[cluster]++
+			case u.WithIndex().HasIndex():
+				t.Errorf("clustered=%v node %d: cached %d-term union (cluster summary: %v) has no term index",
+					clustered, id, u.Len(), cluster)
+			}
+		}
+		for _, id := range warmBoundCache(t, tr) {
+			n, ok := tr.boundCache.get(id)
+			if !ok {
+				t.Fatalf("node %d is not cached after a shared read", id)
+			}
+			for i := range n.Entries {
+				e := &n.Entries[i]
+				if e.IsObject() {
+					continue
+				}
+				check(id, false, e.Env.Uni)
+				for j := range e.Clusters {
+					check(id, true, e.Clusters[j].Env.Uni)
+				}
+			}
+		}
+		if indexed[false] == 0 || (clustered && indexed[true] == 0) {
+			t.Fatalf("clustered=%v: too few long unions to check (%v indexed)", clustered, indexed)
+		}
+		n, err := tr.ReadNodeTracked(tr.RootID(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range n.Entries {
+			if n.Entries[i].Env.Uni.HasIndex() {
+				t.Errorf("clustered=%v: private decode of the root indexes entry %d", clustered, i)
+			}
+		}
 	}
 }
 

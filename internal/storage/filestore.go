@@ -20,7 +20,11 @@ import (
 //	u32 payload length
 //	payload bytes
 //
-// Record i carries node ID i, and a freed slot is an empty record.
+// Record i carries node ID i, and a freed slot is an empty record. An
+// empty record opens as a freed slot, back on the free list, so a
+// Save/Open round trip keeps the slot table's live and free slots as
+// they were; a store holds no empty blob worth keeping (a node or a
+// header is never empty), and WriteLog writes an empty one as freed.
 // WriteLog is the only writer of a log. An opened log is read-only: a
 // slot reads its record until a Free and a later Put reuse it, and every
 // Put lands in memory, as in a NewStore. Those writes reach a log only
@@ -56,7 +60,8 @@ func OpenFileStore(path string, opts ...Option) (*FileStore, error) {
 
 // scan builds the slot table from the log's record headers: one pass to
 // check them and count the records, so the table is allocated once at
-// its final size, and one to fill it.
+// its final size, and one to fill it. Empty records become freed slots,
+// chained lowest ID first, so Puts recycle them in ID order.
 func (fs *FileStore) scan() error {
 	st, err := fs.f.Stat()
 	if err != nil {
@@ -68,10 +73,19 @@ func (fs *FileStore) scan() error {
 	}
 	fs.slots = make([]slot, n)
 	m, err := scanLog(fs.f, st.Size(), fs.slots)
-	if err == nil && m != n {
-		err = fmt.Errorf("log changed while opening: %d records, then %d", n, m)
+	if err != nil {
+		return err
 	}
-	return err
+	if m != n {
+		return fmt.Errorf("log changed while opening: %d records, then %d", n, m)
+	}
+	for i := n - 1; i >= 0; i-- {
+		if fs.slots[i].size == 0 {
+			fs.slots[i] = slot{off: int64(fs.free), state: slotFreed}
+			fs.free = NodeID(i)
+		}
+	}
+	return nil
 }
 
 // scanLog checks the record headers of a log of the given size and
@@ -116,12 +130,13 @@ func (fs *FileStore) Close() error { return fs.f.Close() }
 func (fs *FileStore) Path() string { return fs.path }
 
 // WriteLog writes the store's blobs to a new log at path, slot i as
-// record i and a freed slot as an empty record, and with them extra, a
-// blob the store does not hold, under the ID the store's next Put would
-// take. It returns that ID. The bytes are copied from memory or from the
-// opened log directly, so WriteLog charges no I/O and leaves the buffer
-// pool alone. The log is written under a temporary name and renamed over
-// path: a store opened on path keeps reading the file it opened.
+// record i and a freed slot (or an empty blob) as an empty record, and
+// with them extra, a blob the store does not hold, under the ID the
+// store's next Put would take. It returns that ID. The bytes are copied
+// from memory or from the opened log directly, so WriteLog charges no
+// I/O and leaves the buffer pool alone. The log is written under a
+// temporary name and renamed over path: a store opened on path keeps
+// reading the file it opened.
 func (s *Store) WriteLog(path string, extra []byte) (NodeID, error) {
 	s.mu.RLock()
 	slots := append([]slot(nil), s.slots...)

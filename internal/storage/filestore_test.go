@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -37,7 +38,8 @@ func openTestLog(t *testing.T, opts []Option, blobs ...[]byte) *FileStore {
 	return fs
 }
 
-// checkBlobs fails t unless s serves want[i] under ID i.
+// checkBlobs fails t unless s serves want[i] under ID i. An empty
+// want[i] is a freed slot: its read must fail with ErrFreed.
 func checkBlobs(t *testing.T, s Blobs, want [][]byte) {
 	t.Helper()
 	if s.Len() != len(want) {
@@ -45,7 +47,11 @@ func checkBlobs(t *testing.T, s Blobs, want [][]byte) {
 	}
 	for id, w := range want {
 		got, err := s.GetTracked(NodeID(id), nil)
-		if err != nil || !bytes.Equal(got, w) {
+		if len(w) == 0 {
+			if !errors.Is(err, ErrFreed) {
+				t.Errorf("blob %d = %q, %v; want a freed slot", id, got, err)
+			}
+		} else if err != nil || !bytes.Equal(got, w) {
 			t.Errorf("blob %d = %q, %v; want %q", id, got, err, w)
 		}
 	}
@@ -84,8 +90,9 @@ func TestFileStorePutGet(t *testing.T) {
 }
 
 // TestFileStoreReopen writes a store with freed slots, reopens it,
-// then writes the opened store — log slots, a recycled slot and a new
-// one — back and reopens that.
+// then writes the opened store — log slots, recycled slots and a new
+// one — back and reopens that. A slot freed before the write is freed
+// after the reopen, and the next Puts recycle it.
 func TestFileStoreReopen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "blobs.log")
@@ -120,11 +127,14 @@ func TestFileStoreReopen(t *testing.T) {
 	if id := re.Put(want[5]); id != 5 {
 		t.Fatalf("Put took slot %d, want the freed slot 5", id)
 	}
-	re.Put([]byte("appended"))
-	want = append(want, []byte("appended"), []byte("header"))
+	want[3] = []byte("reopened free slot")
+	if id := re.Put(want[3]); id != 3 {
+		t.Fatalf("Put took slot %d, want slot 3, freed before the reopen", id)
+	}
+	want = append(want, []byte("header"))
 	again := filepath.Join(dir, "again.log")
-	if id, err := re.WriteLog(again, want[21]); err != nil || id != 21 {
-		t.Fatalf("WriteLog = %d, %v; want a new slot 21", id, err)
+	if id, err := re.WriteLog(again, want[20]); err != nil || id != 20 {
+		t.Fatalf("WriteLog = %d, %v; want a new slot 20", id, err)
 	}
 	re2, err := OpenFileStore(again)
 	if err != nil {

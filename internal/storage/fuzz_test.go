@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -11,8 +12,10 @@ import (
 // FuzzOpenFileStore drives the record-log scan with arbitrary bytes. The
 // open must either fail or succeed, never panic, and stay within
 // allocbound.FileStore either way: a record header is untrusted. A log
-// the scan accepts must serve every record it indexed, and WriteLog of
-// the opened store must reopen with the same contents.
+// the scan accepts must serve every non-empty record it indexed and read
+// every empty one as a freed slot, and WriteLog of the opened store,
+// whose extra blob takes the lowest freed slot, must reopen with the
+// same contents.
 func FuzzOpenFileStore(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
@@ -29,24 +32,38 @@ func FuzzOpenFileStore(f *testing.F) {
 		}
 		defer fs.Close()
 		blobs := make([][]byte, fs.Len())
+		firstFree := len(blobs)
 		for id := range blobs {
 			b, err := fs.GetTracked(NodeID(id), nil)
-			if err != nil {
+			switch {
+			case errors.Is(err, ErrFreed):
+				firstFree = min(firstFree, id)
+			case err != nil:
 				t.Fatalf("opened log cannot serve record %d: %v", id, err)
+			case len(b) == 0:
+				t.Fatalf("opened log serves empty record %d as a live blob", id)
 			}
 			blobs[id] = b
 		}
 		extra := []byte("extra")
 		again := filepath.Join(dir, "again.log")
-		if _, err := fs.WriteLog(again, extra); err != nil {
+		id, err := fs.WriteLog(again, extra)
+		if err != nil {
 			t.Fatalf("writing an opened log back failed: %v", err)
 		}
+		if int(id) != firstFree {
+			t.Fatalf("WriteLog put the extra blob in slot %d, want %d", id, firstFree)
+		}
+		if firstFree == len(blobs) {
+			blobs = append(blobs, nil)
+		}
+		blobs[id] = extra
 		re, err := OpenFileStore(again)
 		if err != nil {
 			t.Fatalf("reopening a written-back log failed: %v", err)
 		}
 		defer re.Close()
-		checkBlobs(t, re, append(blobs, extra))
+		checkBlobs(t, re, blobs)
 	})
 }
 

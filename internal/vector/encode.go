@@ -67,6 +67,13 @@ func DecodeVector(buf []byte) (Vector, int, error) {
 			return Vector{}, 0, fmt.Errorf("vector: corrupt encoding, terms out of order at %d", i)
 		}
 	}
+	// Every bound assumes positive, finite weights (see FromPairs); a NaN
+	// or an infinity would also make Equal fail on the vector itself.
+	for i, w := range weights {
+		if !(w > 0) || math.IsInf(w, 1) {
+			return Vector{}, 0, fmt.Errorf("vector: corrupt encoding, weight %g at %d is not positive and finite", w, i)
+		}
+	}
 	return newVector(terms, weights), off, nil
 }
 

@@ -2,6 +2,8 @@ package vector_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -69,6 +71,39 @@ func TestWriteVectorFuzzCorpus(t *testing.T) {
 		vector.Exact(small).AppendBinary(nil),
 	}
 	writeSeedCorpus(t, filepath.Join("testdata", "fuzz", "FuzzVectorRoundTrip"), seeds)
+}
+
+// TestWriteIndexFuzzCorpus regenerates FuzzIndexedDot's checked-in
+// seed corpus (the input layout is indexFuzzVectors'). Run with
+// RSTKNN_WRITE_CORPUS=1 to refresh testdata.
+func TestWriteIndexFuzzCorpus(t *testing.T) {
+	if os.Getenv("RSTKNN_WRITE_CORPUS") == "" {
+		t.Skip("set RSTKNN_WRITE_CORPUS=1 to regenerate the fuzz seed corpus")
+	}
+	// seed encodes a large side starting at base with the given gap
+	// bytes (gap g steps g+1 terms, 255 steps 2^24) and a short side at
+	// the given offsets from base.
+	seed := func(base int32, gaps []byte, probes ...int16) []byte {
+		b := append([]byte{byte(len(gaps))}, binary.LittleEndian.AppendUint32(nil, uint32(base))...)
+		b = append(b, gaps...)
+		for _, p := range probes {
+			b = binary.LittleEndian.AppendUint16(b, uint16(p))
+		}
+		return b
+	}
+	run := bytes.Repeat([]byte{0}, 199) // 200 consecutive terms
+	seeds := [][]byte{
+		seed(1000, run, 0, 63, 64, 199),                             // word bits 0, 63, 64 and the span's last term
+		seed(1000, run, -9, -1),                                     // wholly below the span
+		seed(1000, run, 200, 3000),                                  // wholly above the span
+		seed(1000, run, -1, 0, 199, 200),                            // straddling both ends
+		seed(-3000, bytes.Repeat([]byte{2}, 199), 0, 1, 3, 64, 597), // every third term, negative IDs
+		seed(math.MinInt32, run[:63], 0, 63),                        // the lowest IDs
+		seed(math.MaxInt32-63, run[:63], 0, 63),                     // the highest IDs
+		seed(0, bytes.Repeat([]byte{255}, 31), 0, 1),                // 32 terms 2^24 apart: refused
+		seed(5, nil), // one large-side term, empty short side
+	}
+	writeSeedCorpus(t, filepath.Join("testdata", "fuzz", "FuzzIndexedDot"), seeds)
 }
 
 // writeSeedCorpus writes seeds in the `go test fuzz v1` corpus format.

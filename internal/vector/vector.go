@@ -25,7 +25,8 @@ type TermID = int32
 type Vector struct {
 	terms   []TermID
 	weights []float64
-	norm2   float64 // cached squared norm; vectors are immutable
+	norm2   float64    // cached squared norm; vectors are immutable
+	idx     *termIndex // set by WithIndex; nil for every other vector
 }
 
 // New builds a vector from a term->weight map. Terms with non-positive
@@ -177,7 +178,8 @@ func (v Vector) Equal(u Vector) bool {
 // Dot returns the inner product of v and u. It never allocates, and the
 // matched terms are always accumulated in ascending term order, so the
 // summation order — hence the exact float64 result — is identical across
-// both code paths below and deterministic for a given pair of vectors.
+// all three code paths below and deterministic for a given pair of
+// vectors.
 //
 //rstknn:hotpath called once per bound evaluation in the scoring inner loop
 func (v Vector) Dot(u Vector) float64 {
@@ -188,13 +190,20 @@ func (v Vector) Dot(u Vector) float64 {
 		return 0
 	}
 	// Asymmetric fast path: a short query vector against a wide node
-	// envelope (the dominant shape in entry bounds) binary-searches each
-	// short-side term in the remaining long side instead of merging
-	// through every long-side term.
+	// envelope (the dominant shape in entry bounds) looks each
+	// short-side term up in the long side instead of merging through
+	// every long-side term: through the long side's term index when it
+	// has one (see WithIndex), by binary search otherwise.
 	if len(v.terms)*8 < len(u.terms) {
+		if u.idx != nil {
+			return dotIndexed(v, u)
+		}
 		return dotAsymmetric(v, u)
 	}
 	if len(u.terms)*8 < len(v.terms) {
+		if v.idx != nil {
+			return dotIndexed(u, v)
+		}
 		return dotAsymmetric(u, v)
 	}
 	var s float64

@@ -241,6 +241,14 @@ func TestDecodeErrors(t *testing.T) {
 	if _, _, err := DecodeVector(buf); err == nil {
 		t.Error("out-of-order terms should fail")
 	}
+	// A weight that is not positive and finite, in place of term 3's.
+	for _, w := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		buf := vec(1, 1, 3, 1).AppendBinary(nil)
+		binary.LittleEndian.PutUint64(buf[len(buf)-8:], math.Float64bits(w))
+		if _, _, err := DecodeVector(buf); err == nil {
+			t.Errorf("weight %g should fail", w)
+		}
+	}
 }
 
 // TestDecodeOversizedCount: counts whose byte requirement overflows the

@@ -373,3 +373,62 @@ func TestSaveLeavesIOStateAlone(t *testing.T) {
 	}
 	checkSameAnswers(t, "query after Save", answers(t, saver), answers(t, twin))
 }
+
+// TestSaveOpenCyclesKeepSlotCounts: Insert, Delete, Save and Open,
+// repeated, reopen each time with the slot and page counts the engine
+// had before its Save. The slots the updates freed reopen as freed and
+// the next cycle's updates recycle them, so the counts do not grow from
+// one cycle to the next.
+func TestSaveOpenCyclesKeepSlotCounts(t *testing.T) {
+	eng, err := Build(genRestaurants(rand.New(rand.NewSource(29)), 60), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "idx")
+	if err := eng.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	type counts struct{ nodes, pages, bytes, livePages, liveBytes int64 }
+	countsOf := func(s IndexStats) counts {
+		return counts{s.Nodes, s.Pages, s.Bytes, s.LivePages, s.LiveBytes}
+	}
+	var first counts
+	for cycle := 0; cycle < 3; cycle++ {
+		e, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Insert(Object{ID: 100, X: 35, Y: 27, Text: "midtown sushi"}); err != nil {
+			t.Fatal(err)
+		}
+		if found, _, err := e.Delete(100); err != nil || !found {
+			t.Fatalf("Delete(100) = %v, %v", found, err)
+		}
+		before := e.Stats()
+		if before.PendingReclaim != 0 {
+			t.Fatalf("cycle %d: %d retired nodes still pending with no reader", cycle, before.PendingReclaim)
+		}
+		if err := e.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := re.Stats()
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := countsOf(after), countsOf(before); got != want {
+			t.Errorf("cycle %d: reopened with %+v, saved with %+v", cycle, got, want)
+		}
+		if cycle == 0 {
+			first = countsOf(before)
+		} else if got := countsOf(before); got != first {
+			t.Errorf("cycle %d: counts %+v before Save, %+v in the first cycle", cycle, got, first)
+		}
+	}
+}
