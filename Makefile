@@ -31,14 +31,14 @@ race:
 race-stress:
 	go test -race -run 'TestConcurrentQueryMutateRace|TestPinnedSnapshotSurvivesDelete' -count=3 .
 
-# The eight domain-specific analyzers (ctxflow, locksafe, floatcmp,
-# hotalloc, errlost, pinsafe, retirepub, lockorder)
+# The six domain-specific analyzers (ctxflow, locksafe, floatcmp,
+# hotalloc, errlost, lockorder)
 # driven through the go vet vettool protocol with cross-package fact
 # propagation, plus standard go vet (whose copylocks check covers
 # copies of lock-bearing structs). The ./...
 # pattern spans every package — the root engine, internal/...,
 # cmd/..., and examples/... — so the CLIs and examples are held to the
-# same lifecycle rules as the engine.
+# same rules as the engine.
 lint:
 	go vet ./...
 	go build -o $(LINT_TOOL) ./cmd/rstknn-lint
@@ -47,7 +47,7 @@ lint:
 # Machine-readable lint report (one JSON object per package,
 # schema_version 2) with per-analyzer finding counts and elapsed-time
 # breakdowns — zeroes included, so a clean run still proves
-# pinsafe/retirepub/lockorder executed; CI uploads this as a build
+# locksafe/lockorder executed; CI uploads this as a build
 # artifact. The go command relays the vettool's stdout onto its own
 # stderr with `# package` header lines, so the report is carved out of
 # stderr with the headers stripped. The target is gating: any finding
@@ -64,8 +64,8 @@ lint-json:
 	fi
 
 # The analyzer corpus: fixture-driven tests of every analyzer (including
-# the path-sensitive pinsafe/retirepub/lockorder suites and their
-# cross-package fixture packages), the CFG/dataflow unit tests, the fact
+# the path-sensitive lockorder suite and its cross-package fixture
+# package), the CFG/dataflow unit tests, the fact
 # codec round-trip, and the cross-package propagation fixture that fails
 # if fact flow is disabled. Run after touching internal/analysis.
 lint-selftest:

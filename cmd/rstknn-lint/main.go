@@ -1,7 +1,7 @@
 // Command rstknn-lint is the project's vettool: a go-vet-compatible
-// driver for the eight domain analyzers in internal/analysis (ctxflow,
+// driver for the six domain analyzers in internal/analysis (ctxflow,
 // locksafe, floatcmp, hotalloc, errlost, and the path-sensitive
-// lifecycle analyzers pinsafe, retirepub and lockorder).
+// lockorder).
 //
 // It is not run directly; build it and hand it to go vet:
 //
@@ -9,11 +9,10 @@
 //	go vet -vettool=/tmp/rstknn-lint ./...
 //
 // or simply `make lint`. The driver summarizes every package it
-// typechecks into per-function facts (allocation, I/O, lock-order and
-// publish/retire behavior) and propagates them between packages through
-// go vet's .vetx fact files, so the cross-function analyzers (hotalloc,
-// locksafe's transitive rule, retirepub and lockorder) see through
-// package boundaries.
+// typechecks into per-function facts (allocation, I/O and lock-order
+// behavior) and propagates them between packages through go vet's .vetx
+// fact files, so the cross-function analyzers (hotalloc, locksafe's
+// transitive rule and lockorder) see through package boundaries.
 //
 // Flags (pass via go vet): -json emits machine-readable diagnostics
 // (schema_version 2: per-analyzer finding counts, elapsed_us timings,

@@ -30,8 +30,6 @@ package rstknn
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"rstknn/internal/cluster"
@@ -64,13 +62,11 @@ type Engine struct {
 	vocab   *textual.Vocabulary
 	store   *storage.Store
 	log     *storage.FileStore // the index.log an Open engine reads; nil when built
-	rec     *storage.Reclaimer
 	build   time.Duration
 
-	// state is the published snapshot; readers pin (see pin) before
-	// loading it, writers swap it under writeMu.
-	state   atomic.Pointer[engineState]
-	writeMu sync.Mutex
+	// snap publishes the engine's states: queries read the current one
+	// through snap.Read, updates and Save go through snap.Write.
+	snap *storage.Versions[engineState]
 }
 
 // engineState is one immutable version of the engine: the tree snapshot
@@ -80,17 +76,6 @@ type engineState struct {
 	tree    *iurtree.Snapshot
 	objects []iurtree.Object
 	byID    map[int32]int
-}
-
-// pin registers the caller as a reader and returns the current state
-// plus a release function. The reclamation epoch is pinned BEFORE the
-// snapshot pointer is loaded: any node reachable from the returned state
-// cannot be freed until release is called, even if writers swap in many
-// successors meanwhile.
-func (e *Engine) pin() (*engineState, func()) {
-	tok := e.rec.Pin()
-	st := e.state.Load()
-	return st, func() { e.rec.Release(tok) }
 }
 
 // Build indexes the objects and returns a ready Engine.
@@ -146,11 +131,9 @@ func Build(objects []Object, opt Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.rec = storage.NewReclaimer(e.store)
 	// Successor snapshots share the bound cache with the first one, so
 	// evicting through it covers every version.
-	e.rec.SetOnFree(tree.InvalidateNode)
-	e.state.Store(&engineState{tree: tree, objects: objs, byID: byID})
+	e.snap = storage.NewVersions(e.store, &engineState{tree: tree, objects: objs, byID: byID}, tree.InvalidateNode)
 	e.build = time.Since(start)
 	return e, nil
 }
@@ -208,33 +191,34 @@ type IndexStats struct {
 }
 
 // Stats returns the index statistics.
-func (e *Engine) Stats() IndexStats {
-	st, release := e.pin()
-	defer release()
-	ioStats := e.store.Stats()
-	out := IndexStats{
-		Objects:        st.tree.Len(),
-		Height:         st.tree.Height(),
-		Nodes:          int64(e.store.Len()),
-		Pages:          e.store.TotalPages(),
-		Bytes:          e.store.TotalBytes(),
-		LivePages:      e.store.LivePages(),
-		LiveBytes:      e.store.LiveBytes(),
-		Writes:         ioStats.Writes,
-		PagesWritten:   ioStats.PagesWritten,
-		PendingReclaim: e.rec.Stats().Pending,
-		Clusters:       st.tree.NumClusters(),
-		BuildTime:      e.build,
-		VocabSize:      e.vocab.Size(),
-		Kind:           e.opt.Index,
-		MaxDistance:    st.tree.MaxD(),
-	}
-	bc := st.tree.BoundCacheStats()
-	out.BoundCacheHits = bc.Hits
-	out.BoundCacheMisses = bc.Misses
-	out.BoundCacheEntries = bc.Entries
-	out.BufferPoolHits = ioStats.CacheHits
-	out.BufferPoolMisses = ioStats.Reads
+func (e *Engine) Stats() (out IndexStats) {
+	_ = e.snap.Read(func(st *engineState) error {
+		ioStats := e.store.Stats()
+		out = IndexStats{
+			Objects:        st.tree.Len(),
+			Height:         st.tree.Height(),
+			Nodes:          int64(e.store.Len()),
+			Pages:          e.store.TotalPages(),
+			Bytes:          e.store.TotalBytes(),
+			LivePages:      e.store.LivePages(),
+			LiveBytes:      e.store.LiveBytes(),
+			Writes:         ioStats.Writes,
+			PagesWritten:   ioStats.PagesWritten,
+			PendingReclaim: e.snap.Stats().Pending,
+			Clusters:       st.tree.NumClusters(),
+			BuildTime:      e.build,
+			VocabSize:      e.vocab.Size(),
+			Kind:           e.opt.Index,
+			MaxDistance:    st.tree.MaxD(),
+		}
+		bc := st.tree.BoundCacheStats()
+		out.BoundCacheHits = bc.Hits
+		out.BoundCacheMisses = bc.Misses
+		out.BoundCacheEntries = bc.Entries
+		out.BufferPoolHits = ioStats.CacheHits
+		out.BufferPoolMisses = ioStats.Reads
+		return nil
+	})
 	return out
 }
 
@@ -264,21 +248,27 @@ func (s IndexStats) BoundCacheHitRatio() float64 {
 func (e *Engine) Alpha() float64 { return e.opt.Alpha }
 
 // Len returns the number of indexed objects.
-//
-//rstknn:allow pinsafe reads only the snapshot's in-memory object count; epoch reclamation recycles tree-node slots, never the GC-managed engineState
-func (e *Engine) Len() int { return e.state.Load().tree.Len() }
+func (e *Engine) Len() (n int) {
+	_ = e.snap.Read(func(st *engineState) error {
+		n = st.tree.Len()
+		return nil
+	})
+	return n
+}
 
 // ObjectByID returns the indexed object's location and text vector, or an
 // error when the ID is unknown.
 func (e *Engine) ObjectByID(id int32) (x, y float64, doc vector.Vector, err error) {
-	//rstknn:allow pinsafe touches only the GC-managed object table of the snapshot, not reclaimable tree-node slots; no pin needed
-	st := e.state.Load()
-	i, ok := st.byID[id]
-	if !ok {
-		return 0, 0, vector.Vector{}, errors.New("rstknn: unknown object ID")
-	}
-	o := st.objects[i]
-	return o.Loc.X, o.Loc.Y, o.Doc, nil
+	err = e.snap.Read(func(st *engineState) error {
+		i, ok := st.byID[id]
+		if !ok {
+			return errors.New("rstknn: unknown object ID")
+		}
+		o := st.objects[i]
+		x, y, doc = o.Loc.X, o.Loc.Y, o.Doc
+		return nil
+	})
+	return x, y, doc, err
 }
 
 // ResetIOStats zeroes the simulated I/O counters (e.g. to measure cold

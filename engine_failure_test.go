@@ -21,6 +21,7 @@ func TestQueryStorageErrorReleasesPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	noPinsAtCleanup(t, eng)
 	if _, err := eng.Query(50, 50, "sushi seafood", 3); err != nil {
 		t.Fatalf("healthy query: %v", err)
 	}
@@ -37,20 +38,21 @@ func TestQueryStorageErrorReleasesPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	noPinsAtCleanup(t, re)
 	defer re.Close()
 	if _, err := re.Query(50, 50, "sushi seafood", 3); err == nil {
 		t.Fatal("query over corrupted storage succeeded")
 	}
 
 	// The failed query must not leak its pin.
-	if pins := re.rec.Stats().Pins; pins != 0 {
+	if pins := re.snap.Stats().Pins; pins != 0 {
 		t.Fatalf("failed query left %d pins registered", pins)
 	}
 
 	// With the frontier clear, retirement reclaims immediately.
 	doomed := re.store.Put([]byte("doomed"))
-	re.rec.Retire([]storage.NodeID{doomed})
-	if p := re.rec.Stats().Pending; p != 0 {
+	retire(t, re, doomed)
+	if p := re.snap.Stats().Pending; p != 0 {
 		t.Fatalf("pending = %d after retire with no pins, want 0", p)
 	}
 	if _, err := re.store.GetTracked(doomed, nil); err == nil {
@@ -60,15 +62,27 @@ func TestQueryStorageErrorReleasesPin(t *testing.T) {
 	// Contrast: a live pin does hold the frontier — proving the previous
 	// assertions measured the release, not a reclaimer that frees
 	// unconditionally.
-	_, release := re.pin()
+	_, release := holdRead(t, re)
 	parked := re.store.Put([]byte("parked"))
-	re.rec.Retire([]storage.NodeID{parked})
-	if p := re.rec.Stats().Pending; p != 1 {
+	retire(t, re, parked)
+	if p := re.snap.Stats().Pending; p != 1 {
 		t.Fatalf("pending = %d under a live pin, want 1", p)
 	}
 	release()
-	if p := re.rec.Stats().Pending; p != 0 {
+	if p := re.snap.Stats().Pending; p != 0 {
 		t.Fatalf("pending = %d after release, want 0", p)
+	}
+}
+
+// retire republishes e's current state and retires id with it, as an
+// update that superseded id would.
+func retire(t *testing.T, e *Engine, id storage.NodeID) {
+	t.Helper()
+	err := e.snap.Write(func(cur *engineState) (*engineState, []storage.NodeID, error) {
+		return cur, []storage.NodeID{id}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

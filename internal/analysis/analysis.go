@@ -4,7 +4,7 @@
 // on go/ast and go/types alone), a function-level dataflow engine that
 // propagates behavioral facts across packages (summary.go, facts.go),
 // an intraprocedural CFG constructor with a generic forward dataflow
-// solver (cfg.go, dataflow.go), and eight domain analyzers that enforce
+// solver (cfg.go, dataflow.go), and six domain analyzers that enforce
 // invariants the compiler and go vet cannot:
 //
 //   - ctxflow: context.Context parameters come first, exported *Ctx entry
@@ -22,13 +22,6 @@
 //     cross-package calls are judged by the callee's Allocates fact.
 //   - errlost: error results in internal/core, internal/storage, and
 //     internal/iurtree are never dropped or shadowed away.
-//   - pinsafe: every snapshot Pin is paired with Release on all paths
-//     (path-sensitive, over the CFG), the atomic snapshot-pointer load
-//     is dominated by Pin, and the pinned state is not used after
-//     Release.
-//   - retirepub: every storage Retire is dominated by an atomic publish
-//     (Store/Swap of the snapshot pointer) on every path — through
-//     helpers too, via the Publishes/Retires facts.
 //   - lockorder: per-function lock-acquisition sequences fold into a
 //     module-wide lock-order graph via the LockClasses/LockPairs facts;
 //     ordering cycles and double-acquisition on a path are flagged.
@@ -158,8 +151,7 @@ func (p *Pass) SourceFiles() []*ast.File {
 
 // All returns every domain analyzer, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{CtxFlow, LockSafe, FloatCmp, HotAlloc, ErrLost,
-		PinSafe, RetirePub, LockOrder}
+	return []*Analyzer{CtxFlow, LockSafe, FloatCmp, HotAlloc, ErrLost, LockOrder}
 }
 
 // ------------------------------------------------------------------

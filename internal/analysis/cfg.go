@@ -1,10 +1,10 @@
 package analysis
 
-// Intraprocedural control-flow graphs over function bodies. The three
-// path-sensitive analyzers (pinsafe, retirepub, lockorder) cannot work
-// on the flat AST walks the older analyzers use: "Release is called on
-// every path out of this function" and "this Retire is dominated by a
-// publish" are properties of paths, not of syntax. NewCFG lowers one
+// Intraprocedural control-flow graphs over function bodies. The
+// path-sensitive lockorder (and locksafe, which reads its lockset)
+// cannot work on the flat AST walks the older analyzers use: "this lock
+// is held on every path into this call" is a property of paths, not of
+// syntax. NewCFG lowers one
 // *ast.BlockStmt into basic blocks connected by branch, loop, switch,
 // select, and labeled-goto edges; the generic fixed-point solver in
 // dataflow.go then propagates analyzer-specific lattice states over it.

@@ -6,11 +6,8 @@ package analysis
 // transfer function applied to every node of a block in order. Whether
 // the analysis is a must-analysis (join = intersection/AND: the
 // property holds on every path) or a may-analysis (join = union/OR: it
-// holds on some path) is entirely the Join function's choice — pinsafe
-// tracks may-be-held pins with an OR join and must-pinned depth with a
-// min join in the same state, retirepub tracks must-published with an
-// AND join, lockorder tracks must-held locksets with an intersection
-// join.
+// holds on some path) is entirely the Join function's choice —
+// lockorder tracks must-held locksets with an intersection join.
 //
 // Solve iterates to a fixed point: starting from Entry at the entry
 // block, every reachable block's in-state is the join of its
@@ -18,8 +15,8 @@ package analysis
 // in-states. Unreachable blocks (detached after return/panic/goto) are
 // never visited, so terminator-dead code cannot pollute the lattice.
 // Termination is the analyzer's obligation: Join must be monotone on a
-// finite-height lattice (all three analyzers use small bit/set lattices
-// over the function's own syntax, so height is trivially bounded).
+// finite-height lattice (lockorder's locksets range over the lock
+// classes of the function's own syntax, so height is trivially bounded).
 //
 // Deferred actions are applied by the transfer functions themselves
 // (the DeferStmt node sits in its block; registering it in S and

@@ -26,8 +26,9 @@ import (
 // facts (TaintResults/SinkParams) for untrustedlen. Version 4 dropped
 // the never-read lock-acquisition bit and the shared-write facts of the
 // retired goroutine-closure analyzer. Version 5 dropped the taint facts
-// with untrustedlen.
-const factsVersion = 5
+// with untrustedlen. Version 6 dropped the lifecycle facts with
+// retirepub.
+const factsVersion = 6
 
 // FuncSummary is the behavioral summary of one function: everything a
 // caller-side analyzer needs to know without the function's source.
@@ -57,19 +58,6 @@ type FuncSummary struct {
 	// which is hotalloc's "capacity proof" for append.
 	CapBacked bool `json:"cap_backed,omitempty"`
 
-	// Publishes reports that the function atomically publishes shared
-	// state (Store/Swap/CompareAndSwap on a sync/atomic pointer) on
-	// every path, itself or through a callee. retirepub treats a call
-	// to such a function as a publish dominating later retires.
-	Publishes bool `json:"publishes,omitempty"`
-
-	// Retires reports that the function retires storage (Reclaimer or
-	// store Retire) on some path that is NOT dominated by a publish
-	// inside the function — the retire obligation leaks to the caller,
-	// who must have published first. Retire sites suppressed with
-	// //rstknn:allow retirepub do not count.
-	Retires bool `json:"retires,omitempty"`
-
 	// LockClasses lists the lock classes (pkgpath.Type.field) the
 	// function may acquire, itself or transitively. lockorder uses it
 	// to grow ordering edges at call sites made under a held lock.
@@ -86,7 +74,7 @@ type FuncSummary struct {
 // serializing; all-false summaries are omitted from the facts file.
 func (s *FuncSummary) interesting() bool {
 	return s.Allocates || s.PerformsIO || s.CapBacked ||
-		s.Publishes || s.Retires || len(s.LockClasses) > 0 || len(s.LockPairs) > 0
+		len(s.LockClasses) > 0 || len(s.LockPairs) > 0
 }
 
 // FactStore maps function keys (see FuncKey) to summaries. One store

@@ -22,8 +22,6 @@ func sampleStore() *FactStore {
 		IOWhy:      "calls Blobs.GetTracked",
 	})
 	s.add("pkg/b.carve", &FuncSummary{Func: "carve", CapBacked: true})
-	s.add("pkg/c.(Engine).publish", &FuncSummary{Func: "Engine.publish", Publishes: true})
-	s.add("pkg/c.(Reclaimer).Retire", &FuncSummary{Func: "Reclaimer.Retire", Retires: true})
 	s.add("pkg/c.(Store).grow", &FuncSummary{
 		Func:        "Store.grow",
 		LockClasses: []string{"pkg/c.Store.mu", "pkg/c.poolShard.mu"},

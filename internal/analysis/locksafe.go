@@ -11,9 +11,8 @@ package analysis
 // same CFG solve, so a lock released on an early-exit branch is not
 // held at a read on that branch, and a deferred Unlock keeps the lock
 // held until the function returns. It stays its own analyzer so that
-// //rstknn:allow locksafe on a writer-path read under writeMu does not
-// also silence a lock-order cycle at that line. Copies of lock-bearing
-// values are go vet's copylocks check.
+// an //rstknn:allow locksafe does not also silence a lock-order cycle at
+// that line. Copies of lock-bearing values are go vet's copylocks check.
 var LockSafe = &Analyzer{
 	Name: "locksafe",
 	Doc:  "forbids simulated I/O while a lock is held, on lockorder's path-sensitive lockset",

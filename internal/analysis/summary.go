@@ -280,10 +280,9 @@ func Summarize(fset *token.FileSet, files []*ast.File, pkg *types.Package, info 
 	}
 	pf.fixBehavior()
 
-	// Pass 4: the path-sensitive facts. Both run CFG dataflow per
-	// function (see retirepub.go, lockorder.go) and consult the
+	// Pass 4: the path-sensitive lock-order facts. They run CFG
+	// dataflow per function (see lockorder.go) and consult the
 	// behavioral facts fixed above.
-	pf.fixLifecycle(info, dirs)
 	pf.fixLockOrder(info)
 	return pf
 }

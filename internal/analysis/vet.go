@@ -304,7 +304,7 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 //	          "suppressed":  {"<analyzer>": count}}}
 //
 // counts and elapsed_us carry one entry per registered analyzer, zeroes
-// included, so the report proves which analyzers ran (a missing pinsafe
+// included, so the report proves which analyzers ran (a missing lockorder
 // key reads as "not wired in"; an explicit 0 reads as "ran clean") and
 // where the lint budget goes. suppressed counts the findings
 // //rstknn:allow directives silenced, per analyzer — the audit surface

@@ -132,15 +132,15 @@ func blessed(a, b float64) bool {
 		t.Fatalf("suppressed[floatcmp] = %d, want 1 (tree %v)", unit.Suppressed["floatcmp"], tree)
 	}
 	// Every registered analyzer reports a count, zeroes included: the
-	// report proves pinsafe/retirepub/lockorder ran, not just that they
-	// found nothing.
+	// report proves locksafe/lockorder ran, not just that they found
+	// nothing.
 	if len(unit.Counts) != len(All()) {
 		t.Fatalf("counts has %d entries, want one per analyzer (%d): %v", len(unit.Counts), len(All()), unit.Counts)
 	}
 	if unit.Counts["floatcmp"] != 1 {
 		t.Fatalf("counts[floatcmp] = %d, want 1", unit.Counts["floatcmp"])
 	}
-	for _, name := range []string{"pinsafe", "retirepub", "lockorder"} {
+	for _, name := range []string{"locksafe", "lockorder"} {
 		if n, ok := unit.Counts[name]; !ok || n != 0 {
 			t.Fatalf("counts[%s] = %d, %v; want an explicit 0", name, n, ok)
 		}

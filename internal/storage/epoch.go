@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"errors"
 	"sync"
+	"sync/atomic"
 )
 
 // Epoch-based reclamation for copy-on-write snapshots.
@@ -27,6 +29,11 @@ import (
 // reader that might visit it pinned at an epoch <= E and blocks the free
 // until it releases. Epochs only advance, so the minimum pinned epoch is
 // a safe frontier.
+//
+// Versions writes both halves of that protocol once: its Read pins
+// before the load and releases in a defer, and its Write publishes
+// before it retires. A structure published through Versions cannot be
+// reached any other way.
 
 // PinToken identifies one reader's pinned epoch; pass it back to
 // Release.
@@ -107,8 +114,6 @@ func (r *Reclaimer) Release(t PinToken) {
 // Retire queues the superseded nodes for reclamation, tagging them with
 // the current epoch and advancing it. Call it only AFTER the snapshot
 // that no longer references the nodes has been published.
-//
-//rstknn:allow retirepub this IS the retire primitive; the publish-before-retire obligation sits on its callers, which retirepub checks at every call site by name
 func (r *Reclaimer) Retire(ids []NodeID) {
 	if len(ids) == 0 {
 		return
@@ -197,3 +202,69 @@ func (r *Reclaimer) freeBatches(batches []retiredBatch) {
 		}
 	}
 }
+
+// Versions publishes the immutable versions of a copy-on-write
+// structure whose nodes live in a store. Readers see the current version
+// only inside Read, pinned for the call; writers serialize in Write,
+// which publishes the successor and only then retires the nodes it
+// superseded. All methods are safe for concurrent use.
+type Versions[T any] struct {
+	cur atomic.Pointer[T]
+	mu  sync.Mutex // serializes writers
+	rec *Reclaimer
+}
+
+// errRetireUnpublished is Write's answer to a writer that retires nodes
+// without publishing a successor: the current version may still reach
+// them.
+var errRetireUnpublished = errors.New("storage: retired nodes without publishing a successor")
+
+// NewVersions publishes first as the current version. Retired nodes are
+// freed into store, and onFree (if non-nil) runs for each just before
+// its Free.
+func NewVersions[T any](store Blobs, first *T, onFree func(NodeID)) *Versions[T] {
+	v := &Versions[T]{rec: NewReclaimer(store)}
+	v.rec.SetOnFree(onFree)
+	v.cur.Store(first)
+	return v
+}
+
+// Read runs fn on the current version. No node reachable from it is
+// freed until fn returns; fn must not keep the pointer past that.
+func (v *Versions[T]) Read(fn func(*T) error) error {
+	tok := v.rec.Pin()
+	defer v.rec.Release(tok)
+	return fn(v.cur.Load())
+}
+
+// Write runs fn on the current version under the writer lock, so fn
+// must not call Write. When fn returns a successor and no error, Write
+// publishes the successor and then retires the nodes fn superseded. A
+// nil successor or an error publishes nothing, and then fn must retire
+// nothing.
+func (v *Versions[T]) Write(fn func(cur *T) (next *T, retired []NodeID, err error)) error {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	// Only writers retire, and they hold mu: the loaded version cannot
+	// be reclaimed while fn runs, so it needs no pin.
+	next, retired, err := fn(v.cur.Load())
+	if err != nil {
+		return err
+	}
+	if next == nil {
+		if len(retired) > 0 {
+			return errRetireUnpublished
+		}
+		return nil
+	}
+	v.cur.Store(next)
+	v.rec.Retire(retired)
+	return nil
+}
+
+// Stats returns the reclamation counters.
+func (v *Versions[T]) Stats() ReclaimStats { return v.rec.Stats() }
+
+// TryFree frees every retired node no reader can reach anymore and
+// returns how many were freed.
+func (v *Versions[T]) TryFree() int { return v.rec.TryFree() }

@@ -146,6 +146,101 @@ func TestReclaimerOnFreeHook(t *testing.T) {
 	}
 }
 
+// version is a one-node stand-in for a published copy-on-write tree.
+type version struct{ node NodeID }
+
+// replaceNode is a writer that publishes a version reaching next and
+// retires the node the current version reached.
+func replaceNode(next NodeID) func(*version) (*version, []NodeID, error) {
+	return func(cur *version) (*version, []NodeID, error) {
+		return &version{node: next}, []NodeID{cur.node}, nil
+	}
+}
+
+// TestVersionsPublishBeforeRetire: a reader that starts after a node is
+// retired must not reach it. The onFree hook runs after the retire and
+// before the free, so a Read from it must see the successor.
+func TestVersionsPublishBeforeRetire(t *testing.T) {
+	s := NewStore()
+	ids := putN(t, s, 2)
+	var v *Versions[version]
+	var freed []NodeID
+	v = NewVersions(s, &version{node: ids[0]}, func(id NodeID) {
+		freed = append(freed, id)
+		_ = v.Read(func(cur *version) error {
+			if cur.node == id {
+				t.Errorf("node %d is freed while the current version reaches it", id)
+			}
+			return nil
+		})
+	})
+	if err := v.Write(replaceNode(ids[1])); err != nil {
+		t.Fatal(err)
+	}
+	if len(freed) != 1 || freed[0] != ids[0] {
+		t.Fatalf("freed %v, want [%d]", freed, ids[0])
+	}
+}
+
+// TestVersionsReadPinsUntilReturn: a node retired while a Read runs
+// stays readable until that Read returns, and is freed then.
+func TestVersionsReadPinsUntilReturn(t *testing.T) {
+	s := NewStore()
+	ids := putN(t, s, 2)
+	v := NewVersions(s, &version{node: ids[0]}, nil)
+	err := v.Read(func(cur *version) error {
+		if err := v.Write(replaceNode(ids[1])); err != nil {
+			return err
+		}
+		if st := v.Stats(); st.Pending != 1 || st.Pins != 1 {
+			t.Errorf("inside Read: %+v, want pending 1 pins 1", st)
+		}
+		_, err := s.GetTracked(cur.node, nil)
+		return err
+	})
+	if err != nil {
+		t.Fatalf("the pinned version's node: %v", err)
+	}
+	if st := v.Stats(); st.Pending != 0 || st.Pins != 0 || st.Freed != 1 {
+		t.Fatalf("after Read: %+v, want pending 0 pins 0 freed 1", st)
+	}
+	if _, err := s.GetTracked(ids[0], nil); !errors.Is(err, ErrFreed) {
+		t.Fatalf("retired node after Read: %v, want ErrFreed", err)
+	}
+}
+
+// TestVersionsWriteWithoutSuccessor: a writer that returns no successor
+// or an error publishes nothing and retires nothing.
+func TestVersionsWriteWithoutSuccessor(t *testing.T) {
+	s := NewStore()
+	ids := putN(t, s, 1)
+	first := &version{node: ids[0]}
+	v := NewVersions(s, first, nil)
+	boom := errors.New("boom")
+	writers := []struct {
+		fn   func(*version) (*version, []NodeID, error)
+		want error
+	}{
+		{func(*version) (*version, []NodeID, error) { return nil, nil, nil }, nil},
+		{func(*version) (*version, []NodeID, error) { return &version{}, ids, boom }, boom},
+		{func(*version) (*version, []NodeID, error) { return nil, ids, nil }, errRetireUnpublished},
+	}
+	for i, w := range writers {
+		if err := v.Write(w.fn); !errors.Is(err, w.want) {
+			t.Errorf("writer %d: %v, want %v", i, err, w.want)
+		}
+		_ = v.Read(func(cur *version) error {
+			if cur != first {
+				t.Errorf("writer %d published %+v", i, cur)
+			}
+			return nil
+		})
+		if st := v.Stats(); st.Pending != 0 || st.Freed != 0 {
+			t.Errorf("writer %d retired nodes: %+v", i, st)
+		}
+	}
+}
+
 // TestFreeSlotReuse pins the free-list contract: a freed slot is
 // recycled by the next Put, Len does not grow, and the recycled slot
 // serves the new payload.

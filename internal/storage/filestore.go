@@ -20,11 +20,13 @@ import (
 //	u32 payload length
 //	payload bytes
 //
-// Record i carries node ID i, and a freed slot is an empty record. An
-// empty record opens as a freed slot, back on the free list, so a
-// Save/Open round trip keeps the slot table's live and free slots as
-// they were; a store holds no empty blob worth keeping (a node or a
-// header is never empty), and WriteLog writes an empty one as freed.
+// Record i carries node ID i, and a freed slot is an empty record. So is
+// a retired slot: only a pinned reader of the saving store can still
+// reach it, never the reopened one. An empty record opens as a freed
+// slot, back on the free list, so a Save/Open round trip keeps the slot
+// table's live slots as they were and frees the rest; a store holds no
+// empty blob worth keeping (a node or a header is never empty), and
+// WriteLog writes an empty one as freed.
 // WriteLog is the only writer of a log. An opened log is read-only: a
 // slot reads its record until a Free and a later Put reuse it, and every
 // Put lands in memory, as in a NewStore. Those writes reach a log only
@@ -130,18 +132,23 @@ func (fs *FileStore) Close() error { return fs.f.Close() }
 func (fs *FileStore) Path() string { return fs.path }
 
 // WriteLog writes the store's blobs to a new log at path, slot i as
-// record i and a freed slot (or an empty blob) as an empty record, and
-// with them extra, a blob the store does not hold, under the ID the
-// store's next Put would take. It returns that ID. The bytes are copied
-// from memory or from the opened log directly, so WriteLog charges no
-// I/O and leaves the buffer pool alone. The log is written under a
-// temporary name and renamed over path: a store opened on path keeps
-// reading the file it opened.
+// record i and a freed or retired slot (or an empty blob) as an empty
+// record, and with them extra, a blob the store does not hold, under the
+// ID the store's next Put would take. It returns that ID. The bytes are
+// copied from memory or from the opened log directly, so WriteLog
+// charges no I/O and leaves the buffer pool alone. The log is written
+// under a temporary name and renamed over path: a store opened on path
+// keeps reading the file it opened.
 func (s *Store) WriteLog(path string, extra []byte) (NodeID, error) {
 	s.mu.RLock()
 	slots := append([]slot(nil), s.slots...)
 	id := s.free
 	s.mu.RUnlock()
+	for i := range slots {
+		if slots[i].state == slotRetired {
+			slots[i] = slot{}
+		}
+	}
 	if id == InvalidNode {
 		id = NodeID(len(slots))
 		slots = append(slots, slot{})

@@ -38,7 +38,21 @@ type Batch struct {
 	Delete []int32
 }
 
-func newUpdateStats(start time.Time, tr *storage.Tracker, retired int) *UpdateStats {
+// update runs fn as a writer (see storage.Versions.Write) with its own
+// tracker, and reports the update's cost.
+func (e *Engine) update(fn func(cur *engineState, tr *storage.Tracker) (*engineState, []storage.NodeID, error)) (*UpdateStats, error) {
+	var start time.Time
+	var tr storage.Tracker
+	retired := 0
+	err := e.snap.Write(func(cur *engineState) (*engineState, []storage.NodeID, error) {
+		start = time.Now()
+		next, rets, err := fn(cur, &tr)
+		retired = len(rets)
+		return next, rets, err
+	})
+	if err != nil {
+		return nil, err
+	}
 	return &UpdateStats{
 		Duration:     time.Since(start),
 		Writes:       tr.Writes(),
@@ -46,7 +60,7 @@ func newUpdateStats(start time.Time, tr *storage.Tracker, retired int) *UpdateSt
 		Reads:        tr.Reads(),
 		PagesRead:    tr.PagesRead(),
 		Retired:      retired,
-	}
+	}, nil
 }
 
 // toIndexed weighs the object's text against the engine's frozen corpus
@@ -65,30 +79,24 @@ func (e *Engine) toIndexed(o Object) iurtree.Object {
 // queries see the new object. Concurrent writers serialize. Returns
 // ErrClustered on CIUR engines and an error for a duplicate ID.
 func (e *Engine) Insert(o Object) (*UpdateStats, error) {
-	e.writeMu.Lock()
-	defer e.writeMu.Unlock()
-	start := time.Now()
-	//rstknn:allow pinsafe writer path: holds writeMu, and only writeMu holders retire; the loaded snapshot cannot be reclaimed under the lock
-	cur := e.state.Load()
-	if _, dup := cur.byID[o.ID]; dup {
-		return nil, fmt.Errorf("rstknn: duplicate object ID %d", o.ID)
-	}
-	io := e.toIndexed(o)
-	var tracker storage.Tracker
-	//rstknn:allow locksafe writers serialize on writeMu by design; COW node I/O happens under it
-	tree, retired, err := cur.tree.Insert(io, &tracker)
-	if err != nil {
-		return nil, err
-	}
-	objects := make([]iurtree.Object, len(cur.objects), len(cur.objects)+1)
-	copy(objects, cur.objects)
-	objects = append(objects, io)
-	byID := make(map[int32]int, len(objects))
-	for i := range objects {
-		byID[objects[i].ID] = i
-	}
-	e.publish(&engineState{tree: tree, objects: objects, byID: byID}, retired)
-	return newUpdateStats(start, &tracker, len(retired)), nil
+	return e.update(func(cur *engineState, tr *storage.Tracker) (*engineState, []storage.NodeID, error) {
+		if _, dup := cur.byID[o.ID]; dup {
+			return nil, nil, fmt.Errorf("rstknn: duplicate object ID %d", o.ID)
+		}
+		io := e.toIndexed(o)
+		tree, retired, err := cur.tree.Insert(io, tr)
+		if err != nil {
+			return nil, nil, err
+		}
+		objects := make([]iurtree.Object, len(cur.objects), len(cur.objects)+1)
+		copy(objects, cur.objects)
+		objects = append(objects, io)
+		byID := make(map[int32]int, len(objects))
+		for i := range objects {
+			byID[objects[i].ID] = i
+		}
+		return &engineState{tree: tree, objects: objects, byID: byID}, retired, nil
+	})
 }
 
 // Delete removes the object with the given ID. The boolean reports
@@ -96,36 +104,36 @@ func (e *Engine) Insert(o Object) (*UpdateStats, error) {
 // that pinned an earlier snapshot still see the object until they
 // finish.
 func (e *Engine) Delete(id int32) (bool, *UpdateStats, error) {
-	e.writeMu.Lock()
-	defer e.writeMu.Unlock()
-	start := time.Now()
-	//rstknn:allow pinsafe writer path: holds writeMu, and only writeMu holders retire; the loaded snapshot cannot be reclaimed under the lock
-	cur := e.state.Load()
-	if cur.tree.NumClusters() > 0 {
-		return false, nil, ErrClustered
-	}
-	i, ok := cur.byID[id]
-	if !ok {
-		return false, nil, nil
-	}
-	var tracker storage.Tracker
-	//rstknn:allow locksafe writers serialize on writeMu by design; COW node I/O happens under it
-	tree, retired, found, err := cur.tree.Delete(id, cur.objects[i].Loc, &tracker)
-	if err != nil {
+	found := false
+	us, err := e.update(func(cur *engineState, tr *storage.Tracker) (*engineState, []storage.NodeID, error) {
+		if cur.tree.NumClusters() > 0 {
+			return nil, nil, ErrClustered
+		}
+		i, ok := cur.byID[id]
+		if !ok {
+			return nil, nil, nil
+		}
+		tree, retired, inTree, err := cur.tree.Delete(id, cur.objects[i].Loc, tr)
+		if err != nil {
+			return nil, nil, err
+		}
+		if !inTree {
+			return nil, nil, fmt.Errorf("rstknn: object %d in table but not in tree", id)
+		}
+		objects := make([]iurtree.Object, 0, len(cur.objects)-1)
+		objects = append(objects, cur.objects[:i]...)
+		objects = append(objects, cur.objects[i+1:]...)
+		byID := make(map[int32]int, len(objects))
+		for j := range objects {
+			byID[objects[j].ID] = j
+		}
+		found = true
+		return &engineState{tree: tree, objects: objects, byID: byID}, retired, nil
+	})
+	if err != nil || !found {
 		return false, nil, err
 	}
-	if !found {
-		return false, nil, fmt.Errorf("rstknn: object %d in table but not in tree", id)
-	}
-	objects := make([]iurtree.Object, 0, len(cur.objects)-1)
-	objects = append(objects, cur.objects[:i]...)
-	objects = append(objects, cur.objects[i+1:]...)
-	byID := make(map[int32]int, len(objects))
-	for j := range objects {
-		byID[objects[j].ID] = j
-	}
-	e.publish(&engineState{tree: tree, objects: objects, byID: byID}, retired)
-	return true, newUpdateStats(start, &tracker, len(retired)), nil
+	return true, us, nil
 }
 
 // Apply runs the batch's deletions, then its insertions, and publishes
@@ -135,13 +143,16 @@ func (e *Engine) Delete(id int32) (bool, *UpdateStats, error) {
 // delete) fail upfront before anything is modified. On error the
 // published snapshot is unchanged.
 func (e *Engine) Apply(b Batch) (*UpdateStats, error) {
-	e.writeMu.Lock()
-	defer e.writeMu.Unlock()
-	start := time.Now()
-	//rstknn:allow pinsafe writer path: holds writeMu, and only writeMu holders retire; the loaded snapshot cannot be reclaimed under the lock
-	cur := e.state.Load()
+	return e.update(func(cur *engineState, tr *storage.Tracker) (*engineState, []storage.NodeID, error) {
+		return e.apply(cur, b, tr)
+	})
+}
+
+// apply builds the successor of cur with the batch applied and returns
+// it with the nodes it supersedes.
+func (e *Engine) apply(cur *engineState, b Batch, tracker *storage.Tracker) (*engineState, []storage.NodeID, error) {
 	if cur.tree.NumClusters() > 0 {
-		return nil, ErrClustered
+		return nil, nil, ErrClustered
 	}
 	deleting := make(map[int32]bool, len(b.Delete))
 	for _, id := range b.Delete {
@@ -150,15 +161,14 @@ func (e *Engine) Apply(b Batch) (*UpdateStats, error) {
 	pending := make(map[int32]bool, len(b.Insert))
 	for _, o := range b.Insert {
 		if pending[o.ID] {
-			return nil, fmt.Errorf("rstknn: duplicate object ID %d in batch", o.ID)
+			return nil, nil, fmt.Errorf("rstknn: duplicate object ID %d in batch", o.ID)
 		}
 		if _, exists := cur.byID[o.ID]; exists && !deleting[o.ID] {
-			return nil, fmt.Errorf("rstknn: duplicate object ID %d", o.ID)
+			return nil, nil, fmt.Errorf("rstknn: duplicate object ID %d", o.ID)
 		}
 		pending[o.ID] = true
 	}
 
-	var tracker storage.Tracker
 	var retired []storage.NodeID
 	tree := cur.tree
 	objects := make([]iurtree.Object, len(cur.objects))
@@ -172,13 +182,12 @@ func (e *Engine) Apply(b Batch) (*UpdateStats, error) {
 		if !ok {
 			continue
 		}
-		//rstknn:allow locksafe writers serialize on writeMu by design; COW node I/O happens under it
-		next, rets, found, err := tree.Delete(id, objects[i].Loc, &tracker)
+		next, rets, found, err := tree.Delete(id, objects[i].Loc, tracker)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if !found {
-			return nil, fmt.Errorf("rstknn: object %d in table but not in tree", id)
+			return nil, nil, fmt.Errorf("rstknn: object %d in table but not in tree", id)
 		}
 		tree = next
 		retired = append(retired, rets...)
@@ -192,39 +201,26 @@ func (e *Engine) Apply(b Batch) (*UpdateStats, error) {
 	}
 	for _, o := range b.Insert {
 		io := e.toIndexed(o)
-		//rstknn:allow locksafe writers serialize on writeMu by design; COW node I/O happens under it
-		next, rets, err := tree.Insert(io, &tracker)
+		next, rets, err := tree.Insert(io, tracker)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		tree = next
 		retired = append(retired, rets...)
 		objects = append(objects, io)
 		byID[io.ID] = len(objects) - 1
 	}
-	e.publish(&engineState{tree: tree, objects: objects, byID: byID}, retired)
-	return newUpdateStats(start, &tracker, len(retired)), nil
-}
-
-// publish swaps in the successor snapshot and only THEN hands the
-// superseded nodes to the reclaimer: a reader pinning after the swap
-// loads the new state and can never reach a node retired here. Caller
-// holds writeMu.
-func (e *Engine) publish(next *engineState, retired []storage.NodeID) {
-	e.state.Store(next)
-	e.rec.Retire(retired)
+	return &engineState{tree: tree, objects: objects, byID: byID}, retired, nil
 }
 
 // Compact frees every retired node no pinned reader can reach anymore
 // and returns how many were reclaimed. Updates trigger the same sweep
 // opportunistically; Compact exists for idle-time maintenance.
-func (e *Engine) Compact() int { return e.rec.TryFree() }
+func (e *Engine) Compact() int { return e.snap.TryFree() }
 
 // CheckInvariants verifies the full structural invariants of the current
 // snapshot (bounding rectangles, counts, vector envelopes, leaf depth).
 // It pins the snapshot like a query, so it is safe with writers running.
 func (e *Engine) CheckInvariants() error {
-	st, release := e.pin()
-	defer release()
-	return st.tree.CheckInvariants()
+	return e.snap.Read(func(st *engineState) error { return st.tree.CheckInvariants() })
 }

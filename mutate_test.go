@@ -10,6 +10,44 @@ import (
 	"testing"
 )
 
+// noPinsAtCleanup fails the test if a reader of e still holds a pin
+// when the test ends: every Read must release its pin, on error paths
+// too.
+func noPinsAtCleanup(t *testing.T, e *Engine) {
+	t.Helper()
+	t.Cleanup(func() {
+		if pins := e.snap.Stats().Pins; pins != 0 {
+			t.Errorf("%d pins still held at cleanup", pins)
+		}
+	})
+}
+
+// holdRead opens a Read of e's current state on a goroutine, like a
+// long-running query, and keeps it open until release is called (at the
+// latest when the test ends). It returns the state that Read sees.
+func holdRead(t *testing.T, e *Engine) (st *engineState, release func()) {
+	t.Helper()
+	got := make(chan *engineState)
+	done, finished := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(finished)
+		_ = e.snap.Read(func(st *engineState) error {
+			got <- st
+			<-done
+			return nil
+		})
+	}()
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			close(done)
+			<-finished
+		})
+	}
+	t.Cleanup(release)
+	return <-got, release
+}
+
 func queriesAgree(t *testing.T, e *Engine, rng *rand.Rand, trials int) {
 	t.Helper()
 	for i := 0; i < trials; i++ {
@@ -37,6 +75,7 @@ func TestInsertDeleteQueryMatchesNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	noPinsAtCleanup(t, eng)
 	for _, o := range objs[120:] {
 		st, err := eng.Insert(o)
 		if err != nil {
@@ -87,6 +126,7 @@ func TestApplyBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	noPinsAtCleanup(t, eng)
 
 	// Duplicate IDs within the batch fail upfront.
 	if _, err := eng.Apply(Batch{Insert: []Object{objs[100], objs[100]}}); err == nil {
@@ -141,6 +181,7 @@ func TestMutationsRejectedOnClusteredEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	noPinsAtCleanup(t, eng)
 	if _, err := eng.Insert(objs[79]); !errors.Is(err, ErrClustered) {
 		t.Errorf("Insert on CIUR: %v", err)
 	}
@@ -163,10 +204,11 @@ func TestPinnedSnapshotSurvivesDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	noPinsAtCleanup(t, eng)
 	victim := objs[7]
 
 	// Pin BEFORE the delete, like a long-running query would.
-	st, release := eng.pin()
+	st, release := holdRead(t, eng)
 	doc := eng.vectorize(victim.Text)
 	before, err := eng.queryVector(context.Background(), st, victim.X, victim.Y, doc, 3)
 	if err != nil {
@@ -213,14 +255,14 @@ func TestPinnedSnapshotSurvivesDelete(t *testing.T) {
 	}
 
 	// The deletes' garbage is blocked on our pin.
-	if eng.rec.Stats().Pending == 0 {
+	if eng.snap.Stats().Pending == 0 {
 		t.Fatal("expected retired nodes pending behind the pin")
 	}
 	// Releasing the last pin unblocks reclamation (Release itself sweeps;
 	// Compact would catch anything left).
 	release()
 	eng.Compact()
-	if rs := eng.rec.Stats(); rs.Pending != 0 || rs.Freed == 0 {
+	if rs := eng.snap.Stats(); rs.Pending != 0 || rs.Freed == 0 {
 		t.Fatalf("after release: pending=%d freed=%d", rs.Pending, rs.Freed)
 	}
 }
@@ -239,6 +281,7 @@ func TestLiveBytesBoundedUnderChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		noPinsAtCleanup(t, eng)
 		s0 = eng.Stats()
 		const churn = 300
 		for i := 0; i < churn; i++ {
@@ -251,7 +294,7 @@ func TestLiveBytesBoundedUnderChurn(t *testing.T) {
 			}
 		}
 		eng.Compact()
-		if freed := eng.rec.Stats().Freed; freed == 0 {
+		if freed := eng.snap.Stats().Freed; freed == 0 {
 			t.Error("churn freed no retired nodes")
 		}
 		if err := eng.CheckInvariants(); err != nil {
@@ -302,6 +345,7 @@ func TestConcurrentQueryMutateRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	noPinsAtCleanup(t, eng)
 
 	const writers, readers, opsPerWriter = 4, 4, 30
 	var writerWG, readerWG sync.WaitGroup
@@ -414,6 +458,7 @@ func TestInsertFromEmptyMatchesBuildMaxD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	noPinsAtCleanup(t, built)
 	if got := built.Stats().MaxDistance; got != 0.5 {
 		t.Fatalf("built engine maxD = %g, want 0.5", got)
 	}
@@ -421,12 +466,14 @@ func TestInsertFromEmptyMatchesBuildMaxD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	noPinsAtCleanup(t, fromNil)
 	// Emptied keeps the build-time vocabulary, so its documents weigh
 	// exactly like the built engine's and the answers must agree.
 	emptied, err := Build(objs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	noPinsAtCleanup(t, emptied)
 	for _, o := range objs {
 		if _, _, err := emptied.Delete(o.ID); err != nil {
 			t.Fatal(err)

@@ -42,17 +42,19 @@ type persistMeta struct {
 // is self-contained and can be reopened with Open. Save is the only
 // writer of index.log, and it is safe into the directory the engine was
 // opened from: the new log is renamed into place, and the engine keeps
-// reading the file it opened. Save serializes with the write path and
-// pins the snapshot it persists, so it is safe with queries and updates
-// in flight. It charges no I/O and leaves the buffer pool alone.
+// reading the file it opened. Save is a writer that publishes nothing:
+// it serializes with the write path, so the snapshot saved is the
+// current one and no update lands while its slots are copied, and it is
+// safe with queries and updates in flight. It charges no I/O and leaves
+// the buffer pool alone.
 func (e *Engine) Save(dir string) error {
-	// Hold the writer lock: the snapshot saved is the current one, and
-	// no update lands between loading it and copying the slots.
-	e.writeMu.Lock()
-	defer e.writeMu.Unlock()
-	st, release := e.pin()
-	defer release()
+	return e.snap.Write(func(st *engineState) (*engineState, []storage.NodeID, error) {
+		return nil, nil, e.save(dir, st)
+	})
+}
 
+// save writes st into dir.
+func (e *Engine) save(dir string, st *engineState) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -152,9 +154,10 @@ func Open(dir string) (*Engine, error) {
 	// The header blob is only needed to decode the snapshot; free its
 	// slot so the next Save's header recycles it instead of leaking one
 	// slot per save/open cycle.
-	//rstknn:allow retirepub the store is private until Open returns: no snapshot pointer is published yet and no reader can hold a pin
-	fs.Retire(storage.NodeID(meta.HeaderID))
-	_ = fs.Free(storage.NodeID(meta.HeaderID)) //rstknn:allow errlost first free of a just-retired slot cannot fail
+	if err := fs.Free(storage.NodeID(meta.HeaderID)); err != nil {
+		fs.Close()
+		return nil, err
+	}
 	fs.ResetStats()
 
 	scheme, _ := textual.SchemeByName(meta.Options.Weighting) // checked by validate
@@ -171,9 +174,7 @@ func Open(dir string) (*Engine, error) {
 	for i := range objs {
 		byID[objs[i].ID] = i
 	}
-	e.rec = storage.NewReclaimer(fs)
-	e.rec.SetOnFree(tree.InvalidateNode)
-	e.state.Store(&engineState{tree: tree, objects: objs, byID: byID})
+	e.snap = storage.NewVersions(fs, &engineState{tree: tree, objects: objs, byID: byID}, tree.InvalidateNode)
 	return e, nil
 }
 

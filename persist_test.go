@@ -432,3 +432,43 @@ func TestSaveOpenCyclesKeepSlotCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestSaveWithPinnedReaderReopensRetiredSlotsFreed: a Save while a
+// reader pins the previous snapshot sees that snapshot's retired nodes
+// still in the store. No version of the reopened engine can reach
+// them, so they must reopen as freed slots, and the reopened footprint
+// must equal the saver's once the reader has finished.
+func TestSaveWithPinnedReaderReopensRetiredSlotsFreed(t *testing.T) {
+	eng, err := Build(genRestaurants(rand.New(rand.NewSource(29)), 60), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, release := holdRead(t, eng)
+	if _, err := eng.Insert(Object{ID: 100, X: 35, Y: 27, Text: "midtown sushi"}); err != nil {
+		t.Fatal(err)
+	}
+	if p := eng.Stats().PendingReclaim; p == 0 {
+		t.Fatal("setup: the Insert retired nothing behind the pin")
+	}
+	dir := filepath.Join(t.TempDir(), "idx")
+	if err := eng.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	saved := eng.Stats()
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	got := re.Stats()
+	if got.LivePages != saved.LivePages || got.LiveBytes != saved.LiveBytes ||
+		got.Pages != saved.Pages || got.Bytes != saved.Bytes {
+		t.Errorf("reopened with %d live pages (%d B), %d pages (%d B); saved with %d (%d B), %d (%d B)",
+			got.LivePages, got.LiveBytes, got.Pages, got.Bytes,
+			saved.LivePages, saved.LiveBytes, saved.Pages, saved.Bytes)
+	}
+	if err := re.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -91,13 +91,15 @@ func (e *Engine) QueryVector(x, y float64, doc vector.Vector, k int) (*Result, e
 }
 
 // QueryVectorCtx is QueryVector with cancellation.
-func (e *Engine) QueryVectorCtx(ctx context.Context, x, y float64, doc vector.Vector, k int) (*Result, error) {
+func (e *Engine) QueryVectorCtx(ctx context.Context, x, y float64, doc vector.Vector, k int) (res *Result, err error) {
 	if err := validateQuery(x, y, k); err != nil {
 		return nil, err
 	}
-	st, release := e.pin()
-	defer release()
-	return e.queryVector(ctx, st, x, y, doc, k)
+	err = e.snap.Read(func(st *engineState) error {
+		res, err = e.queryVector(ctx, st, x, y, doc, k)
+		return err
+	})
+	return res, err
 }
 
 // coreOptions returns the engine's reverse-query options for one
@@ -138,7 +140,7 @@ func queryStats(m core.Metrics, tr *storage.Tracker, d time.Duration) QueryStats
 	}
 }
 
-// queryVector runs one reverse query against an already-pinned state.
+// queryVector runs one reverse query against a state inside Read.
 func (e *Engine) queryVector(ctx context.Context, st *engineState, x, y float64, doc vector.Vector, k int) (*Result, error) {
 	// The tracker is this query's execution context: all simulated I/O
 	// of this query — and only this query — lands on it.
@@ -162,18 +164,19 @@ func (e *Engine) QueryByID(id int32, k int) (*Result, error) {
 }
 
 // QueryByIDCtx is QueryByID with cancellation.
-func (e *Engine) QueryByIDCtx(ctx context.Context, id int32, k int) (*Result, error) {
-	st, release := e.pin()
-	defer release()
-	i, ok := st.byID[id]
-	if !ok {
-		return nil, fmt.Errorf("rstknn: unknown object ID %d", id)
-	}
-	o := st.objects[i]
-	if err := validateQuery(o.Loc.X, o.Loc.Y, k); err != nil {
-		return nil, err
-	}
-	res, err := e.queryVector(ctx, st, o.Loc.X, o.Loc.Y, o.Doc, k)
+func (e *Engine) QueryByIDCtx(ctx context.Context, id int32, k int) (res *Result, err error) {
+	err = e.snap.Read(func(st *engineState) error {
+		i, ok := st.byID[id]
+		if !ok {
+			return fmt.Errorf("rstknn: unknown object ID %d", id)
+		}
+		o := st.objects[i]
+		if err := validateQuery(o.Loc.X, o.Loc.Y, k); err != nil {
+			return err
+		}
+		res, err = e.queryVector(ctx, st, o.Loc.X, o.Loc.Y, o.Doc, k)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -198,10 +201,12 @@ func (e *Engine) TopKCtx(ctx context.Context, x, y float64, text string, k int) 
 	if err := validateQuery(x, y, k); err != nil {
 		return nil, err
 	}
-	st, release := e.pin()
-	defer release()
-	nbs, _, err := core.TopK(st.tree, core.Query{Loc: geom.Point{X: x, Y: y}, Doc: e.vectorize(text)},
-		core.TopKOptions{K: k, Alpha: e.opt.Alpha, Sim: e.measure, Exclude: -1, Ctx: ctx})
+	var nbs []core.Neighbor
+	err := e.snap.Read(func(st *engineState) (err error) {
+		nbs, _, err = core.TopK(st.tree, core.Query{Loc: geom.Point{X: x, Y: y}, Doc: e.vectorize(text)},
+			core.TopKOptions{K: k, Alpha: e.opt.Alpha, Sim: e.measure, Exclude: -1, Ctx: ctx})
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +232,7 @@ func (e *Engine) Influence(users []Object, x, y float64, text string, k int) ([]
 }
 
 // InfluenceCtx is Influence with cancellation.
-func (e *Engine) InfluenceCtx(ctx context.Context, users []Object, x, y float64, text string, k int) ([]int32, error) {
+func (e *Engine) InfluenceCtx(ctx context.Context, users []Object, x, y float64, text string, k int) (ids []int32, err error) {
 	if err := validateQuery(x, y, k); err != nil {
 		return nil, err
 	}
@@ -235,17 +240,19 @@ func (e *Engine) InfluenceCtx(ctx context.Context, users []Object, x, y float64,
 	for i, u := range users {
 		us[i] = iurtree.Object{ID: u.ID, Loc: geom.Point{X: u.X, Y: u.Y}, Doc: e.vectorize(u.Text)}
 	}
-	st, release := e.pin()
-	defer release()
-	var tracker storage.Tracker
-	out, err := core.BichromaticRSTkNN(st.tree, us,
-		core.Query{Loc: geom.Point{X: x, Y: y}, Doc: e.vectorize(text)},
-		core.BichromaticOptions{K: k, Alpha: e.opt.Alpha, Sim: e.measure,
-			Workers: e.opt.Workers, Ctx: ctx, Tracker: &tracker})
-	if err != nil {
-		return nil, err
-	}
-	return out.UserIDs, nil
+	err = e.snap.Read(func(st *engineState) error {
+		var tracker storage.Tracker
+		out, err := core.BichromaticRSTkNN(st.tree, us,
+			core.Query{Loc: geom.Point{X: x, Y: y}, Doc: e.vectorize(text)},
+			core.BichromaticOptions{K: k, Alpha: e.opt.Alpha, Sim: e.measure,
+				Workers: e.opt.Workers, Ctx: ctx, Tracker: &tracker})
+		if err != nil {
+			return err
+		}
+		ids = out.UserIDs
+		return nil
+	})
+	return ids, err
 }
 
 // QueryRequest is one unit of work for BatchQuery.
@@ -322,15 +329,16 @@ func (e *Engine) BatchQueryStatsCtx(ctx context.Context, reqs []QueryRequest, pa
 	if len(reqs) == 0 {
 		return out, BatchStats{}
 	}
-	st, release := e.pin()
-	defer release()
 	start := time.Now()
 	var bs BatchStats
-	if len(reqs) == 1 {
-		bs = e.batchOne(ctx, st, reqs[0], out)
-	} else {
-		bs = e.batchShared(ctx, st, reqs, parallelism, out)
-	}
+	_ = e.snap.Read(func(st *engineState) error {
+		if len(reqs) == 1 {
+			bs = e.batchOne(ctx, st, reqs[0], out)
+		} else {
+			bs = e.batchShared(ctx, st, reqs, parallelism, out)
+		}
+		return nil
+	})
 	bs.Requests = len(reqs)
 	bs.Duration = time.Since(start)
 	bs.NodesReadPerQuery = float64(bs.NodesRead) / float64(len(reqs))
@@ -407,9 +415,11 @@ func (e *Engine) batchOne(ctx context.Context, st *engineState, r QueryRequest, 
 // NaiveQuery answers the same reverse query by exhaustive scan — the
 // correctness oracle and the paper's comparison baseline. Exposed so
 // downstream users can sanity-check and benchmark on their own data.
-func (e *Engine) NaiveQuery(x, y float64, text string, k int) ([]int32, error) {
-	st, release := e.pin()
-	defer release()
-	return baseline.Naive(st.objects, core.Query{Loc: geom.Point{X: x, Y: y}, Doc: e.vectorize(text)},
-		k, e.opt.Alpha, st.tree.MaxD(), e.measure)
+func (e *Engine) NaiveQuery(x, y float64, text string, k int) (ids []int32, err error) {
+	err = e.snap.Read(func(st *engineState) error {
+		ids, err = baseline.Naive(st.objects, core.Query{Loc: geom.Point{X: x, Y: y}, Doc: e.vectorize(text)},
+			k, e.opt.Alpha, st.tree.MaxD(), e.measure)
+		return err
+	})
+	return ids, err
 }

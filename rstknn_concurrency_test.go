@@ -102,6 +102,7 @@ func TestConcurrentQueriesMatchSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			noPinsAtCleanup(t, eng)
 			nOps := 96
 			if testing.Short() {
 				nOps = 24
@@ -115,6 +116,7 @@ func TestConcurrentQueriesMatchSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			noPinsAtCleanup(t, base)
 			want := make([]opOutcome, len(ops))
 			for i, op := range ops {
 				want[i] = runOp(base, op)
@@ -188,6 +190,7 @@ func TestConcurrentBatchQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	noPinsAtCleanup(t, eng)
 	reqs := make([]QueryRequest, 40)
 	for i := range reqs {
 		reqs[i] = QueryRequest{X: rng.Float64() * 100, Y: rng.Float64() * 100,
@@ -224,10 +227,12 @@ func TestIntraQueryParallelUnderConcurrentCallers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	noPinsAtCleanup(t, par)
 	seq, err := Build(objs, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	noPinsAtCleanup(t, seq)
 	reqs := make([]QueryRequest, 48)
 	texts := []string{"sushi seafood", "noodles ramen", "pizza pasta", "steak grill"}
 	for i := range reqs {
@@ -273,6 +278,7 @@ func TestQueryCtxCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	noPinsAtCleanup(t, eng)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := eng.QueryCtx(ctx, 50, 50, "sushi", 5); !errors.Is(err, context.Canceled) {
@@ -293,6 +299,7 @@ func TestQueryValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	noPinsAtCleanup(t, eng)
 	bad := []struct {
 		name    string
 		x, y    float64
