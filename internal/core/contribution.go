@@ -14,9 +14,12 @@ import (
 // its parent, contributors keep the parts computed against the parent (or
 // an even higher ancestor). Those bounds remain *valid* for the child —
 // every object below the child is also below the parent — just looser,
-// so they are marked stale. The search re-tightens a contributor against
-// the candidate only when the refinement strategy actually selects it,
-// which keeps expansion cost linear in the fan-out instead of quadratic.
+// so they are marked stale. The search re-tightens stale contributors
+// against the candidate only once their inherited bounds fail to decide
+// it, nearest contributors first, and stops as soon as it is decided
+// (see worker.reboundStale). A group decided on inherited bounds costs
+// no rebound at all, which keeps expansion cost linear in the fan-out
+// instead of quadratic.
 //
 // A contributor references its entry rather than copying it: entry points
 // into the shared decode of the node read that produced it (immutable,
@@ -73,8 +76,9 @@ type contributionList struct {
 // inherited is a child group's contribution list by reference: every
 // contributor of the parent group, then every sibling j != own of the
 // expanded node's entries, with the sibling parts of the expansion —
-// all stale. The order is the one the list would have if copied, and
-// refinableByMaxUpper breaks ties by index, so it must not change.
+// all stale. The order is the one the list would have if copied:
+// refinableByMaxUpper breaks ties by index and reboundStale walks the
+// list from its end, so it must not change.
 // While siblings is nil the list is held in contributors instead.
 type inherited struct {
 	parent   []contributor

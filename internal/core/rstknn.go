@@ -716,11 +716,12 @@ func (w *worker) decideGroup(e *iurtree.Entry, g *group) (verdict, error) {
 			w.traceBounds(e, g)
 			return verdictReported, nil
 		}
-		// Tier 1: make every inherited bound group-relative (pure CPU).
+		// Tier 1: make inherited bounds group-relative (pure CPU).
 		// Loose ancestor-level lower bounds keep kNNL artificially low,
-		// so all of them are tightened in one pass the first time the
-		// group turns out to be undecided.
-		if w.reboundStale(gSide, &g.cl, &rc) {
+		// so they are tightened the first time the group turns out to
+		// be undecided, nearest contributors first, until the group is
+		// decided or none is left stale.
+		if w.reboundStale(gSide, &g.cl, &rc, item.K) {
 			continue
 		}
 		if e.IsObject() {
@@ -773,20 +774,34 @@ func (w *worker) refinable(cl *contributionList) int {
 	return cl.refinableByMaxUpper()
 }
 
-// reboundStale recomputes every stale contributor's bounds against the
-// group itself (they were inherited from an ancestor). No I/O. Returns
-// true when anything changed. The fresh parts replace the inherited slice
-// (which may be shared with sibling groups) — they never mutate it. rc,
-// when non-nil, trades each contributor's old parts for its new ones.
-// A list still held by reference is materialized first. The pass
-// scatters the group's union vector once, and only when some
-// contributor is stale.
+// reboundStale recomputes stale contributors' bounds against the group
+// itself (they were inherited from an ancestor) until the group is
+// decided for rank cutoff k or none is left stale. No I/O. Returns true
+// when anything changed.
+//
+// The walk runs from the end of the list: the expanded node's siblings,
+// the group's nearest entries, come first, then the parent group's
+// contributors from its latest refinements back. After each rebound rc
+// holds the counts of the partly tightened list, so checking the two
+// rules costs O(1), and the walk stops as soon as one holds. The
+// contributors it did not reach keep their stale parts, which are still
+// valid bounds for the group. A fresh part is never looser than the
+// stale part it replaces, so nlo can only grow and nhi only shrink along
+// the walk: a verdict reached early is the one the whole pass would
+// reach, and an undecided group ends the pass with every contributor
+// fresh, as before.
+//
+// The fresh parts replace the inherited slice (which may be shared with
+// sibling groups) — they never mutate it. rc trades each contributor's
+// old parts for its new ones. A list still held by reference is
+// materialized first. The pass scatters the group's union vector once,
+// and only when some contributor is stale.
 //
 //rstknn:hotpath one pass per undecided group
-func (w *worker) reboundStale(gSide side, cl *contributionList, rc *ruleCounts) bool {
+func (w *worker) reboundStale(gSide side, cl *contributionList, rc *ruleCounts, k int) bool {
 	cl.materialize(w.scratch)
 	loaded := false
-	for i := range cl.contributors {
+	for i := len(cl.contributors) - 1; i >= 0; i-- {
 		ct := &cl.contributors[i]
 		if !ct.stale {
 			continue
@@ -800,6 +815,9 @@ func (w *worker) reboundStale(gSide side, cl *contributionList, rc *ruleCounts) 
 		rc.add(ct.parts)
 		ct.stale = false
 		w.metrics.Rebounds++
+		if rc.prunes(k) || rc.reports(k) {
+			break
+		}
 	}
 	if loaded {
 		w.scratch.kern.Clear()

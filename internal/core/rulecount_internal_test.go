@@ -134,13 +134,16 @@ func FuzzRuleCountsMatchSelection(f *testing.F) {
 // TestRuleCountsIncremental drives a random sequence of replace and
 // reboundStale calls, the two ways decideGroup changes a list, and
 // checks after each one that the incrementally kept counts equal a
-// recount from scratch.
+// recount from scratch. Each trial draws its own rank cutoff k, so
+// some reboundStale calls stop early, once the rules decide the list
+// for k, and leave contributors stale.
 func TestRuleCountsIncremental(t *testing.T) {
 	s, entries := boundFixture(t)
 	sc := getScratch()
 	defer sc.release()
 	w := &worker{scorer: *s, scratch: sc}
 	rng := rand.New(rand.NewSource(71))
+	early, passes := 0, 0
 	// contrib returns a contributor for entries[j] bounded against a random
 	// other side, as if inherited from an ancestor.
 	contrib := func(j int, stale bool) contributor {
@@ -163,10 +166,18 @@ func TestRuleCountsIncremental(t *testing.T) {
 		if len(pick) > 0 && rng.Intn(2) == 0 {
 			q = interval{lo: pick[0].hi, hi: pick[0].lo}
 		}
+		k := 1 + rng.Intn(len(entries))
 		rc := cl.ruleCounts(q)
 		for op := 0; op < 40 && len(cl.contributors) > 0; op++ {
 			if rng.Intn(3) == 0 {
-				w.reboundStale(gSide, &cl, &rc)
+				w.reboundStale(gSide, &cl, &rc, k)
+				passes++
+				for i := range cl.contributors {
+					if cl.contributors[i].stale {
+						early++
+						break
+					}
+				}
 			} else {
 				var repl []contributor
 				for n := rng.Intn(4); n > 0; n-- {
@@ -183,6 +194,10 @@ func TestRuleCountsIncremental(t *testing.T) {
 			}
 		}
 		sc.parts.reset()
+	}
+	// Both kinds of pass must occur, or the random k tests only one.
+	if early == 0 || early == passes {
+		t.Fatalf("%d of %d reboundStale calls left contributors stale; want some but not all", early, passes)
 	}
 }
 
