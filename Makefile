@@ -91,6 +91,7 @@ fuzz:
 	go test .                   -run '^$$' -fuzz FuzzLoad            -fuzztime $(FUZZTIME)
 	go test ./internal/core/    -run '^$$' -fuzz FuzzRuleCountsMatchSelection -fuzztime $(FUZZTIME)
 	go test ./internal/core/    -run '^$$' -fuzz FuzzSearchMatchesNaive       -fuzztime $(FUZZTIME)
+	go test ./internal/geom/    -run '^$$' -fuzz FuzzDistMatchesHypot         -fuzztime $(FUZZTIME)
 
 # Vet and test the benchmark module (benchmark/, its own go.mod). The
 # root ./... pattern never enters a nested module, yet benchmark/

@@ -180,3 +180,53 @@ func TestValid(t *testing.T) {
 		t.Error("NaN rect should be invalid")
 	}
 }
+
+// FuzzDistMatchesHypot checks the square-root distance against
+// math.Hypot. Whenever both legs are finite and math.Hypot's length is
+// finite, the distance must be finite, within 2 ulp of math.Hypot, and
+// zero only when p and q coincide; a length beyond math.MaxFloat64 must
+// be +Inf, as math.Hypot gives. MinDist and MaxDist of the two points'
+// degenerate rectangles take the same path and must agree bit for bit.
+// The seed corpus holds ±1e300, subnormals, zeros, mixed signs and both
+// sides of the squared-sum underflow and overflow limits.
+func FuzzDistMatchesHypot(f *testing.F) {
+	f.Fuzz(func(t *testing.T, px, py, qx, qy float64) {
+		dx, dy := px-qx, py-qy
+		if math.IsNaN(dx) || math.IsNaN(dy) || math.IsInf(dx, 0) || math.IsInf(dy, 0) {
+			return // non-finite legs: no finite length to match
+		}
+		p, q := Point{px, py}, Point{qx, qy}
+		got, want := p.Dist(q), math.Hypot(dx, dy)
+		if math.IsInf(want, 1) {
+			if got != want {
+				t.Fatalf("Dist(%v, %v) = %g, want +Inf as math.Hypot", p, q, got)
+			}
+			return
+		}
+		if math.IsInf(got, 0) || math.IsNaN(got) {
+			t.Fatalf("Dist(%v, %v) = %g, not finite; math.Hypot %g", p, q, got, want)
+		}
+		if u := ulpDiff(got, want); u > 2 {
+			t.Fatalf("Dist(%v, %v) = %g, %d ulp from math.Hypot %g", p, q, got, u, want)
+		}
+		if (got == 0) != (dx == 0 && dy == 0) {
+			t.Fatalf("Dist(%v, %v) = %g with legs (%g, %g)", p, q, got, dx, dy)
+		}
+		if r := p.Rect().MinDist(q.Rect()); r != got {
+			t.Fatalf("MinDist of %v and %v = %g, Dist %g", p, q, r, got)
+		}
+		if r := p.Rect().MaxDist(q.Rect()); r != got {
+			t.Fatalf("MaxDist of %v and %v = %g, Dist %g", p, q, r, got)
+		}
+	})
+}
+
+// ulpDiff returns the number of float64 values between two
+// non-negative finite values.
+func ulpDiff(a, b float64) uint64 {
+	x, y := math.Float64bits(a), math.Float64bits(b)
+	if x > y {
+		return x - y
+	}
+	return y - x
+}

@@ -1,8 +1,10 @@
 package rstknn
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -93,6 +95,59 @@ func TestEngineMatchesNaive(t *testing.T) {
 			}
 			if fmt.Sprint(res.IDs) != fmt.Sprint(want) {
 				t.Fatalf("config %d trial %d: engine %v != naive %v", ci, trial, res.IDs, want)
+			}
+		}
+	}
+}
+
+// TestExtremeCoordinatesMatchNaive indexes objects at ±1e200, whose
+// squared distances overflow float64, and at subnormal offsets from the
+// origin, whose squared distances underflow. Distances there must keep
+// math.Hypot's answer: a +Inf distance would make the spatial
+// similarity -Inf, and with alpha 0 its zero weight would turn that
+// into NaN. Build must accept the collection and every query must
+// match the exhaustive scan, at alpha 0 and at alpha 1.
+func TestExtremeCoordinatesMatchNaive(t *testing.T) {
+	const big, tiny = 1e200, 5e-324 // tiny is the smallest subnormal
+	var objects []Object
+	for i, sx := range []float64{-1, 1} {
+		for j, sy := range []float64{-1, 1} {
+			for m := 0; m < 3; m++ {
+				objects = append(objects, Object{
+					ID: int32(len(objects)), X: sx * big * float64(1+m), Y: sy * big,
+					Text: menuTerms[(i+2*j+m)%len(menuTerms)],
+				})
+			}
+		}
+	}
+	for m := 0; m < 12; m++ {
+		objects = append(objects, Object{
+			ID: int32(len(objects)), X: float64(m%4-1) * tiny, Y: float64(m/4) * 3 * tiny,
+			Text: menuTerms[m%5] + " " + menuTerms[(m+3)%7],
+		})
+	}
+	queries := []struct{ x, y float64 }{
+		{0, 0}, {tiny, -tiny}, {big, big}, {-2 * big, big}, {1e100, -1e100},
+	}
+	for _, opt := range []Options{{AlphaSet: true}, {Alpha: 1}, {Index: CIUR, Clusters: 3, AlphaSet: true}} {
+		eng, err := Build(objects, opt)
+		if err != nil {
+			t.Fatalf("alpha %g: Build: %v", opt.Alpha, err)
+		}
+		for _, q := range queries {
+			for _, k := range []int{1, 3, 7} {
+				text := menuTerms[k%5]
+				res, err := eng.QueryCtx(context.Background(), q.x, q.y, text, k)
+				if err != nil {
+					t.Fatalf("alpha %g query (%g, %g) k=%d: %v", opt.Alpha, q.x, q.y, k, err)
+				}
+				want, err := eng.NaiveQuery(q.x, q.y, text, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(res.IDs, want) {
+					t.Errorf("alpha %g query (%g, %g) k=%d: engine %v, naive %v", opt.Alpha, q.x, q.y, k, res.IDs, want)
+				}
 			}
 		}
 	}
