@@ -275,6 +275,8 @@ func (e *Engine) ObjectByID(id int32) (x, y float64, doc vector.Vector, err erro
 // queries after a build).
 func (e *Engine) ResetIOStats() { e.store.ResetStats() }
 
-// DropCache empties the buffer pool (if configured), simulating a cold
-// start.
+// DropCache empties the buffer pool (if configured), so the next read
+// of every node is charged as a page read. Decoded nodes stay cached,
+// so the next queries are cold in the paper's I/O counters but not in
+// CPU time or in reads of index.log.
 func (e *Engine) DropCache() { e.store.DropCache() }

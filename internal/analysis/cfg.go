@@ -93,10 +93,6 @@ func NewCFG(body *ast.BlockStmt) *CFG {
 	return b.g
 }
 
-// ExitPreds returns the blocks with an edge into Exit — the states
-// flowing out of them are the function's exit states.
-func (g *CFG) ExitPreds() []*Block { return g.Exit.Preds }
-
 // ------------------------------------------------------------------
 // Builder
 

@@ -19,10 +19,9 @@ package analysis
 // classes of the function's own syntax, so height is trivially bounded).
 //
 // Deferred actions are applied by the transfer functions themselves
-// (the DeferStmt node sits in its block; registering it in S and
-// applying it at exit reads is the defer-as-exit-edge-action model
-// described in cfg.go), so the solver needs no special exit hook:
-// analyzers read the states flowing into Exit via ExitStates.
+// (the DeferStmt node sits in its block; registering it in S is the
+// defer-as-exit-edge-action model described in cfg.go), so the solver
+// needs no special exit hook.
 
 import "go/ast"
 
@@ -117,21 +116,5 @@ func (sol *Solution[S]) Walk(visit func(n ast.Node, before S)) {
 			visit(n, st)
 			st = sol.f.Transfer(n, st)
 		}
-	}
-}
-
-// ExitStates invokes visit with the out-state of every reached block
-// that edges into Exit — one call per exit path bundle. Leak checks
-// ("held at function exit") fold over these.
-func (sol *Solution[S]) ExitStates(visit func(s S)) {
-	for _, blk := range sol.g.ExitPreds() {
-		if !sol.Reached[blk.Index] {
-			continue
-		}
-		st := sol.f.copyState(sol.In[blk.Index])
-		for _, n := range blk.Nodes {
-			st = sol.f.Transfer(n, st)
-		}
-		visit(st)
 	}
 }

@@ -2,7 +2,6 @@ package analysis_test
 
 import (
 	"go/ast"
-	"sort"
 	"testing"
 
 	"rstknn/internal/analysis"
@@ -42,23 +41,20 @@ func setFlow(join func(a, b bool) bool) *analysis.Flow[bool] {
 func mustJoin(a, b bool) bool { return a && b }
 func mayJoin(a, b bool) bool  { return a || b }
 
-// solveBody runs the flow over body and folds the exit states with the
-// same join operator.
-func solveBody(t *testing.T, body string, join func(a, b bool) bool) (exit bool, exits int) {
+// solveBody runs the flow over body and returns the state in force at
+// its last use() call.
+func solveBody(t *testing.T, body string, join func(a, b bool) bool) bool {
 	t.Helper()
-	_, blk := parseBody(t, body)
+	fset, blk := parseBody(t, body)
 	g := analysis.NewCFG(blk)
 	sol := analysis.Solve(g, setFlow(join))
-	first := true
-	sol.ExitStates(func(s bool) {
-		exits++
-		if first {
-			exit, first = s, false
-			return
+	var at bool
+	sol.Walk(func(n ast.Node, s bool) {
+		if nodeStr(fset, n) == "use()" {
+			at = s
 		}
-		exit = join(exit, s)
 	})
-	return exit, exits
+	return at
 }
 
 func TestSolveBranchJoin(t *testing.T) {
@@ -68,25 +64,24 @@ if c {
 }
 use()
 `
-	if exit, _ := solveBody(t, body, mustJoin); exit {
-		t.Error("must-join: set() on one branch only, but exit state is true")
+	if solveBody(t, body, mustJoin) {
+		t.Error("must-join: set() on one branch only, but the join state is true")
 	}
-	if exit, _ := solveBody(t, body, mayJoin); !exit {
-		t.Error("may-join: set() on one branch, but exit state is false")
+	if !solveBody(t, body, mayJoin) {
+		t.Error("may-join: set() on one branch, but the join state is false")
 	}
 }
 
 func TestSolveBothBranchesMust(t *testing.T) {
-	exit, _ := solveBody(t, `
+	if !solveBody(t, `
 if c {
 	set()
 } else {
 	set()
 }
 use()
-`, mustJoin)
-	if !exit {
-		t.Error("must-join: set() on every branch, but exit state is false")
+`, mustJoin) {
+		t.Error("must-join: set() on every branch, but the join state is false")
 	}
 }
 
@@ -97,41 +92,11 @@ for i := 0; i < n; i++ {
 }
 use()
 `
-	if exit, _ := solveBody(t, body, mustJoin); exit {
-		t.Error("must-join: the zero-iteration path skips set(), but exit state is true")
+	if solveBody(t, body, mustJoin) {
+		t.Error("must-join: the zero-iteration path skips set(), but the state after the loop is true")
 	}
-	if exit, _ := solveBody(t, body, mayJoin); !exit {
-		t.Error("may-join: the loop body runs set(), but exit state is false")
-	}
-}
-
-func TestSolveEarlyReturnExitStates(t *testing.T) {
-	_, blk := parseBody(t, `
-if c {
-	return
-}
-set()
-`)
-	g := analysis.NewCFG(blk)
-	sol := analysis.Solve(g, setFlow(mustJoin))
-	var states []bool
-	sol.ExitStates(func(s bool) { states = append(states, s) })
-	if len(states) != 2 {
-		t.Fatalf("got %d exit states, want 2 (early return + fall-off)", len(states))
-	}
-	sort.Slice(states, func(i, j int) bool { return !states[i] && states[j] })
-	if states[0] != false || states[1] != true {
-		t.Errorf("exit states = %v, want one false (early return) and one true (fall-off after set)", states)
-	}
-}
-
-func TestSolveInfiniteLoopNoExitStates(t *testing.T) {
-	if _, exits := solveBody(t, `
-for {
-	set()
-}
-`, mustJoin); exits != 0 {
-		t.Errorf("for{} never exits, but ExitStates visited %d paths", exits)
+	if !solveBody(t, body, mayJoin) {
+		t.Error("may-join: the loop body runs set(), but the state after the loop is false")
 	}
 }
 

@@ -47,7 +47,8 @@ type FuncSummary struct {
 	AllocWhy  string `json:"alloc_why,omitempty"`
 
 	// PerformsIO reports that the function may perform simulated
-	// node/blob I/O (a store GetTracked, itself or through a callee).
+	// node/blob I/O (a store Charge, Fetch or GetTracked, itself or
+	// through a callee).
 	// IOWhy names the evidence. locksafe uses it to see through helpers.
 	PerformsIO bool   `json:"performs_io,omitempty"`
 	IOWhy      string `json:"io_why,omitempty"`

@@ -1,7 +1,8 @@
 package analysis
 
 // LockSafe keeps simulated node/blob I/O out of locked regions: no
-// GetTracked on a store type — and no call whose PerformsIO fact is
+// Charge, Fetch or GetTracked on a store type — and no call whose
+// PerformsIO fact is
 // set, so snapshot reads and any helper chain above them count too —
 // runs while a mutex is held. Holding a buffer-pool shard lock across a
 // (simulated) disk read serializes every concurrent reader of that

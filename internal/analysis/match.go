@@ -35,14 +35,17 @@ func methodCall(info *types.Info, call *ast.CallExpr) (*types.Named, string, boo
 // storeTypeNames are the named types acting as blob stores.
 var storeTypeNames = map[string]bool{"Store": true, "FileStore": true, "Blobs": true}
 
-// ioReadCall reports whether call is a simulated node/blob read: a
-// GetTracked on a store type, the one read primitive every store
-// exposes. Tree reads (Snapshot.ReadNodeTracked, ReadSharedTracked)
-// reach it through their PerformsIO fact.
+// ioReadMethods are the read primitives every store type exposes:
+// Charge (the simulated I/O), Fetch (the bytes) and GetTracked (both).
+var ioReadMethods = map[string]bool{"GetTracked": true, "Charge": true, "Fetch": true}
+
+// ioReadCall reports whether call is a simulated node/blob read: one of
+// ioReadMethods on a store type. Tree reads (Snapshot.ReadNodeTracked,
+// ReadSharedTracked) reach them through their PerformsIO fact.
 func ioReadCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	named, method, ok := methodCall(info, call)
-	if !ok || method != "GetTracked" || !storeTypeNames[named.Obj().Name()] {
+	if !ok || !ioReadMethods[method] || !storeTypeNames[named.Obj().Name()] {
 		return "", false
 	}
-	return named.Obj().Name() + ".GetTracked", true
+	return named.Obj().Name() + "." + method, true
 }

@@ -1,6 +1,6 @@
 // Package locksafe is an analysistest fixture for the locksafe analyzer:
-// a store stand-in whose GetTracked counts as simulated I/O, read with
-// and without its lock held.
+// a store stand-in whose Charge, Fetch and GetTracked count as simulated
+// I/O, read with and without its lock held.
 package locksafe
 
 import "sync"
@@ -12,6 +12,50 @@ type Tracker struct{}
 type Store struct{ mu sync.RWMutex }
 
 func (s *Store) GetTracked(id NodeID, tr *Tracker) ([]byte, error) { return nil, nil }
+
+func (s *Store) Charge(id NodeID, tr *Tracker) error { return nil }
+
+func (s *Store) Fetch(id NodeID) ([]byte, error) { return nil, nil }
+
+// Blobs is the interface stand-in: its read methods count as I/O too.
+type Blobs interface {
+	Charge(id NodeID, tr *Tracker) error
+	Fetch(id NodeID) ([]byte, error)
+}
+
+// FileStore embeds the store; its promoted reads count as I/O too.
+type FileStore struct{ *Store }
+
+// splitReadUnderLock charges and fetches while holding the lock, each
+// half of a read on its own.
+func splitReadUnderLock(s *Store, tr *Tracker) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.Charge(0, tr); err != nil { // want `Store\.Charge called while holding a lock`
+		return nil, err
+	}
+	return s.Fetch(0) // want `Store\.Fetch called while holding a lock`
+}
+
+func interfaceReadUnderLock(mu *sync.Mutex, b Blobs) error {
+	mu.Lock()
+	defer mu.Unlock()
+	if err := b.Charge(0, nil); err != nil { // want `Blobs\.Charge called while holding a lock`
+		return err
+	}
+	_, err := b.Fetch(0) // want `Blobs\.Fetch called while holding a lock`
+	return err
+}
+
+func fileStoreChargeUnderLock(fs *FileStore, tr *Tracker) error {
+	fs.mu.RLock()
+	err := fs.Charge(0, tr) // want `^FileStore\.Charge called while holding a lock`
+	fs.mu.RUnlock()
+	if err != nil {
+		return err
+	}
+	return fs.Charge(0, tr) // clean: lock released
+}
 
 func lockedIO(s *Store) {
 	s.mu.Lock()

@@ -71,6 +71,11 @@ type contributionList struct {
 	contributors []contributor
 	self         []part
 	inh          inherited
+	// fresh is true only when no contributor is stale: a rebound pass
+	// that reached the list's start sets it, and replace clears it when
+	// it adds a stale contributor. While it holds, reboundStale returns
+	// at once instead of scanning the list for a stale flag.
+	fresh bool
 }
 
 // inherited is a child group's contribution list by reference: every
@@ -463,6 +468,7 @@ func (cl *contributionList) replace(sc *scratch, i int, repl []contributor, rc *
 	rc.sub(cl.contributors[i].parts)
 	for j := range repl {
 		rc.add(repl[j].parts)
+		cl.fresh = cl.fresh && !repl[j].stale
 	}
 	last := len(cl.contributors) - 1
 	cl.contributors[i] = cl.contributors[last]

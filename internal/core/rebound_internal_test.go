@@ -189,3 +189,50 @@ func TestReboundEarlyExitKeepsVerdict(t *testing.T) {
 		})
 	}
 }
+
+// TestReboundSkipsFreshList: a pass that reaches the list's start marks
+// it fresh, and the next call returns without touching it; replace
+// clears the mark when it adds a stale contributor, whose rebound the
+// next pass then does.
+func TestReboundSkipsFreshList(t *testing.T) {
+	s, entries := boundFixture(t)
+	sc := getScratch()
+	defer sc.release()
+	w := &worker{scorer: *s, scratch: sc}
+	a := &entries[0]
+	gSide := sideOf(a)
+	inherited := func(j int) contributor {
+		return newContributor(&entries[j], boundsInto(s, sc, sideOf(&entries[1]), &entries[j]), true)
+	}
+	cl := contributionList{self: s.selfPartsInto(sc, a, -1, a.Env, a.Count)}
+	for j := 1; j < len(entries); j++ {
+		cl.contributors = append(cl.contributors, inherited(j))
+	}
+	// Every part's upper bound exceeds -1 and no lower bound exceeds 2,
+	// so at k = 1 neither rule holds and a pass cannot stop early.
+	rc := cl.ruleCounts(interval{lo: -1, hi: 2})
+	pass := func(wantRebounds int) {
+		t.Helper()
+		before := w.metrics.Rebounds
+		changed := w.reboundStale(gSide, &cl, &rc, 1)
+		if got := w.metrics.Rebounds - before; got != wantRebounds || changed != (wantRebounds > 0) {
+			t.Fatalf("pass rebounded %d contributors (changed %v), want %d", got, changed, wantRebounds)
+		}
+		for i := range cl.contributors {
+			if cl.contributors[i].stale {
+				t.Fatalf("contributor %d still stale after a whole pass", i)
+			}
+		}
+	}
+	pass(len(entries) - 1)
+	pass(0)
+	cl.replace(sc, 0, []contributor{inherited(2)}, &rc)
+	pass(1)
+	fresh := inherited(3)
+	fresh.stale = false
+	cl.replace(sc, 0, []contributor{fresh}, &rc)
+	pass(0)
+	if want := cl.ruleCounts(rc.q); rc != want {
+		t.Errorf("incremental counts %+v, recount %+v", rc, want)
+	}
+}

@@ -795,13 +795,20 @@ func (w *worker) refinable(cl *contributionList) int {
 // sibling groups) — they never mutate it. rc trades each contributor's
 // old parts for its new ones. A list still held by reference is
 // materialized first. The pass scatters the group's union vector once,
-// and only when some contributor is stale.
+// and only when some contributor is stale. A pass that reaches the
+// list's start marks it fresh, so the calls decideGroup makes after
+// each later refinement, which adds only fresh contributors, return at
+// once.
 //
 //rstknn:hotpath one pass per undecided group
 func (w *worker) reboundStale(gSide side, cl *contributionList, rc *ruleCounts, k int) bool {
+	if cl.fresh {
+		return false
+	}
 	cl.materialize(w.scratch)
 	loaded := false
-	for i := len(cl.contributors) - 1; i >= 0; i-- {
+	i := len(cl.contributors) - 1
+	for ; i >= 0; i-- {
 		ct := &cl.contributors[i]
 		if !ct.stale {
 			continue
@@ -819,6 +826,7 @@ func (w *worker) reboundStale(gSide side, cl *contributionList, rc *ruleCounts, 
 			break
 		}
 	}
+	cl.fresh = i <= 0
 	if loaded {
 		w.scratch.kern.Clear()
 	}

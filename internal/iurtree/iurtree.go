@@ -362,29 +362,33 @@ func (t *Snapshot) ReadNodeTracked(id storage.NodeID, tr *storage.Tracker) (*Nod
 	return decodeStored(id, blob)
 }
 
-// ReadSharedTracked fetches the node stored under id and returns the
-// snapshot's shared decode of it, charging the same simulated I/O as
-// ReadNodeTracked: a bound-cache hit saves only the decode work, never a
-// page access, so traversal cost accounting does not depend on the
-// cache. A miss runs the full decode and caches the result.
+// ReadSharedTracked returns the snapshot's shared decode of the node
+// stored under id, charging the same simulated I/O as ReadNodeTracked.
+// A bound-cache hit charges the read (storage.Blobs.Charge) and fetches
+// nothing: it saves the fetch and the decode, never a page access, so
+// traversal cost accounting does not depend on the cache. A miss, or any
+// read with the cache off, charges and fetches the blob through
+// GetTracked and decodes it; a miss caches the result.
 //
 // The returned node, its entries and everything they reference are
 // shared with every other reader and must not be modified. The node is
 // immutable for as long as the caller can reach it.
 func (t *Snapshot) ReadSharedTracked(id storage.NodeID, tr *storage.Tracker) (*Node, error) {
+	if t.boundCache != nil {
+		if n, ok := t.boundCache.get(id); ok {
+			if err := t.store.Charge(id, tr); err != nil {
+				return nil, err
+			}
+			return n, nil
+		}
+	}
 	blob, err := t.store.GetTracked(id, tr)
 	if err != nil {
 		return nil, err
 	}
-	if t.boundCache == nil {
-		return decodeStored(id, blob)
-	}
-	if n, ok := t.boundCache.get(id); ok {
-		return n, nil
-	}
 	n, err := decodeStored(id, blob)
-	if err != nil {
-		return nil, err
+	if err != nil || t.boundCache == nil {
+		return n, err
 	}
 	indexUnions(n)
 	t.boundCache.put(id, n)

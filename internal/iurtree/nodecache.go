@@ -23,11 +23,12 @@ import (
 // its reference, and the node stays immutable and reachable until the
 // garbage collector sees the last reference go.
 //
-// A cache hit does NOT skip the simulated page I/O: ReadSharedTracked
-// still fetches the blob and charges the read, so nodes-read and
-// page-access accounting — the paper's cost model — are bit-identical
-// with the cache on or off. Only the CPU and allocations of re-decoding
-// are saved.
+// A cache hit does NOT skip the simulated page I/O: on a hit
+// ReadSharedTracked still charges the read (storage.Blobs.Charge), so
+// nodes-read and page-access accounting — the paper's cost model — are
+// bit-identical with the cache on or off. Only a miss fetches the blob
+// (storage.Blobs.GetTracked). A hit saves the fetch (on a FileStore, a
+// pread into a new buffer), the decode and their allocations.
 //
 // The cache is shared by every snapshot derived from the one that
 // created it (derive() copies the pointer), so BatchQuery hits across

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 
@@ -158,6 +160,50 @@ func TestWarmSharedReadDoesNotAllocate(t *testing.T) {
 	}
 	if tk.Reads() == 0 {
 		t.Error("warm reads skipped the simulated I/O charge")
+	}
+}
+
+// TestWarmSharedReadOnFileStoreDoesNotAllocate is the same check on a
+// saved and reopened tree whose 1-page buffer pool every read misses: a
+// warm shared read still charges a page read, yet fetches nothing from
+// the log, so it allocates nothing and succeeds with the log emptied.
+func TestWarmSharedReadOnFileStoreDoesNotAllocate(t *testing.T) {
+	built := buildReadTestTree(t, 45, false)
+	path := filepath.Join(t.TempDir(), "index.log")
+	headerID, err := built.Store().(*storage.Store).WriteLog(path, built.Header())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := storage.OpenFileStore(path, storage.WithBufferPool(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	tr, err := Open(fs, headerID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := warmBoundCache(t, tr)
+	if len(ids) < 2 {
+		t.Fatalf("tree has %d nodes; a 1-page pool needs two to miss", len(ids))
+	}
+	// From here on a pread finds nothing to read and fails.
+	if err := os.Truncate(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	var tk storage.Tracker
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, id := range ids {
+			if _, err := tr.ReadSharedTracked(id, &tk); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm ReadSharedTracked on a FileStore allocates %.1f times per %d reads, want 0", allocs, len(ids))
+	}
+	if tk.Reads() == 0 || tk.CacheHits() != 0 {
+		t.Errorf("tracker %+v, want every warm read charged as a pool miss", tk.Stats())
 	}
 }
 

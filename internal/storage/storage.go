@@ -7,18 +7,26 @@
 // measured.
 //
 // Blobs are node-sized byte slices produced by the trees' serializers.
+// Charging a read and fetching its bytes are separate calls: Charge
+// counts the simulated I/O (a pool hit or the pages read) and moves no
+// bytes, Fetch returns the bytes and charges nothing, and GetTracked is
+// the two in turn. A reader that keeps its own decode of a node charges
+// every read and fetches only when that decode is missing. The buffer
+// pool therefore models which pages are resident, not their contents: it
+// holds IDs and page counts, never bytes.
+//
 // The store is safe for concurrent use: reads take a shared lock, the
 // global I/O counters are atomics, and the buffer pool is sharded by
 // NodeID so concurrent queries do not serialize on one cache mutex.
-// Per-query cost attribution goes through a Tracker passed to GetTracked;
-// the global counters keep index-wide totals.
+// Per-query cost attribution goes through a Tracker passed to Charge (or
+// GetTracked); the global counters keep index-wide totals.
 package storage
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -41,12 +49,13 @@ var ErrFreed = errors.New("storage: node freed")
 
 // Stats aggregates the simulated I/O counters of a Store.
 type Stats struct {
-	// Reads is the number of GetTracked calls that missed the buffer pool.
+	// Reads is the number of charged reads (Charge or GetTracked calls)
+	// that missed the buffer pool.
 	Reads int64
 	// PagesRead is the number of pages transferred by those reads
 	// (ceil(blobSize / pageSize) per read, minimum 1).
 	PagesRead int64
-	// CacheHits counts GetTracked calls served by the buffer pool.
+	// CacheHits counts charged reads served by the buffer pool.
 	CacheHits int64
 	// Writes and PagesWritten mirror the read counters for Put.
 	Writes       int64
@@ -274,10 +283,18 @@ type Blobs interface {
 	// PutTracked is Put with per-writer attribution: the write I/O is
 	// charged to tr (when non-nil) in addition to the global counters.
 	PutTracked(data []byte, tr *Tracker) NodeID
-	// GetTracked returns the blob stored under id, charging simulated
-	// I/O unless a buffer pool holds it. The charge lands on the global
-	// counters and, when tr is non-nil, on the caller's tracker. The
-	// returned slice is read-only.
+	// Charge charges the simulated I/O of reading the blob stored under
+	// id without moving its bytes: a buffer-pool hit, or a read of the
+	// blob's pages. The charge lands on the global counters and, when tr
+	// is non-nil, on the caller's tracker. It fails as GetTracked does on
+	// an unknown or freed ID.
+	Charge(id NodeID, tr *Tracker) error
+	// Fetch returns the blob stored under id and charges nothing; a blob
+	// that lives in a log is read from it. The returned slice is
+	// read-only.
+	Fetch(id NodeID) ([]byte, error)
+	// GetTracked is Charge followed by Fetch: it returns the blob stored
+	// under id and charges its read. The returned slice is read-only.
 	GetTracked(id NodeID, tr *Tracker) ([]byte, error)
 	// Retire marks the blob as superseded garbage: it stays readable (a
 	// pinned snapshot may still reference it) but no longer counts as
@@ -290,7 +307,8 @@ type Blobs interface {
 	Stats() Stats
 	// ResetStats zeroes the I/O counters.
 	ResetStats()
-	// DropCache empties the buffer pool, if any.
+	// DropCache empties the buffer pool, if any, so the next charge of
+	// every blob is a read.
 	DropCache()
 	// PageSize returns the simulated page size in bytes.
 	PageSize() int
@@ -361,10 +379,11 @@ func WithPageSize(bytes int) Option {
 }
 
 // WithBufferPool enables an LRU buffer pool holding up to capacityPages
-// pages worth of blobs. Reads served from the pool cost no simulated I/O.
-// Large pools are sharded by NodeID so concurrent readers do not contend
-// on one mutex; small pools stay single-sharded and keep exact global LRU
-// order.
+// pages worth of blobs. Charges served from the pool cost no simulated
+// I/O. The pool tracks which blobs are resident and their page counts; it
+// holds no bytes. Large pools are sharded by NodeID so concurrent readers
+// do not contend on one mutex; small pools stay single-sharded and keep
+// exact global LRU order.
 func WithBufferPool(capacityPages int) Option {
 	return func(s *Store) {
 		if capacityPages > 0 {
@@ -463,7 +482,7 @@ func (s *Store) PutTracked(data []byte, tr *Tracker) NodeID {
 	pages := s.pagesFor(len(b))
 	s.stats.chargeWrite(int64(pages), tr)
 	if s.cache != nil {
-		s.cache.put(id, b, pages)
+		s.cache.put(id, pages)
 	}
 	return id
 }
@@ -500,42 +519,67 @@ func (s *Store) Free(id NodeID) error {
 	return nil
 }
 
-// GetTracked returns the blob stored under id, charging simulated I/O
-// unless the buffer pool holds it. The charge lands on the global
-// counters and, when tr is non-nil, on the caller's tracker. The
-// returned slice must not be modified.
-func (s *Store) GetTracked(id NodeID, tr *Tracker) ([]byte, error) {
+// readSlot returns a copy of id's slot, failing on an unknown or freed ID.
+func (s *Store) readSlot(id NodeID) (slot, error) {
 	s.mu.RLock()
 	if int(id) < 0 || int(id) >= len(s.slots) {
 		s.mu.RUnlock()
-		return nil, fmt.Errorf("storage: read of unknown node %d", id)
+		return slot{}, fmt.Errorf("storage: read of unknown node %d", id)
 	}
 	sl := s.slots[id]
 	s.mu.RUnlock()
 	if sl.state == slotFreed {
-		return nil, fmt.Errorf("storage: read of node %d: %w", id, ErrFreed)
+		return slot{}, fmt.Errorf("storage: read of node %d: %w", id, ErrFreed)
 	}
-	if s.cache != nil {
-		if cached, ok := s.cache.get(id); ok {
-			s.stats.chargeHit(tr)
-			return cached, nil
-		}
+	return sl, nil
+}
+
+// Charge charges the simulated I/O of reading the blob stored under id
+// and moves no bytes. A blob the buffer pool holds costs a cache hit;
+// any other costs a read of its pages, which then enter the pool. The
+// charge lands on the global counters and, when tr is non-nil, on the
+// caller's tracker.
+func (s *Store) Charge(id NodeID, tr *Tracker) error {
+	sl, err := s.readSlot(id)
+	if err != nil {
+		return err
 	}
-	b := sl.data
-	if sl.inLog() {
-		// The log never changes under an open store, and
-		// os.File.ReadAt is safe for concurrent use.
-		b = make([]byte, sl.size)
-		if _, err := s.log.ReadAt(b, sl.off); err != nil {
-			return nil, fmt.Errorf("storage: reading node %d: %w", id, err)
-		}
+	pages := s.pagesFor(int(sl.size))
+	if s.cache != nil && s.cache.access(id, pages) {
+		s.stats.chargeHit(tr)
+		return nil
 	}
-	pages := s.pagesFor(len(b))
 	s.stats.chargeRead(int64(pages), tr)
-	if s.cache != nil {
-		s.cache.put(id, b, pages)
+	return nil
+}
+
+// Fetch returns the blob stored under id and charges nothing. A blob
+// that lives only in the log costs one ReadAt into a new buffer; any
+// other is returned as stored. The returned slice must not be modified.
+func (s *Store) Fetch(id NodeID) ([]byte, error) {
+	sl, err := s.readSlot(id)
+	if err != nil {
+		return nil, err
+	}
+	if !sl.inLog() {
+		return sl.data, nil
+	}
+	// The log never changes under an open store, and os.File.ReadAt is
+	// safe for concurrent use.
+	b := make([]byte, sl.size)
+	if _, err := s.log.ReadAt(b, sl.off); err != nil {
+		return nil, fmt.Errorf("storage: reading node %d: %w", id, err)
 	}
 	return b, nil
+}
+
+// GetTracked returns the blob stored under id and charges its read:
+// Charge followed by Fetch. The returned slice must not be modified.
+func (s *Store) GetTracked(id NodeID, tr *Tracker) ([]byte, error) {
+	if err := s.Charge(id, tr); err != nil {
+		return nil, err
+	}
+	return s.Fetch(id)
 }
 
 // Stats returns a snapshot of the I/O counters.
@@ -545,7 +589,8 @@ func (s *Store) Stats() Stats { return s.stats.snapshot() }
 // query measurements start clean).
 func (s *Store) ResetStats() { s.stats.reset() }
 
-// DropCache empties the buffer pool, simulating a cold start.
+// DropCache empties the buffer pool, simulating a cold start: the next
+// charge of every blob is a read.
 func (s *Store) DropCache() {
 	if s.cache != nil {
 		s.cache.clear()
@@ -570,8 +615,11 @@ const (
 	minShardPages = 64
 )
 
-// pool is a buffer pool of blobs, split into independently locked LRU
+// pool is a buffer pool of pages, split into independently locked LRU
 // shards keyed by NodeID so concurrent readers touch disjoint mutexes.
+// It records which blobs are resident and how many pages each takes;
+// its eviction order depends only on the sequence of IDs and page
+// counts it sees.
 type pool struct {
 	shards []poolShard
 	mask   uint32 // len(shards)-1; shard count is a power of two
@@ -595,7 +643,7 @@ func newPool(capacityPages int) *pool {
 		if i < extra {
 			c++
 		}
-		p.shards[i].lru = newLRU(c)
+		p.shards[i].lru = newLRU(c, uint(bits.TrailingZeros(uint(n))))
 	}
 	return p
 }
@@ -604,23 +652,26 @@ func (p *pool) shardFor(id NodeID) *poolShard {
 	return &p.shards[uint32(id)&p.mask]
 }
 
-func (p *pool) get(id NodeID) ([]byte, bool) {
+// access reports whether the pool holds id, marking it most recently
+// used; a blob it does not hold enters it.
+func (p *pool) access(id NodeID, pages int) bool {
 	sh := p.shardFor(id)
 	sh.mu.Lock()
-	b, ok := sh.lru.get(id)
+	hit := sh.lru.access(id, pages)
 	sh.mu.Unlock()
-	return b, ok
+	return hit
 }
 
-func (p *pool) put(id NodeID, data []byte, pages int) {
+// put makes id the most recently used blob, at the given page count.
+func (p *pool) put(id NodeID, pages int) {
 	sh := p.shardFor(id)
 	sh.mu.Lock()
-	sh.lru.put(id, data, pages)
+	sh.lru.put(id, pages)
 	sh.mu.Unlock()
 }
 
 // remove drops one blob from the pool (after its slot was freed), so a
-// recycled NodeID can never serve the previous occupant's bytes.
+// recycled NodeID starts cold.
 func (p *pool) remove(id NodeID) {
 	sh := p.shardFor(id)
 	sh.mu.Lock()
@@ -640,81 +691,131 @@ func (p *pool) clear() {
 // ------------------------------------------------------------------
 // LRU shard
 
-// lru is a page-budgeted LRU cache of blobs. Callers synchronize.
+// lru is a page-budgeted LRU list of resident blobs: their IDs and page
+// counts, never their bytes. The entries live in one slice and link by
+// index, and evicted entries are reused, so a warm shard admits and
+// evicts blobs without allocating. Callers synchronize.
 type lru struct {
 	capacity int // in pages
 	used     int
-	order    *list.List // front = most recent; values are *lruEntry
-	index    map[NodeID]*list.Element
+	shift    uint       // a shard's IDs differ above their low shift bits
+	at       []int32    // at[id>>shift] is id's entry; 0 when id is not resident
+	ents     []lruEntry // ents[0] heads the ring: next is the most recent, prev the least
+	free     int32      // first reusable entry, chained through next; 0 when none
 }
 
 type lruEntry struct {
-	id    NodeID
-	data  []byte
-	pages int
+	id         NodeID
+	pages      int32
+	prev, next int32
 }
 
-func newLRU(capacityPages int) *lru {
-	return &lru{
-		capacity: capacityPages,
-		order:    list.New(),
-		index:    make(map[NodeID]*list.Element),
+func newLRU(capacityPages int, shift uint) *lru {
+	return &lru{capacity: capacityPages, shift: shift, ents: make([]lruEntry, 1)}
+}
+
+// entry returns id's entry, 0 when id is not resident.
+func (c *lru) entry(id NodeID) int32 {
+	if i := int(uint32(id) >> c.shift); i < len(c.at) {
+		return c.at[i]
 	}
+	return 0
 }
 
-func (c *lru) get(id NodeID) ([]byte, bool) {
-	el, ok := c.index[id]
-	if !ok {
-		return nil, false
+// access reports whether id is resident, making it the most recent
+// entry; a blob that is not resident is admitted.
+func (c *lru) access(id NodeID, pages int) bool {
+	if e := c.entry(id); e != 0 {
+		c.unlink(e)
+		c.pushFront(e)
+		return true
 	}
-	c.order.MoveToFront(el)
-	return el.Value.(*lruEntry).data, true
+	c.admit(id, pages)
+	return false
 }
 
-func (c *lru) put(id NodeID, data []byte, pages int) {
-	if el, ok := c.index[id]; ok {
-		ent := el.Value.(*lruEntry)
-		c.used += pages - ent.pages
-		ent.data, ent.pages = data, pages
-		c.order.MoveToFront(el)
-		c.evict()
+// put makes id the most recent entry at the given page count.
+func (c *lru) put(id NodeID, pages int) {
+	e := c.entry(id)
+	if e == 0 {
+		c.admit(id, pages)
 		return
 	}
+	c.used += pages - int(c.ents[e].pages)
+	c.ents[e].pages = int32(pages)
+	c.unlink(e)
+	c.pushFront(e)
+	c.evict()
+}
+
+// admit adds a blob that is not resident as the most recent entry and
+// evicts from the least recent end past the budget. A blob larger than
+// the whole shard is never admitted.
+func (c *lru) admit(id NodeID, pages int) {
 	if pages > c.capacity {
-		return // blob larger than the whole shard: never cached
+		return
 	}
-	el := c.order.PushFront(&lruEntry{id: id, data: data, pages: pages})
-	c.index[id] = el
+	e := c.free
+	if e != 0 {
+		c.free = c.ents[e].next
+	} else {
+		c.ents = append(c.ents, lruEntry{})
+		e = int32(len(c.ents) - 1)
+	}
+	c.ents[e] = lruEntry{id: id, pages: int32(pages)}
+	c.pushFront(e)
+	i := int(uint32(id) >> c.shift)
+	if i >= len(c.at) {
+		c.at = append(c.at, make([]int32, i+1-len(c.at))...)
+	}
+	c.at[i] = e
 	c.used += pages
 	c.evict()
 }
 
 func (c *lru) evict() {
 	for c.used > c.capacity {
-		back := c.order.Back()
-		if back == nil {
+		back := c.ents[0].prev
+		if back == 0 {
 			return
 		}
-		ent := back.Value.(*lruEntry)
-		c.order.Remove(back)
-		delete(c.index, ent.id)
-		c.used -= ent.pages
+		c.drop(back)
 	}
 }
 
 func (c *lru) remove(id NodeID) {
-	el, ok := c.index[id]
-	if !ok {
-		return
+	if e := c.entry(id); e != 0 {
+		c.drop(e)
 	}
-	ent := el.Value.(*lruEntry)
-	c.order.Remove(el)
-	delete(c.index, id)
-	c.used -= ent.pages
+}
+
+// drop unlinks entry e and puts it on the free chain.
+func (c *lru) drop(e int32) {
+	c.unlink(e)
+	ent := &c.ents[e]
+	c.at[uint32(ent.id)>>c.shift] = 0
+	c.used -= int(ent.pages)
+	ent.next = c.free
+	c.free = e
+}
+
+func (c *lru) unlink(e int32) {
+	prev, next := c.ents[e].prev, c.ents[e].next
+	c.ents[prev].next = next
+	c.ents[next].prev = prev
+}
+
+func (c *lru) pushFront(e int32) {
+	first := c.ents[0].next
+	c.ents[e].prev, c.ents[e].next = 0, first
+	c.ents[first].prev = e
+	c.ents[0].next = e
 }
 
 func (c *lru) clear() {
-	c.order.Init()
-	c.index = make(map[NodeID]*list.Element)
+	c.ents = c.ents[:1]
+	c.ents[0] = lruEntry{}
+	clear(c.at)
 	c.used = 0
+	c.free = 0
 }
