@@ -140,7 +140,7 @@ func run(args []string, out io.Writer) error {
 
 	if *checkIdx {
 		var tracker storage.Tracker
-		if err := tree.CheckInvariantsTracked(&tracker); err != nil {
+		if err := tree.CheckInvariants(&tracker); err != nil {
 			return fmt.Errorf("checkindex FAILED: %w", err)
 		}
 		fmt.Fprintf(out, "checkindex: all structural invariants hold (%d node reads, %d cache hits)\n",

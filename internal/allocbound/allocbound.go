@@ -25,7 +25,7 @@ type Bound struct {
 // unchecked count overshoots by orders of magnitude: a 194-byte node
 // blob whose entry count reads 0xFFFF asks for 12 MB.
 var (
-	// Node covers iurtree's decodeNode, through either node read. Real
+	// Node covers iurtree's decodeNode, through the node read. Real
 	// IUR and clustered tree nodes read up to 8.4 B per blob byte; the
 	// densest valid shape, a derived entry over summaries with empty
 	// vectors (13 bytes each, 120 B decoded plus the merge), reads 18.2.

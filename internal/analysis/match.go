@@ -40,8 +40,8 @@ var storeTypeNames = map[string]bool{"Store": true, "FileStore": true, "Blobs": 
 var ioReadMethods = map[string]bool{"GetTracked": true, "Charge": true, "Fetch": true}
 
 // ioReadCall reports whether call is a simulated node/blob read: one of
-// ioReadMethods on a store type. Tree reads (Snapshot.ReadNodeTracked,
-// ReadSharedTracked) reach them through their PerformsIO fact.
+// ioReadMethods on a store type. The tree's node read
+// (Snapshot.ReadSharedTracked) reaches them through its PerformsIO fact.
 func ioReadCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	named, method, ok := methodCall(info, call)
 	if !ok || !ioReadMethods[method] || !storeTypeNames[named.Obj().Name()] {

@@ -94,8 +94,9 @@ var pinnedPasses = []struct {
 // Each later pass must also return the first pass's results and full
 // Metrics query by query, so the engine is deterministic across worker
 // counts and between shared and independent execution. The IUR means
-// must also reproduce BENCH_baseline.json's Workers=1 row (1191.25
-// nodes and 18.5625 results per query).
+// must also stay at 1191.25 nodes and 18.5625 results per query, the
+// figures the pinned workload has had at Workers=1 since it was first
+// recorded.
 func TestGoldenCountersPinnedWorkload(t *testing.T) {
 	// Workers is clamped to GOMAXPROCS; raise it so the workers=4 pass
 	// spawns real goroutines on a machine with fewer CPUs.
@@ -136,7 +137,7 @@ func TestGoldenCountersPinnedWorkload(t *testing.T) {
 	}
 	n := float64(len(goldenPinned["IUR"]))
 	if mn, mr := float64(nodes)/n, float64(results)/n; mn != 1191.25 || mr != 18.5625 { //rstknn:allow floatcmp exact means of integer counters over 16 queries
-		t.Errorf("IUR golden means = %v nodes, %v results per query; BENCH_baseline.json Workers=1 has 1191.25, 18.5625", mn, mr)
+		t.Errorf("IUR golden means = %v nodes, %v results per query, want 1191.25, 18.5625", mn, mr)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // BenchmarkPinnedWorkload runs the pinned workload (the one
-// BENCH_baseline.json recorded) as a Go benchmark, so the standard
+// TestGoldenCountersPinnedWorkload pins) as a Go benchmark, so the standard
 // -benchmem/-cpuprofile/-memprofile tooling can attribute the query
 // path's time and allocations. It has one sub-benchmark per tree
 // method the golden counters cover plus plain CIUR (IUR, CIUR, E-CIUR):

@@ -97,7 +97,7 @@ func TestBoundCacheMatchesEagerDecode(t *testing.T) {
 		objs := genObjects(rng, 500, 40, 6)
 		tree := buildTree(t, objs, clusters, false)
 		nodes := 0
-		if err := tree.Walk(func(*iurtree.Node, int) error { nodes++; return nil }); err != nil {
+		if err := tree.Walk(nil, func(*iurtree.Node, int) error { nodes++; return nil }); err != nil {
 			t.Fatal(err)
 		}
 		const tinyCache = 8

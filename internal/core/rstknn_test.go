@@ -335,7 +335,7 @@ func TestRSTkNNAfterDynamicUpdates(t *testing.T) {
 		}
 		kept = append(kept, o)
 	}
-	if err := tree.CheckInvariants(); err != nil {
+	if err := tree.CheckInvariants(nil); err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 6; trial++ {

@@ -89,7 +89,7 @@ func boundFixture(t *testing.T) (*Scorer, []iurtree.Entry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root, err := tree.ReadNodeTracked(tree.RootEntry().Child, nil)
+	root, err := tree.ReadSharedTracked(tree.RootEntry().Child, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func boundFixture(t *testing.T) (*Scorer, []iurtree.Entry) {
 	entries := append([]iurtree.Entry(nil), root.Entries...)
 	n := root
 	for !n.Leaf {
-		if n, err = tree.ReadNodeTracked(n.Entries[0].Child, nil); err != nil {
+		if n, err = tree.ReadSharedTracked(n.Entries[0].Child, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -149,7 +149,7 @@ func TestTopKPrunesNodes(t *testing.T) {
 	objs := genObjects(rng, 3000, 50, 5)
 	tree := buildTree(t, objs, 0, false)
 	totalNodes := 0
-	if err := tree.Walk(func(n *iurtree.Node, depth int) error {
+	if err := tree.Walk(nil, func(n *iurtree.Node, depth int) error {
 		totalNodes++
 		return nil
 	}); err != nil {

@@ -48,14 +48,14 @@ func FuzzNodeRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzSharedRead drives the query read path with arbitrary bytes against
-// the private decode as the oracle. The blob is stored and read through
-// both ReadNodeTracked and ReadSharedTracked with the bound cache on: the
-// two must accept and reject the same blobs, an accepted node must agree
-// entry by entry with the private decode and stay cached, so a second
-// shared read returns the very same node, and a rejected one must never
-// be cached. Nothing may panic either way, and each read stays within
-// allocbound.Node.
+// FuzzSharedRead drives the node read with arbitrary bytes against a
+// plain decode as the oracle. The blob is stored, decoded by decodeNode
+// over the bytes Store.Fetch returns, and read through
+// ReadSharedTracked with the bound cache on: the two must accept and
+// reject the same blobs, an accepted node must agree entry by entry with
+// the decode and stay cached, so a second shared read returns the very
+// same node, and a rejected one must never be cached. Nothing may panic
+// either way, and each decode stays within allocbound.Node.
 func FuzzSharedRead(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})
@@ -65,23 +65,23 @@ func FuzzSharedRead(f *testing.F) {
 		id := store.Put(data)
 		tr := &Snapshot{store: store, boundCache: newBoundCache(16)}
 		var (
-			n, s               *Node
-			privErr, sharedErr error
+			n, s              *Node
+			decErr, sharedErr error
 		)
-		allocbound.Check(t, allocbound.Node, len(data), func() { n, privErr = tr.ReadNodeTracked(id, nil) })
+		allocbound.Check(t, allocbound.Node, len(data), func() { n, decErr = fetchDecode(store, id) })
 		allocbound.Check(t, allocbound.Node, len(data), func() { s, sharedErr = tr.ReadSharedTracked(id, nil) })
-		if (privErr == nil) != (sharedErr == nil) {
-			t.Fatalf("reads disagree: private %v, shared %v\nblob: %x", privErr, sharedErr, data)
+		if (decErr == nil) != (sharedErr == nil) {
+			t.Fatalf("reads disagree: decode %v, shared %v\nblob: %x", decErr, sharedErr, data)
 		}
-		if privErr != nil {
+		if decErr != nil {
 			if tr.boundCache.contains(id) {
-				t.Fatalf("rejected node left in the bound cache (%v)\nblob: %x", privErr, data)
+				t.Fatalf("rejected node left in the bound cache (%v)\nblob: %x", decErr, data)
 			}
 			return
 		}
 		if s.ID != id || s.Leaf != n.Leaf || len(s.Entries) != len(n.Entries) {
 			t.Fatalf("shared node (id %d, leaf %v, %d entries) != decode (id %d, leaf %v, %d entries)",
-				s.ID, s.Leaf, len(s.Entries), n.ID, n.Leaf, len(n.Entries))
+				s.ID, s.Leaf, len(s.Entries), id, n.Leaf, len(n.Entries))
 		}
 		for i := range n.Entries {
 			if !sameEntry(&s.Entries[i], &n.Entries[i]) {
@@ -117,7 +117,7 @@ func TestWriteNodeFuzzCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 		depths := map[int]bool{}
-		if err := tr.Walk(func(n *Node, depth int) error {
+		if err := tr.Walk(nil, func(n *Node, depth int) error {
 			// One representative node per level per tree keeps the
 			// corpus small but shape-diverse.
 			if !depths[depth] {

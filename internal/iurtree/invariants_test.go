@@ -72,7 +72,7 @@ func TestInvariantsHoldAfterEveryOp(t *testing.T) {
 			if tr.Len() != len(live) {
 				t.Fatalf("%s step %d (%s): Len = %d, want %d", ph.name, step, op, tr.Len(), len(live))
 			}
-			if err := tr.CheckInvariants(); err != nil {
+			if err := tr.CheckInvariants(nil); err != nil {
 				t.Fatalf("%s step %d (%s, size %d): %v", ph.name, step, op, tr.Len(), err)
 			}
 			step++
@@ -88,7 +88,7 @@ func TestInvariantsHoldAfterEveryOp(t *testing.T) {
 		}
 		tr = nt
 		delete(live, id)
-		if err := tr.CheckInvariants(); err != nil {
+		if err := tr.CheckInvariants(nil); err != nil {
 			t.Fatalf("drain at size %d: %v", tr.Len(), err)
 		}
 	}
@@ -101,7 +101,7 @@ func TestInvariantsHoldAfterEveryOp(t *testing.T) {
 	// The tree must be fully usable after the drain.
 	for i := 0; i < 50; i++ {
 		tr, _ = randomOp(t, rng, tr, live, &next, 1.0)
-		if err := tr.CheckInvariants(); err != nil {
+		if err := tr.CheckInvariants(nil); err != nil {
 			t.Fatalf("rebuild at size %d: %v", tr.Len(), err)
 		}
 	}
@@ -115,52 +115,52 @@ func TestInvariantsHoldAfterEveryOp(t *testing.T) {
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	tr := buildIUR(t, randObjects(rng, 80, 15), false)
-	if err := tr.CheckInvariants(); err != nil {
+	if err := tr.CheckInvariants(nil); err != nil {
 		t.Fatal(err)
 	}
 	tr.size++ // now rootEntry.Count != size
-	if err := tr.CheckInvariants(); err == nil {
+	if err := tr.CheckInvariants(nil); err == nil {
 		t.Fatal("checker accepted a tree whose root count disagrees with its size")
 	}
 	tr.size--
 
 	tr.rootEntry.Count++ // children no longer sum to the root count
-	if err := tr.CheckInvariants(); err == nil {
+	if err := tr.CheckInvariants(nil); err == nil {
 		t.Fatal("checker accepted a root count that children do not sum to")
 	}
 	tr.rootEntry.Count--
 
 	h := tr.height
 	tr.height++ // every leaf is now at the wrong depth
-	if err := tr.CheckInvariants(); err == nil {
+	if err := tr.CheckInvariants(nil); err == nil {
 		t.Fatal("checker accepted leaves at the wrong depth")
 	}
 	tr.height = h
-	if err := tr.CheckInvariants(); err != nil {
+	if err := tr.CheckInvariants(nil); err != nil {
 		t.Fatalf("restored tree no longer passes: %v", err)
 	}
 }
 
-// TestTrackedTraversalsAttributeIO verifies the WalkTracked and
-// CheckInvariantsTracked reads are charged to the supplied tracker
-// rather than dropped on the floor.
+// TestTrackedTraversalsAttributeIO verifies the Walk and CheckInvariants
+// reads are charged to the supplied tracker rather than dropped on the
+// floor.
 func TestTrackedTraversalsAttributeIO(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	tr := buildIUR(t, randObjects(rng, 120, 15), false)
 
 	var walkTr storage.Tracker
-	if err := tr.WalkTracked(&walkTr, func(n *Node, depth int) error { return nil }); err != nil {
+	if err := tr.Walk(&walkTr, func(n *Node, depth int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if walkTr.Reads()+walkTr.CacheHits() == 0 {
-		t.Error("WalkTracked charged no I/O to the tracker")
+		t.Error("Walk charged no I/O to the tracker")
 	}
 
 	var checkTr storage.Tracker
-	if err := tr.CheckInvariantsTracked(&checkTr); err != nil {
+	if err := tr.CheckInvariants(&checkTr); err != nil {
 		t.Fatal(err)
 	}
 	if checkTr.Reads()+checkTr.CacheHits() == 0 {
-		t.Error("CheckInvariantsTracked charged no I/O to the tracker")
+		t.Error("CheckInvariants charged no I/O to the tracker")
 	}
 }

@@ -110,12 +110,15 @@ type Config struct {
 // copy-on-write and return a NEW snapshot instead of mutating the
 // receiver.
 //
-// A snapshot is safe for concurrent readers: ReadNodeTracked,
-// ReadSharedTracked, Walk, and the accessor methods may be called from
-// any number of goroutines, and keep working while Insert/Delete derive
-// successor snapshots from it. The only lifetime rule: once the NodeIDs
-// an update retired are freed (storage.Reclaimer), the superseded
-// snapshots that referenced them must no longer be read.
+// A snapshot is safe for concurrent readers: ReadSharedTracked, Walk,
+// CheckInvariants and the accessor methods may be called from any
+// number of goroutines, and keep working while Insert/Delete derive
+// successor snapshots from it. Every node read, the updates' own
+// included, returns the shared decode, which nobody edits. The lifetime
+// rule: once the NodeIDs an update retired are freed, the superseded
+// snapshots that referenced them must no longer be read, and each freed
+// ID must leave the bound cache first (InvalidateNode; the engine's
+// storage.Reclaimer hook and insertAll do this).
 type Snapshot struct {
 	store       storage.Blobs
 	rootID      storage.NodeID
@@ -221,7 +224,9 @@ func Build(objects []Object, cfg Config) (*Snapshot, error) {
 
 // insertAll grows the empty snapshot t one Insert per object, the path
 // live updates take. Nothing else has seen the nodes an insert retires,
-// so they are freed at once and their IDs recycled.
+// so they are freed at once and their IDs recycled. The descents cached
+// those nodes' decodes, so each leaves the bound cache before its ID can
+// be recycled.
 func (t *Snapshot) insertAll(objects []Object) (*Snapshot, error) {
 	empty := &Node{Leaf: true}
 	id := t.store.Put(encodeNode(empty))
@@ -232,6 +237,7 @@ func (t *Snapshot) insertAll(objects []Object) (*Snapshot, error) {
 			return nil, err
 		}
 		for _, id := range retired {
+			t.InvalidateNode(id)
 			if err := t.store.Free(id); err != nil {
 				return nil, err
 			}
@@ -349,30 +355,21 @@ func summarize(n *Node, id storage.NodeID) Entry {
 	return e
 }
 
-// ReadNodeTracked fetches and decodes the node stored under id. The
-// simulated I/O is charged to tr (when non-nil) in addition to the
-// store's global counters. It returns a private decoded copy, so the
-// update paths may edit its entries before re-encoding. Queries read
-// through ReadSharedTracked instead.
-func (t *Snapshot) ReadNodeTracked(id storage.NodeID, tr *storage.Tracker) (*Node, error) {
-	blob, err := t.store.GetTracked(id, tr)
-	if err != nil {
-		return nil, err
-	}
-	return decodeStored(id, blob)
-}
-
 // ReadSharedTracked returns the snapshot's shared decode of the node
-// stored under id, charging the same simulated I/O as ReadNodeTracked.
-// A bound-cache hit charges the read (storage.Blobs.Charge) and fetches
-// nothing: it saves the fetch and the decode, never a page access, so
-// traversal cost accounting does not depend on the cache. A miss, or any
-// read with the cache off, charges and fetches the blob through
-// GetTracked and decodes it; a miss caches the result.
+// stored under id and charges the simulated I/O of reading it to the
+// store's global counters and to tr (when non-nil). It is the only node
+// read: queries, the Insert/Delete descents, Walk and CheckInvariants
+// all go through it. A bound-cache hit charges the read
+// (storage.Blobs.Charge) and fetches nothing: it saves the fetch and the
+// decode, never a page access, so traversal cost accounting does not
+// depend on the cache. A miss, or any read with the cache off, charges
+// and fetches the blob through GetTracked and decodes it; a miss caches
+// the result.
 //
 // The returned node, its entries and everything they reference are
 // shared with every other reader and must not be modified. The node is
-// immutable for as long as the caller can reach it.
+// immutable for as long as the caller can reach it; the update path
+// edits a copy (see own in update.go).
 func (t *Snapshot) ReadSharedTracked(id storage.NodeID, tr *storage.Tracker) (*Node, error) {
 	if t.boundCache != nil {
 		if n, ok := t.boundCache.get(id); ok {
@@ -386,9 +383,13 @@ func (t *Snapshot) ReadSharedTracked(id storage.NodeID, tr *storage.Tracker) (*N
 	if err != nil {
 		return nil, err
 	}
-	n, err := decodeStored(id, blob)
-	if err != nil || t.boundCache == nil {
-		return n, err
+	n, err := decodeNode(blob)
+	if err != nil {
+		return nil, fmt.Errorf("iurtree: node %d: %w", id, err)
+	}
+	n.ID = id
+	if t.boundCache == nil {
+		return n, nil
 	}
 	indexUnions(n)
 	t.boundCache.put(id, n)
@@ -400,8 +401,8 @@ func (t *Snapshot) ReadSharedTracked(id storage.NodeID, tr *storage.Tracker) (*N
 // and every cluster summary's. A short object vector bounded against
 // one of them then finds each of its terms with a bit test and a
 // popcount instead of a binary search, at a bit-identical dot product.
-// A cached node serves many bound passes, which pays for the build; a
-// private decode is used once and stays unindexed.
+// A cached node serves many bound passes, which pays for the build;
+// with the cache off every read decodes afresh and stays unindexed.
 func indexUnions(n *Node) {
 	for i := range n.Entries {
 		e := &n.Entries[i]
@@ -416,19 +417,9 @@ func indexUnions(n *Node) {
 	}
 }
 
-// decodeStored decodes the blob stored under id.
-func decodeStored(id storage.NodeID, blob []byte) (*Node, error) {
-	n, err := decodeNode(blob)
-	if err != nil {
-		return nil, fmt.Errorf("iurtree: node %d: %w", id, err)
-	}
-	n.ID = id
-	return n, nil
-}
-
 // SetBoundCache resizes (capacity > 0) or disables (capacity <= 0) the
-// bound cache: a per-NodeID memoization of decoded nodes that the query
-// read path (ReadSharedTracked) shares across queries and rounds. Build
+// bound cache: a per-NodeID memoization of decoded nodes that the node
+// read (ReadSharedTracked) shares across queries, rounds and updates. Build
 // and Open enable it at DefaultBoundCacheNodes. Hits never skip the
 // simulated page I/O, so results AND I/O counts are identical with the
 // cache on or off — disabling it only restores the per-read decode (the
@@ -528,19 +519,14 @@ func (t *Snapshot) Clustered() bool { return t.numClusters > 0 }
 func (t *Snapshot) Store() storage.Blobs { return t.store }
 
 // Walk visits every node of the tree in depth-first order, calling visit
-// with the node and its depth (0 at the root). It charges simulated I/O
-// like any other read path; reads are unattributed (no tracker).
-func (t *Snapshot) Walk(visit func(n *Node, depth int) error) error {
-	return t.WalkTracked(nil, visit)
-}
-
-// WalkTracked is Walk with the traversal's node reads attributed to tr,
-// so maintenance scans show up in per-query I/O accounting instead of
-// vanishing into the global counters. A nil tracker is allowed.
-func (t *Snapshot) WalkTracked(tr *storage.Tracker, visit func(n *Node, depth int) error) error {
+// with the node and its depth (0 at the root). The reads are charged
+// like any other, to tr when non-nil, so maintenance scans show up in
+// per-query I/O accounting. visit receives shared decodes and must not
+// modify them.
+func (t *Snapshot) Walk(tr *storage.Tracker, visit func(n *Node, depth int) error) error {
 	var rec func(id storage.NodeID, depth int) error
 	rec = func(id storage.NodeID, depth int) error {
-		n, err := t.ReadNodeTracked(id, tr)
+		n, err := t.ReadSharedTracked(id, tr)
 		if err != nil {
 			return err
 		}
@@ -567,14 +553,9 @@ func (t *Snapshot) WalkTracked(tr *storage.Tracker, visit func(n *Node, depth in
 // whole tree: counts add up, every entry's MBR/envelope contains its
 // subtree, per-cluster summaries partition the entry count, and all
 // leaves sit at the same depth. Intended for tests and the -checkindex
-// maintenance command; it reads every node.
-func (t *Snapshot) CheckInvariants() error {
-	return t.CheckInvariantsTracked(nil)
-}
-
-// CheckInvariantsTracked is CheckInvariants with the walk's node reads
-// attributed to tr. A nil tracker is allowed.
-func (t *Snapshot) CheckInvariantsTracked(tr *storage.Tracker) error {
+// maintenance command; it reads every node, charging the reads to tr
+// when non-nil.
+func (t *Snapshot) CheckInvariants(tr *storage.Tracker) error {
 	if err := checkMaxD(t.maxD); err != nil {
 		return err
 	}
@@ -608,7 +589,7 @@ func (t *Snapshot) CheckInvariantsTracked(tr *storage.Tracker) error {
 			}
 			return nil
 		}
-		n, err := t.ReadNodeTracked(e.Child, tr)
+		n, err := t.ReadSharedTracked(e.Child, tr)
 		if err != nil {
 			return err
 		}

@@ -69,7 +69,7 @@ func TestBuildEmptyAndTiny(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Errorf("Len = %d", tr.Len())
 	}
-	if err := tr.CheckInvariants(); err != nil {
+	if err := tr.CheckInvariants(nil); err != nil {
 		t.Error(err)
 	}
 	if tr.MaxD() <= 0 {
@@ -86,7 +86,7 @@ func TestBuildEmptyAndTiny(t *testing.T) {
 	if root.Count != 1 {
 		t.Errorf("root count = %d", root.Count)
 	}
-	n, err := tr.ReadNodeTracked(tr.RootID(), nil)
+	n, err := tr.ReadSharedTracked(tr.RootID(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +118,14 @@ func TestInvariantsBulkAndIncremental(t *testing.T) {
 		if tr.Len() != n {
 			t.Fatalf("Len = %d", tr.Len())
 		}
-		if err := tr.CheckInvariants(); err != nil {
+		if err := tr.CheckInvariants(nil); err != nil {
 			t.Fatalf("incremental=%v: %v", incremental, err)
 		}
 		if tr.Clustered() {
 			t.Error("plain build should not be clustered")
 		}
 		seen := make(map[int32]int, n)
-		err := tr.Walk(func(nd *Node, depth int) error {
+		err := tr.Walk(nil, func(nd *Node, depth int) error {
 			if len(nd.Entries) > maxFanout {
 				t.Errorf("incremental=%v: node %d holds %d entries, capacity %d", incremental, nd.ID, len(nd.Entries), maxFanout)
 			}
@@ -163,7 +163,7 @@ func TestBulkLoadPacksTightly(t *testing.T) {
 	objs := randObjects(rand.New(rand.NewSource(3)), n, 40)
 	tr := buildIUR(t, objs, false)
 	leaves := 0
-	err := tr.Walk(func(nd *Node, depth int) error {
+	err := tr.Walk(nil, func(nd *Node, depth int) error {
 		if nd.Leaf {
 			leaves++
 		}
@@ -221,7 +221,7 @@ func TestCIURTreeClusterSummaries(t *testing.T) {
 	if !tr.Clustered() || tr.NumClusters() != asg.Clusters {
 		t.Fatalf("NumClusters = %d, want %d", tr.NumClusters(), asg.Clusters)
 	}
-	if err := tr.CheckInvariants(); err != nil {
+	if err := tr.CheckInvariants(nil); err != nil {
 		t.Fatal(err)
 	}
 	// Root histogram must equal the assignment's sizes.
@@ -255,7 +255,7 @@ func TestWalkVisitsAllObjects(t *testing.T) {
 	tr := buildIUR(t, objs, false)
 	seen := make(map[int32]bool)
 	maxDepth := 0
-	err := tr.Walk(func(n *Node, depth int) error {
+	err := tr.Walk(nil, func(n *Node, depth int) error {
 		if depth > maxDepth {
 			maxDepth = depth
 		}
@@ -286,7 +286,7 @@ func TestReadNodeChargesIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.ResetStats()
-	if _, err := tr.ReadNodeTracked(tr.RootID(), nil); err != nil {
+	if _, err := tr.ReadSharedTracked(tr.RootID(), nil); err != nil {
 		t.Fatal(err)
 	}
 	st := store.Stats()
@@ -318,7 +318,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 		got.NumClusters() != tr.NumClusters() || got.Space() != tr.Space() {
 		t.Errorf("reopened tree differs: %+v vs %+v", got, tr)
 	}
-	if err := got.CheckInvariants(); err != nil {
+	if err := got.CheckInvariants(nil); err != nil {
 		t.Error(err)
 	}
 }
@@ -386,7 +386,7 @@ func TestFormatWidthLimits(t *testing.T) {
 // the tree does not have would index past the per-cluster histograms.
 func TestCheckInvariantsRejectsClusterIDRange(t *testing.T) {
 	tr := buildReadTestTree(t, 45, true)
-	if err := tr.CheckInvariants(); err != nil {
+	if err := tr.CheckInvariants(nil); err != nil {
 		t.Fatalf("pristine clustered tree: %v", err)
 	}
 	top := int32(0)
@@ -394,7 +394,7 @@ func TestCheckInvariantsRejectsClusterIDRange(t *testing.T) {
 		top = max(top, cs.Cluster)
 	}
 	tr.numClusters = int(top) // the highest cluster in use is now out of range
-	if err := tr.CheckInvariants(); err == nil {
+	if err := tr.CheckInvariants(nil); err == nil {
 		t.Error("CheckInvariants accepted a cluster ID >= NumClusters")
 	}
 }
@@ -425,12 +425,12 @@ func TestOpenRejectsBadMaxD(t *testing.T) {
 			t.Errorf("Open accepted a header with maxD %g", bad)
 		}
 		tr.maxD = bad
-		if err := tr.CheckInvariants(); err == nil {
+		if err := tr.CheckInvariants(nil); err == nil {
 			t.Errorf("CheckInvariants accepted maxD %g", bad)
 		}
 	}
 	tr.maxD = good
-	if err := tr.CheckInvariants(); err != nil {
+	if err := tr.CheckInvariants(nil); err != nil {
 		t.Errorf("restored tree: %v", err)
 	}
 }

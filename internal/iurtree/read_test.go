@@ -38,6 +38,16 @@ func buildTreeOf(t *testing.T, objs []Object, seed int64, clustered bool) *Snaps
 	return tr
 }
 
+// fetchDecode is the reference the node read is checked against:
+// decodeNode over the bytes store.Fetch returns for id.
+func fetchDecode(store storage.Blobs, id storage.NodeID) (*Node, error) {
+	blob, err := store.Fetch(id)
+	if err != nil {
+		return nil, err
+	}
+	return decodeNode(blob)
+}
+
 // sameEntry reports whether two decoded entries agree field by field.
 func sameEntry(a, b *Entry) bool {
 	if a.Rect != b.Rect || a.Child != b.Child || a.ObjID != b.ObjID || a.Count != b.Count ||
@@ -55,15 +65,15 @@ func sameEntry(a, b *Entry) bool {
 }
 
 // TestSharedReadMatchesDecode walks a real tree (plain and clustered)
-// reading every node through both reads: the shared node must equal the
-// private decode field by field, and a second shared read must return
-// the very same cached node.
+// reading every node through the shared read and fetchDecode: the shared
+// node must equal the decode field by field, and a second shared read
+// must return the very same cached node.
 func TestSharedReadMatchesDecode(t *testing.T) {
 	for _, clustered := range []bool{false, true} {
 		tr := buildReadTestTree(t, 41, clustered)
 		var walk func(id storage.NodeID)
 		walk = func(id storage.NodeID) {
-			n, err := tr.ReadNodeTracked(id, nil)
+			n, err := fetchDecode(tr.Store(), id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +103,7 @@ func TestSharedReadMatchesDecode(t *testing.T) {
 // TestCachedNodesIndexLongUnions: a node the bound cache holds carries
 // a term index on every union vector WithIndex admits, each non-object
 // entry's and each cluster summary's, so the scorer's asymmetric dots
-// against them take the indexed path. A private decode carries none.
+// against them take the indexed path. A plain decode carries none.
 func TestCachedNodesIndexLongUnions(t *testing.T) {
 	for _, clustered := range []bool{false, true} {
 		// 200 terms: node unions run to 32 terms and past, and their
@@ -128,13 +138,13 @@ func TestCachedNodesIndexLongUnions(t *testing.T) {
 		if indexed[false] == 0 || (clustered && indexed[true] == 0) {
 			t.Fatalf("clustered=%v: too few long unions to check (%v indexed)", clustered, indexed)
 		}
-		n, err := tr.ReadNodeTracked(tr.RootID(), nil)
+		n, err := fetchDecode(tr.Store(), tr.RootID())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range n.Entries {
 			if n.Entries[i].Env.Uni.HasIndex() {
-				t.Errorf("clustered=%v: private decode of the root indexes entry %d", clustered, i)
+				t.Errorf("clustered=%v: plain decode of the root indexes entry %d", clustered, i)
 			}
 		}
 	}
@@ -226,18 +236,18 @@ func TestBoundCacheGetDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// readBlob stores blob on a fresh store and reads it back through both
-// node reads, returning their errors (private decode, shared read) and
-// whether the shared read left the node cached. Each read must stay
+// readBlob stores blob on a fresh store and reads it back through
+// fetchDecode and the node read, returning their errors (decode, shared
+// read) and whether the shared read left the node cached. Each must stay
 // within allocbound.Node.
-func readBlob(t *testing.T, blob []byte) (privErr, sharedErr error, cached bool) {
+func readBlob(t *testing.T, blob []byte) (decErr, sharedErr error, cached bool) {
 	t.Helper()
 	store := storage.NewStore()
 	id := store.Put(blob)
 	tr := &Snapshot{store: store, boundCache: newBoundCache(16)}
-	allocbound.Check(t, allocbound.Node, len(blob), func() { _, privErr = tr.ReadNodeTracked(id, nil) })
+	allocbound.Check(t, allocbound.Node, len(blob), func() { _, decErr = fetchDecode(store, id) })
 	allocbound.Check(t, allocbound.Node, len(blob), func() { _, sharedErr = tr.ReadSharedTracked(id, nil) })
-	return privErr, sharedErr, tr.boundCache.contains(id)
+	return decErr, sharedErr, tr.boundCache.contains(id)
 }
 
 // TestDerivedEnvelopeDecodeStaysLinear: a derived envelope is rebuilt at
@@ -257,13 +267,13 @@ func TestDerivedEnvelopeDecodeStaysLinear(t *testing.T) {
 	if blob[3+32+12] != 2 {
 		t.Fatalf("entry envelope shape %d, want 2 (derived)", blob[3+32+12])
 	}
-	if privErr, sharedErr, _ := readBlob(t, blob); privErr != nil || sharedErr != nil {
-		t.Fatalf("private read %v, shared read %v", privErr, sharedErr)
+	if decErr, sharedErr, _ := readBlob(t, blob); decErr != nil || sharedErr != nil {
+		t.Fatalf("decode %v, shared read %v", decErr, sharedErr)
 	}
 }
 
-// TestCorruptNodeRejectedByBothReads: both node reads must reject every
-// corruption of a node blob — oversized entry and cluster counts,
+// TestCorruptNodeRejectedByBothReads: the node read and decodeNode over
+// the fetched bytes must both reject every corruption of a node blob — oversized entry and cluster counts,
 // truncation at any byte, trailing garbage, and a negative cluster ID —
 // never panic, never accept, and never cache a rejected node. Rejecting
 // is not enough for an oversized count: a decoder that allocates for the
@@ -282,16 +292,16 @@ func TestCorruptNodeRejectedByBothReads(t *testing.T) {
 	blob := encodeNode(n)
 	reject := func(what string, b []byte) {
 		t.Helper()
-		privErr, sharedErr, cached := readBlob(t, b)
-		if privErr == nil || sharedErr == nil {
-			t.Errorf("%s accepted: private read %v, shared read %v", what, privErr, sharedErr)
+		decErr, sharedErr, cached := readBlob(t, b)
+		if decErr == nil || sharedErr == nil {
+			t.Errorf("%s accepted: decode %v, shared read %v", what, decErr, sharedErr)
 		}
 		if cached {
 			t.Errorf("%s: rejected node left in the bound cache", what)
 		}
 	}
-	if privErr, sharedErr, cached := readBlob(t, blob); privErr != nil || sharedErr != nil || !cached {
-		t.Fatalf("pristine blob: private read %v, shared read %v, cached %v", privErr, sharedErr, cached)
+	if decErr, sharedErr, cached := readBlob(t, blob); decErr != nil || sharedErr != nil || !cached {
+		t.Fatalf("pristine blob: decode %v, shared read %v, cached %v", decErr, sharedErr, cached)
 	}
 
 	// Oversized entry count: claims more entries than the blob can hold.

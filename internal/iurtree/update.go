@@ -3,6 +3,7 @@ package iurtree
 import (
 	"errors"
 	"math"
+	"slices"
 
 	"rstknn/internal/geom"
 	"rstknn/internal/storage"
@@ -25,6 +26,9 @@ import (
 // superseded blobs are reclaimed (the engine routes them through
 // storage.Reclaimer so they are freed only once no pinned reader can
 // reach them).
+//
+// The descents read the shared decodes concurrent queries hold
+// (ReadSharedTracked), so an update edits only copies made by own.
 //
 // CIUR-trees are rejected: their per-cluster summaries depend on an
 // offline clustering that a single insert cannot meaningfully extend
@@ -75,19 +79,18 @@ func (t *Snapshot) Insert(o Object, tr *storage.Tracker) (*Snapshot, []storage.N
 
 	// Descend by least enlargement, remembering the path.
 	type step struct {
-		id       storage.NodeID
 		node     *Node
 		childIdx int
 	}
 	var path []step
 	id := t.rootID
 	for {
-		node, err := t.ReadNodeTracked(id, tr)
+		node, err := t.ReadSharedTracked(id, tr)
 		if err != nil {
 			return nil, nil, err
 		}
 		if node.Leaf {
-			path = append(path, step{id: id, node: node})
+			path = append(path, step{node: node})
 			break
 		}
 		best, bestEnl, bestArea := 0, math.Inf(1), math.Inf(1)
@@ -99,7 +102,7 @@ func (t *Snapshot) Insert(o Object, tr *storage.Tracker) (*Snapshot, []storage.N
 				best, bestEnl, bestArea = i, enl, area
 			}
 		}
-		path = append(path, step{id: id, node: node, childIdx: best})
+		path = append(path, step{node: node, childIdx: best})
 		id = node.Entries[best].Child
 	}
 
@@ -107,22 +110,16 @@ func (t *Snapshot) Insert(o Object, tr *storage.Tracker) (*Snapshot, []storage.N
 	// node into a fresh blob (splitting when over-full) and rewiring
 	// each parent to its child's new NodeID.
 	var retired []storage.NodeID
-	leaf := path[len(path)-1]
-	leaf.node.Entries = append(leaf.node.Entries, objectEntry(&o))
-	pendingEntry, splitEntry, err := t.copyNode(leaf.id, leaf.node, tr, &retired)
-	if err != nil {
-		return nil, nil, err
-	}
+	leaf := own(path[len(path)-1].node)
+	leaf.Entries = append(leaf.Entries, objectEntry(&o))
+	pendingEntry, splitEntry := t.copyNode(leaf, tr, &retired)
 	for i := len(path) - 2; i >= 0; i-- {
-		st := path[i]
-		st.node.Entries[st.childIdx] = pendingEntry
+		node := own(path[i].node)
+		node.Entries[path[i].childIdx] = pendingEntry
 		if splitEntry != nil {
-			st.node.Entries = append(st.node.Entries, *splitEntry)
+			node.Entries = append(node.Entries, *splitEntry)
 		}
-		pendingEntry, splitEntry, err = t.copyNode(st.id, st.node, tr, &retired)
-		if err != nil {
-			return nil, nil, err
-		}
+		pendingEntry, splitEntry = t.copyNode(node, tr, &retired)
 	}
 	next := t.derive()
 	if splitEntry != nil {
@@ -146,22 +143,29 @@ func (t *Snapshot) Insert(o Object, tr *storage.Tracker) (*Snapshot, []storage.N
 	return next, retired, nil
 }
 
+// own returns a copy of n, under n's ID, with its own entry slice: the
+// only kind of node the update path edits. n is a shared decode that
+// concurrent readers may hold, so neither it nor its entries may change.
+func own(n *Node) *Node {
+	return &Node{ID: n.ID, Leaf: n.Leaf, Entries: slices.Clone(n.Entries)}
+}
+
 // copyNode persists node (splitting it when over-full) into fresh blobs,
-// retiring the superseded id, and returns the refreshed parent entry
-// plus the entry of the split-off sibling, if any.
-func (t *Snapshot) copyNode(old storage.NodeID, node *Node, tr *storage.Tracker, retired *[]storage.NodeID) (Entry, *Entry, error) {
-	*retired = append(*retired, old)
+// retiring the ID it was read under, and returns the refreshed parent
+// entry plus the entry of the split-off sibling, if any.
+func (t *Snapshot) copyNode(node *Node, tr *storage.Tracker, retired *[]storage.NodeID) (Entry, *Entry) {
+	*retired = append(*retired, node.ID)
 	if len(node.Entries) <= maxFanout {
 		id := t.store.PutTracked(encodeNode(node), tr)
-		return summarize(node, id), nil, nil
+		return summarize(node, id), nil
 	}
 	left, right := splitEntries(node.Entries)
-	node.Entries = left
+	kept := &Node{Leaf: node.Leaf, Entries: left}
 	sibling := &Node{Leaf: node.Leaf, Entries: right}
-	id := t.store.PutTracked(encodeNode(node), tr)
+	id := t.store.PutTracked(encodeNode(kept), tr)
 	sibID := t.store.PutTracked(encodeNode(sibling), tr)
 	se := summarize(sibling, sibID)
-	return summarize(node, id), &se, nil
+	return summarize(kept, id), &se
 }
 
 // minFill is the fewest entries either half of a split receives: 40%
@@ -253,7 +257,7 @@ func (t *Snapshot) Delete(id int32, loc geom.Point, tr *storage.Tracker) (*Snaps
 	}
 	// Collapse a chain of single-child internal roots.
 	rootID := rootEntry.Child
-	rootNode, err := t.ReadNodeTracked(rootID, tr)
+	rootNode, err := t.ReadSharedTracked(rootID, tr)
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -262,7 +266,7 @@ func (t *Snapshot) Delete(id int32, loc geom.Point, tr *storage.Tracker) (*Snaps
 		retired = append(retired, rootID)
 		rootID = rootNode.Entries[0].Child
 		height--
-		rootNode, err = t.ReadNodeTracked(rootID, tr)
+		rootNode, err = t.ReadSharedTracked(rootID, tr)
 		if err != nil {
 			return nil, nil, false, err
 		}
@@ -279,14 +283,15 @@ func (t *Snapshot) Delete(id int32, loc geom.Point, tr *storage.Tracker) (*Snaps
 // became empty), and whether the node is now empty (so the parent
 // unlinks it). Nodes on the modified path are appended to retired.
 func (t *Snapshot) deleteRec(nid storage.NodeID, id int32, loc geom.Point, tr *storage.Tracker, retired *[]storage.NodeID) (found bool, newEntry Entry, empty bool, err error) {
-	node, err := t.ReadNodeTracked(nid, tr)
+	node, err := t.ReadSharedTracked(nid, tr)
 	if err != nil {
 		return false, Entry{}, false, err
 	}
 	if node.Leaf {
 		for i := range node.Entries {
 			if node.Entries[i].ObjID == id && node.Entries[i].Loc() == loc {
-				node.Entries = append(node.Entries[:i], node.Entries[i+1:]...)
+				node = own(node)
+				node.Entries = slices.Delete(node.Entries, i, i+1)
 				*retired = append(*retired, nid)
 				if len(node.Entries) == 0 {
 					return true, Entry{}, true, nil
@@ -308,8 +313,9 @@ func (t *Snapshot) deleteRec(nid storage.NodeID, id int32, loc geom.Point, tr *s
 		if !childFound {
 			continue
 		}
+		node = own(node)
 		if childEmpty {
-			node.Entries = append(node.Entries[:i], node.Entries[i+1:]...)
+			node.Entries = slices.Delete(node.Entries, i, i+1)
 		} else {
 			node.Entries[i] = childEntry
 		}

@@ -1,7 +1,9 @@
 package iurtree
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rstknn/internal/cluster"
@@ -34,12 +36,12 @@ func TestInsertIntoSealedTree(t *testing.T) {
 	if tr.Len() != 300 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	if err := tr.CheckInvariants(); err != nil {
+	if err := tr.CheckInvariants(nil); err != nil {
 		t.Fatal(err)
 	}
 	// Every object reachable via Walk.
 	seen := map[int32]bool{}
-	if err := tr.Walk(func(n *Node, depth int) error {
+	if err := tr.Walk(nil, func(n *Node, depth int) error {
 		if n.Leaf {
 			for _, e := range n.Entries {
 				seen[e.ObjID] = true
@@ -70,14 +72,14 @@ func TestInsertLeavesReceiverSnapshotIntact(t *testing.T) {
 	if before.Len() != 60 || after.Len() != 61 {
 		t.Fatalf("Len: before=%d after=%d", before.Len(), after.Len())
 	}
-	if err := before.CheckInvariants(); err != nil {
+	if err := before.CheckInvariants(nil); err != nil {
 		t.Fatalf("receiver snapshot broken after COW insert: %v", err)
 	}
-	if err := after.CheckInvariants(); err != nil {
+	if err := after.CheckInvariants(nil); err != nil {
 		t.Fatal(err)
 	}
 	seen := map[int32]bool{}
-	if err := before.Walk(func(n *Node, depth int) error {
+	if err := before.Walk(nil, func(n *Node, depth int) error {
 		if n.Leaf {
 			for _, e := range n.Entries {
 				seen[e.ObjID] = true
@@ -153,7 +155,7 @@ func TestInsertGrowsTreeAndSpace(t *testing.T) {
 	if tr.Height() <= h0 {
 		t.Errorf("height did not grow: %d -> %d", h0, tr.Height())
 	}
-	if err := tr.CheckInvariants(); err != nil {
+	if err := tr.CheckInvariants(nil); err != nil {
 		t.Fatal(err)
 	}
 	// Insert far outside the dataspace: maxD must grow.
@@ -186,7 +188,7 @@ func TestInsertIntoEmptyTree(t *testing.T) {
 	if next.Len() != 1 || next.RootEntry().Count != 1 {
 		t.Fatalf("Len=%d rootCount=%d", next.Len(), next.RootEntry().Count)
 	}
-	if err := next.CheckInvariants(); err != nil {
+	if err := next.CheckInvariants(nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -210,12 +212,12 @@ func TestDeleteFromSealedTree(t *testing.T) {
 	if tr.Len() != 125 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	if err := tr.CheckInvariants(); err != nil {
+	if err := tr.CheckInvariants(nil); err != nil {
 		t.Fatal(err)
 	}
 	// Deleted objects are gone; survivors remain.
 	seen := map[int32]bool{}
-	if err := tr.Walk(func(n *Node, depth int) error {
+	if err := tr.Walk(nil, func(n *Node, depth int) error {
 		if n.Leaf {
 			for _, e := range n.Entries {
 				seen[e.ObjID] = true
@@ -297,6 +299,9 @@ func TestInterleavedUpdatesKeepInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	tr := buildIUR(t, nil, false)
 	rec := storage.NewReclaimer(tr.Store())
+	// The descents fill the bound cache, so a freed ID must leave it
+	// before a later Put recycles it.
+	rec.SetOnFree(tr.InvalidateNode)
 	live := map[int32]Object{}
 	next := int32(0)
 	for step := 0; step < 1500; step++ {
@@ -333,7 +338,7 @@ func TestInterleavedUpdatesKeepInvariants(t *testing.T) {
 	if tr.Len() != len(live) {
 		t.Fatalf("Len = %d, want %d", tr.Len(), len(live))
 	}
-	if err := tr.CheckInvariants(); err != nil {
+	if err := tr.CheckInvariants(nil); err != nil {
 		t.Fatal(err)
 	}
 	// With no pinned readers every retired node must have been freed
@@ -380,6 +385,88 @@ func TestSplitEntriesKeepsMinFill(t *testing.T) {
 		}
 		if len(left) < minFill || len(right) < minFill {
 			t.Errorf("%s: split %d/%d, want both sides >= %d", tc.name, len(left), len(right), minFill)
+		}
+	}
+}
+
+// TestUpdatesLeaveSharedDecodesIntact runs a scripted series of updates
+// whose descents read the shared decodes concurrent readers hold, and
+// checks that none of those decodes changed: each one the snapshots
+// cached along the way re-encodes to the bytes it had when first read.
+// The script covers a leaf split that grows the root, an insert below an
+// internal root, removal from a leaf, and the deletes that empty a leaf,
+// unlink it from the root and collapse the one-child root.
+func TestUpdatesLeaveSharedDecodesIntact(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	objs := randObjects(rng, maxFanout+2, 15)
+	tr := buildIUR(t, objs[:maxFanout], false)
+	first := map[*Node][]byte{} // every shared decode seen, by identity
+	record := func() {
+		t.Helper()
+		if err := tr.Walk(nil, func(n *Node, _ int) error {
+			if _, ok := first[n]; !ok {
+				first[n] = encodeNode(n)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert := func(o Object) {
+		t.Helper()
+		record()
+		next, _, err := tr.Insert(o, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr = next
+	}
+	remove := func(e Entry) {
+		t.Helper()
+		record()
+		next, _, ok, err := tr.Delete(e.ObjID, e.Loc(), nil)
+		if err != nil || !ok {
+			t.Fatalf("Delete(%d): found %v, %v", e.ObjID, ok, err)
+		}
+		tr = next
+	}
+
+	if tr.Height() != 1 {
+		t.Fatalf("a full leaf built to height %d, want 1", tr.Height())
+	}
+	insert(objs[maxFanout]) // the root leaf splits and a new root grows
+	if tr.Height() != 2 {
+		t.Fatalf("height %d after overflowing the root leaf, want 2", tr.Height())
+	}
+	insert(objs[maxFanout+1]) // the internal root's child entry is replaced
+	root, err := tr.ReadSharedTracked(tr.RootID(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(root.Entries) != 2 {
+		t.Fatalf("root holds %d children, want 2", len(root.Entries))
+	}
+	leaf, err := tr.ReadSharedTracked(root.Entries[0].Child, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Removal from the leaf until it empties; the last delete unlinks
+	// it and collapses the root onto the other leaf.
+	victims := slices.Clone(leaf.Entries)
+	for _, e := range victims {
+		remove(e)
+	}
+	if tr.Height() != 1 || tr.Len() != maxFanout+2-len(victims) {
+		t.Fatalf("after emptying a leaf: height %d, %d objects", tr.Height(), tr.Len())
+	}
+	if err := tr.CheckInvariants(nil); err != nil {
+		t.Fatal(err)
+	}
+	record()
+	for n, enc := range first {
+		if got := encodeNode(n); !bytes.Equal(got, enc) {
+			t.Errorf("shared decode of node %d changed: %d entries now, %d bytes, was %d bytes",
+				n.ID, len(n.Entries), len(got), len(enc))
 		}
 	}
 }

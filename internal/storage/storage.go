@@ -16,10 +16,12 @@
 // holds IDs and page counts, never bytes.
 //
 // The store is safe for concurrent use: reads take a shared lock, the
-// global I/O counters are atomics, and the buffer pool is sharded by
-// NodeID so concurrent queries do not serialize on one cache mutex.
-// Per-query cost attribution goes through a Tracker passed to Charge (or
-// GetTracked); the global counters keep index-wide totals.
+// global I/O counters live in a Tracker of the store's own (atomics),
+// and the buffer pool is sharded by NodeID so concurrent queries do not
+// serialize on one cache mutex. Every charge lands on the store's
+// tracker and then on the caller's, when one is passed to Charge,
+// GetTracked or PutTracked: the caller's attributes one query's cost,
+// the store's keeps index-wide totals.
 package storage
 
 import (
@@ -219,57 +221,6 @@ func (t *Tracker) Reset() {
 	t.sharedReads.Store(0)
 }
 
-// counters are the store-global I/O totals, atomics so concurrent readers
-// never contend on a stats mutex.
-type counters struct {
-	reads        atomic.Int64
-	pagesRead    atomic.Int64
-	cacheHits    atomic.Int64
-	writes       atomic.Int64
-	pagesWritten atomic.Int64
-}
-
-func (c *counters) snapshot() Stats {
-	return Stats{
-		Reads:        c.reads.Load(),
-		PagesRead:    c.pagesRead.Load(),
-		CacheHits:    c.cacheHits.Load(),
-		Writes:       c.writes.Load(),
-		PagesWritten: c.pagesWritten.Load(),
-	}
-}
-
-func (c *counters) reset() {
-	c.reads.Store(0)
-	c.pagesRead.Store(0)
-	c.cacheHits.Store(0)
-	c.writes.Store(0)
-	c.pagesWritten.Store(0)
-}
-
-// chargeRead records a cache-missing read on the global counters and the
-// tracker (if any).
-func (c *counters) chargeRead(pages int64, t *Tracker) {
-	c.reads.Add(1)
-	c.pagesRead.Add(pages)
-	t.ChargeRead(pages)
-}
-
-// chargeHit records a buffer-pool hit on the global counters and the
-// tracker (if any).
-func (c *counters) chargeHit(t *Tracker) {
-	c.cacheHits.Add(1)
-	t.ChargeCacheHit()
-}
-
-// chargeWrite records a blob write on the global counters and the
-// tracker (if any).
-func (c *counters) chargeWrite(pages int64, t *Tracker) {
-	c.writes.Add(1)
-	c.pagesWritten.Add(pages)
-	t.ChargeWrite(pages)
-}
-
 // Blobs is the storage abstraction the index layers build on: a blob
 // store with simulated-I/O accounting. Store implements it; a FileStore
 // is a Store opened from a log. Reads are safe for concurrent use;
@@ -336,8 +287,8 @@ type Store struct {
 	slots    []slot
 	free     NodeID      // head of the free list; InvalidNode when empty
 	log      io.ReaderAt // the log in-log slots read from; nil for NewStore
-	stats    counters
-	cache    *pool // nil when no buffer pool is configured
+	stats    Tracker     // the store-global I/O totals
+	cache    *pool       // nil when no buffer pool is configured
 }
 
 // slotState is where a slot is in its lifecycle: live, retired
@@ -480,7 +431,8 @@ func (s *Store) PutTracked(data []byte, tr *Tracker) NodeID {
 	}
 	s.mu.Unlock()
 	pages := s.pagesFor(len(b))
-	s.stats.chargeWrite(int64(pages), tr)
+	s.stats.ChargeWrite(int64(pages))
+	tr.ChargeWrite(int64(pages))
 	if s.cache != nil {
 		s.cache.put(id, pages)
 	}
@@ -546,10 +498,12 @@ func (s *Store) Charge(id NodeID, tr *Tracker) error {
 	}
 	pages := s.pagesFor(int(sl.size))
 	if s.cache != nil && s.cache.access(id, pages) {
-		s.stats.chargeHit(tr)
+		s.stats.ChargeCacheHit()
+		tr.ChargeCacheHit()
 		return nil
 	}
-	s.stats.chargeRead(int64(pages), tr)
+	s.stats.ChargeRead(int64(pages))
+	tr.ChargeRead(int64(pages))
 	return nil
 }
 
@@ -583,11 +537,11 @@ func (s *Store) GetTracked(id NodeID, tr *Tracker) ([]byte, error) {
 }
 
 // Stats returns a snapshot of the I/O counters.
-func (s *Store) Stats() Stats { return s.stats.snapshot() }
+func (s *Store) Stats() Stats { return s.stats.Stats() }
 
 // ResetStats zeroes the I/O counters (e.g. after index construction, so
 // query measurements start clean).
-func (s *Store) ResetStats() { s.stats.reset() }
+func (s *Store) ResetStats() { s.stats.Reset() }
 
 // DropCache empties the buffer pool, simulating a cold start: the next
 // charge of every blob is a read.

@@ -10,6 +10,7 @@ package vector
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -32,7 +33,7 @@ type Vector struct {
 // New builds a vector from a term->weight map. Terms with non-positive
 // weight are dropped. Construction is on the index-build hot path (one
 // call per document plus one per node envelope merge), so the term sort
-// avoids sort.Slice's closure/interface allocations.
+// is slices.Sort, which allocates nothing, not sort.Slice.
 func New(w map[TermID]float64) Vector {
 	if len(w) == 0 {
 		return Vector{}
@@ -43,55 +44,12 @@ func New(w map[TermID]float64) Vector {
 			terms = append(terms, t)
 		}
 	}
-	sortTermIDs(terms)
+	slices.Sort(terms)
 	weights := make([]float64, len(terms))
 	for i, t := range terms {
 		weights[i] = w[t]
 	}
 	return newVector(terms, weights)
-}
-
-// sortTermIDs sorts term IDs ascending without the sort.Slice
-// closure/reflection machinery: insertion sort for short runs, heapsort
-// above that (IDs are map keys, hence distinct — stability is moot).
-func sortTermIDs(a []TermID) {
-	if len(a) < 24 {
-		for i := 1; i < len(a); i++ {
-			v := a[i]
-			j := i - 1
-			for j >= 0 && a[j] > v {
-				a[j+1] = a[j]
-				j--
-			}
-			a[j+1] = v
-		}
-		return
-	}
-	n := len(a)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDownTermIDs(a, i, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		a[0], a[end] = a[end], a[0]
-		siftDownTermIDs(a, 0, end)
-	}
-}
-
-func siftDownTermIDs(a []TermID, root, end int) {
-	for {
-		child := 2*root + 1
-		if child >= end {
-			return
-		}
-		if child+1 < end && a[child+1] > a[child] {
-			child++
-		}
-		if a[root] >= a[child] {
-			return
-		}
-		a[root], a[child] = a[child], a[root]
-		root = child
-	}
 }
 
 // newVector wraps pre-validated parallel slices, caching the norm.

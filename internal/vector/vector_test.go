@@ -1,10 +1,12 @@
 package vector
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -33,6 +35,29 @@ func TestNewSortsAndDropsNonPositive(t *testing.T) {
 	}
 	if v.WeightOf(9) != 0 || v.Has(9) {
 		t.Error("zero-weight term should be dropped")
+	}
+
+	// More than 24 terms, past the run length at which a hand-rolled
+	// insertion sort would hand over to a second algorithm. The encoding
+	// must equal that of the same pairs sorted independently.
+	big := make(map[TermID]float64)
+	for i := 0; i < 40; i++ {
+		big[TermID(i*37%101)] = float64(i%5) - 0.5 // every fifth weight is negative
+	}
+	var terms []TermID
+	for term, w := range big {
+		if w > 0 {
+			terms = append(terms, term)
+		}
+	}
+	sort.Slice(terms, func(i, j int) bool { return terms[i] < terms[j] })
+	weights := make([]float64, len(terms))
+	for i, term := range terms {
+		weights[i] = big[term]
+	}
+	got, want := New(big).AppendBinary(nil), FromPairs(terms, weights).AppendBinary(nil)
+	if len(terms) != 32 || !bytes.Equal(got, want) {
+		t.Errorf("New over %d positive terms encodes as\n%x\nwant\n%x", len(terms), got, want)
 	}
 }
 

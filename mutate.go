@@ -222,5 +222,5 @@ func (e *Engine) Compact() int { return e.snap.TryFree() }
 // snapshot (bounding rectangles, counts, vector envelopes, leaf depth).
 // It pins the snapshot like a query, so it is safe with writers running.
 func (e *Engine) CheckInvariants() error {
-	return e.snap.Read(func(st *engineState) error { return st.tree.CheckInvariants() })
+	return e.snap.Read(func(st *engineState) error { return st.tree.CheckInvariants(nil) })
 }

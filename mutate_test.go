@@ -241,7 +241,7 @@ func TestPinnedSnapshotSurvivesDelete(t *testing.T) {
 	if fmt.Sprint(after.IDs) != fmt.Sprint(before.IDs) {
 		t.Fatalf("pinned snapshot drifted: %v != %v", after.IDs, before.IDs)
 	}
-	if err := st.tree.CheckInvariants(); err != nil {
+	if err := st.tree.CheckInvariants(nil); err != nil {
 		t.Fatalf("pinned snapshot corrupted by concurrent deletes: %v", err)
 	}
 
