@@ -80,18 +80,20 @@ fmt:
 	gofmt -w .
 
 # Short fuzzing pass over every fuzz target; seed corpora live in each
-# package's testdata/fuzz directory.
+# package's testdata/fuzz directory. Go minimizes each new input for up
+# to 60 s by default, which would eat the whole pass of a slow target;
+# -fuzzminimizetime 100x caps it at 100 execs.
 fuzz:
-	go test ./internal/vector/  -run '^$$' -fuzz FuzzVectorRoundTrip -fuzztime $(FUZZTIME)
-	go test ./internal/vector/  -run '^$$' -fuzz FuzzIndexedDot      -fuzztime $(FUZZTIME)
-	go test ./internal/storage/ -run '^$$' -fuzz FuzzOpenFileStore   -fuzztime $(FUZZTIME)
-	go test ./internal/iurtree/ -run '^$$' -fuzz FuzzNodeRoundTrip   -fuzztime $(FUZZTIME)
-	go test ./internal/iurtree/ -run '^$$' -fuzz FuzzSharedRead      -fuzztime $(FUZZTIME)
-	go test ./internal/textual/ -run '^$$' -fuzz FuzzTextualPersist  -fuzztime $(FUZZTIME)
-	go test .                   -run '^$$' -fuzz FuzzLoad            -fuzztime $(FUZZTIME)
-	go test ./internal/core/    -run '^$$' -fuzz FuzzRuleCountsMatchSelection -fuzztime $(FUZZTIME)
-	go test ./internal/core/    -run '^$$' -fuzz FuzzSearchMatchesNaive       -fuzztime $(FUZZTIME)
-	go test ./internal/geom/    -run '^$$' -fuzz FuzzDistMatchesHypot         -fuzztime $(FUZZTIME)
+	go test ./internal/vector/  -run '^$$' -fuzz FuzzVectorRoundTrip -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
+	go test ./internal/vector/  -run '^$$' -fuzz FuzzIndexedDot      -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
+	go test ./internal/storage/ -run '^$$' -fuzz FuzzOpenFileStore   -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
+	go test ./internal/iurtree/ -run '^$$' -fuzz FuzzNodeRoundTrip   -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
+	go test ./internal/iurtree/ -run '^$$' -fuzz FuzzSharedRead      -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
+	go test ./internal/textual/ -run '^$$' -fuzz FuzzTextualPersist  -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
+	go test .                   -run '^$$' -fuzz FuzzLoad            -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
+	go test ./internal/core/    -run '^$$' -fuzz FuzzRuleCountsMatchSelection -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
+	go test ./internal/core/    -run '^$$' -fuzz FuzzSearchMatchesNaive       -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
+	go test ./internal/geom/    -run '^$$' -fuzz FuzzDistMatchesHypot         -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 
 # Vet and test the benchmark module (benchmark/, its own go.mod). The
 # root ./... pattern never enters a nested module, yet benchmark/

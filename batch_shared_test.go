@@ -11,17 +11,23 @@ import (
 	"time"
 )
 
-// TestBatchSharedMatchesAblation pins the engine-level equivalence of
-// shared-traversal batch execution: against the same requests answered
-// one by one through QueryCtx, a shared batch must return identical
-// per-request IDs and identical per-request logical counters, while its
-// BatchStats show strictly fewer physical node reads.
-func TestBatchSharedMatchesAblation(t *testing.T) {
+// TestBatchMatchesQueryCtx pins a batch to the QueryCtx path: two
+// identical engines, one answering the requests as a batch and the other
+// as QueryCtx calls in request order, must agree on every request's IDs
+// and QueryStats apart from Duration. The buffer pool makes the I/O
+// counters depend on the read order, so they check that the batch reads
+// what the calls read, in the same order. BatchStats must hold the sums.
+func TestBatchMatchesQueryCtx(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	objs := genRestaurants(rng, 900)
 	for _, idx := range []IndexKind{IUR, CIUR} {
 		t.Run(idx.String(), func(t *testing.T) {
-			shared, err := Build(objs, Options{Index: idx, Seed: 5})
+			opt := Options{Index: idx, Seed: 5, BufferPoolPages: 24, Workers: 1}
+			batched, err := Build(objs, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			single, err := Build(objs, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -31,74 +37,43 @@ func TestBatchSharedMatchesAblation(t *testing.T) {
 					Text: menuTerms[i%len(menuTerms)], K: 1 + i%6}
 			}
 			ctx := context.Background()
-			// The reference: every request answered alone, whose physical
-			// reads are its logical ones.
-			iRes := make([]*Result, len(reqs))
-			indepReads := 0
+			out, bs := batched.BatchQueryStatsCtx(ctx, reqs, 1)
+			var nodes int
+			var pages int64
 			for i, r := range reqs {
-				if iRes[i], err = shared.QueryCtx(ctx, r.X, r.Y, r.Text, r.K); err != nil {
+				want, err := single.QueryCtx(ctx, r.X, r.Y, r.Text, r.K)
+				if err != nil {
 					t.Fatalf("request %d: %v", i, err)
 				}
-				indepReads += iRes[i].Stats.NodesRead
+				if out[i].Err != nil {
+					t.Fatalf("request %d: %v", i, out[i].Err)
+				}
+				got := out[i].Result
+				if !reflect.DeepEqual(got.IDs, want.IDs) {
+					t.Errorf("request %d: IDs %v != QueryCtx %v", i, got.IDs, want.IDs)
+				}
+				gs, ws := got.Stats, want.Stats
+				gs.Duration, ws.Duration = 0, 0
+				if gs != ws {
+					t.Errorf("request %d: stats drifted:\nbatch    %+v\nQueryCtx %+v", i, gs, ws)
+				}
+				nodes += want.Stats.NodesRead
+				pages += want.Stats.PageAccesses
 			}
-			for _, parallelism := range []int{1, 4} {
-				sRes, sStats := shared.BatchQueryStatsCtx(ctx, reqs, parallelism)
-				if !sStats.Shared {
-					t.Fatalf("parallelism=%d: default engine did not share", parallelism)
-				}
-				logical := 0
-				for i := range reqs {
-					tag := fmt.Sprintf("parallelism=%d request=%d", parallelism, i)
-					if sRes[i].Err != nil {
-						t.Fatalf("%s: %v", tag, sRes[i].Err)
-					}
-					ss, is := sRes[i].Result.Stats, iRes[i].Stats
-					if !reflect.DeepEqual(sRes[i].Result.IDs, iRes[i].IDs) {
-						t.Errorf("%s: IDs %v != independent %v", tag, sRes[i].Result.IDs, iRes[i].IDs)
-					}
-					if ss.NodesRead != is.NodesRead || ss.ExactSims != is.ExactSims ||
-						ss.BoundEvals != is.BoundEvals || ss.GroupPruned != is.GroupPruned ||
-						ss.GroupReported != is.GroupReported || ss.Candidates != is.Candidates ||
-						ss.Refinements != is.Refinements {
-						t.Errorf("%s: logical counters drifted:\nshared      %+v\nindependent %+v", tag, ss, is)
-					}
-					if ss.SharedReads != int64(ss.NodesRead) {
-						t.Errorf("%s: SharedReads %d != NodesRead %d", tag, ss.SharedReads, ss.NodesRead)
-					}
-					if ss.PageAccesses != 0 {
-						t.Errorf("%s: shared query charged %d pages; physical I/O belongs to BatchStats", tag, ss.PageAccesses)
-					}
-					if r := ss.CacheHitRatio(); r != 1 {
-						t.Errorf("%s: CacheHitRatio %g, want 1 (every read batch-shared)", tag, r)
-					}
-					if is.SharedReads != 0 {
-						t.Errorf("%s: independent query recorded %d shared reads", tag, is.SharedReads)
-					}
-					logical += ss.NodesRead
-				}
-				if sStats.NodesRead >= indepReads {
-					t.Errorf("parallelism=%d: shared physical reads %d not below independent %d",
-						parallelism, sStats.NodesRead, indepReads)
-				}
-				if sStats.SharedHits != logical-sStats.NodesRead {
-					t.Errorf("parallelism=%d: SharedHits %d != logical %d - physical %d",
-						parallelism, sStats.SharedHits, logical, sStats.NodesRead)
-				}
-				if want := float64(sStats.NodesRead) / float64(len(reqs)); sStats.NodesReadPerQuery != want {
-					t.Errorf("parallelism=%d: NodesReadPerQuery %g != %g",
-						parallelism, sStats.NodesReadPerQuery, want)
-				}
-				if sStats.Requests != len(reqs) {
-					t.Errorf("parallelism=%d: Requests %d != %d", parallelism, sStats.Requests, len(reqs))
-				}
+			if bs.Requests != len(reqs) || bs.NodesRead != nodes || bs.PageAccesses != pages {
+				t.Errorf("BatchStats %+v, want %d reads and %d pages", bs, nodes, pages)
+			}
+			if want := float64(nodes) / float64(len(reqs)); bs.NodesReadPerQuery != want {
+				t.Errorf("NodesReadPerQuery %g != %g", bs.NodesReadPerQuery, want)
 			}
 		})
 	}
 }
 
-// TestBatchOneRequestMatchesQuery pins the one-request batch to the
-// QueryCtx path: same IDs, same QueryStats counters, an unshared
-// BatchStats whose physical reads are the query's own.
+// TestBatchOneRequestMatchesQuery pins a one-request batch to QueryCtx
+// when the batch's parallelism differs from the engine's Workers: same
+// IDs, same QueryStats counters, and BatchStats whose reads are the
+// query's own.
 func TestBatchOneRequestMatchesQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	objs := genRestaurants(rng, 400)
@@ -125,17 +100,15 @@ func TestBatchOneRequestMatchesQuery(t *testing.T) {
 				t.Fatalf("%v trial %d: batch %v %+v, QueryCtx %v %+v", opt.Index, trial,
 					got.IDs, got.Stats, want.IDs, want.Stats)
 			}
-			if bs.Shared || bs.Requests != 1 || bs.SharedHits != 0 ||
-				bs.NodesRead != want.Stats.NodesRead || bs.PageAccesses != want.Stats.PageAccesses {
+			if bs.Requests != 1 || bs.NodesRead != want.Stats.NodesRead || bs.PageAccesses != want.Stats.PageAccesses {
 				t.Fatalf("%v trial %d: BatchStats %+v for stats %+v", opt.Index, trial, bs, want.Stats)
 			}
 		}
 	}
 }
 
-// TestBatchSharedMixedValidity pins per-request error isolation on the
-// shared path: invalid requests fail individually without dragging the
-// valid ones out of the shared traversal.
+// TestBatchSharedMixedValidity pins per-request error isolation: invalid
+// requests fail individually without failing the valid ones.
 func TestBatchSharedMixedValidity(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	eng, err := Build(genRestaurants(rng, 300), Options{})
@@ -147,10 +120,7 @@ func TestBatchSharedMixedValidity(t *testing.T) {
 		{X: 20, Y: 20, Text: "ramen", K: 0},
 		{X: 30, Y: 30, Text: "pizza", K: 2},
 	}
-	out, bs := eng.BatchQueryStatsCtx(context.Background(), reqs, 0)
-	if !bs.Shared {
-		t.Fatal("expected the shared path")
-	}
+	out := eng.BatchQueryCtx(context.Background(), reqs, 0)
 	if out[0].Err != nil || out[2].Err != nil {
 		t.Fatalf("valid requests failed: %v / %v", out[0].Err, out[2].Err)
 	}
@@ -169,16 +139,16 @@ func TestBatchSharedMixedValidity(t *testing.T) {
 }
 
 // TestBatchSharedSnapshotUnderMutation is the -race stress test for the
-// shared batch path: writers hammer Insert/Delete/Apply while readers
-// run shared batches of IDENTICAL requests. Because the whole batch pins
+// batch path: writers hammer Insert/Delete/Apply while readers run
+// batches of IDENTICAL requests. Because the whole batch pins
 // ONE snapshot, all copies of the request inside one batch must return
 // the same IDs even though the index version changes between batches —
 // any torn read of a swapped snapshot or a reclaimed node would break
 // the agreement (or trip the race detector).
 func TestBatchSharedSnapshotUnderMutation(t *testing.T) {
-	// Raise the worker clamp so shared batches run genuinely parallel
-	// rounds even on a 1-CPU machine — otherwise the intra-batch
-	// concurrency this test (and -race) targets never materializes.
+	// Raise the worker clamp so batches run genuinely parallel rounds
+	// even on a 1-CPU machine — otherwise the intra-query concurrency
+	// this test (and -race) targets never materializes.
 	if runtime.GOMAXPROCS(0) < 4 {
 		prev := runtime.GOMAXPROCS(4)
 		defer runtime.GOMAXPROCS(prev)
@@ -248,11 +218,7 @@ func TestBatchSharedSnapshotUnderMutation(t *testing.T) {
 				for i := range reqs {
 					reqs[i] = req
 				}
-				out, bs := eng.BatchQueryStatsCtx(context.Background(), reqs, 1+rrng.Intn(4))
-				if !bs.Shared {
-					errCh <- fmt.Errorf("reader %d: batch not shared", r)
-					return
-				}
+				out := eng.BatchQueryCtx(context.Background(), reqs, 1+rrng.Intn(4))
 				for i := range out {
 					if out[i].Err != nil {
 						errCh <- fmt.Errorf("reader %d request %d: %w", r, i, out[i].Err)

@@ -78,7 +78,7 @@ var goldenPinned = map[string][]goldenCounters{
 
 // pinnedPasses are the executions of the pinned workload that must all
 // reproduce goldenPinned: the sequential search, the intra-query worker
-// pool, and the shared traversal (core.MultiRSTkNN) in batches of 16.
+// pool, and the batch path (core.MultiRSTkNN) in batches of 16.
 // batch 0 answers each query with its own core.RSTkNN call.
 var pinnedPasses = []struct {
 	name           string
@@ -93,7 +93,7 @@ var pinnedPasses = []struct {
 // pinned workload, in exact equality, for every pass in pinnedPasses.
 // Each later pass must also return the first pass's results and full
 // Metrics query by query, so the engine is deterministic across worker
-// counts and between shared and independent execution. The IUR means
+// counts and between batch and independent execution. The IUR means
 // must also stay at 1191.25 nodes and 18.5625 results per query, the
 // figures the pinned workload has had at Workers=1 since it was first
 // recorded.

@@ -11,12 +11,12 @@ import (
 	"rstknn/internal/storage"
 )
 
-// TestBatchSharedMatchesIndependent is the equivalence property of the
-// shared-traversal batch engine: for every tree variant and refinement
-// strategy, MultiRSTkNN must reproduce N independent RSTkNN calls
-// exactly — same per-query result IDs, same per-query Metrics, and
-// bit-identical per-object kNN bounds — at every worker count, while
-// physically reading each node at most once for the whole batch.
+// TestBatchSharedMatchesIndependent is the equivalence property of batch
+// execution: for every tree variant and refinement strategy,
+// MultiRSTkNN must reproduce N independent RSTkNN calls exactly — same
+// per-query result IDs, same per-query Metrics, bit-identical per-object
+// kNN bounds and the same I/O on each item's tracker — at every worker
+// count, with the batch tracker holding the sum.
 func TestBatchSharedMatchesIndependent(t *testing.T) {
 	// The searcher clamps Workers to GOMAXPROCS, so on a 1-CPU machine
 	// the multi-goroutine rounds would never spawn and the worker sweep
@@ -63,19 +63,25 @@ func TestBatchSharedMatchesIndependent(t *testing.T) {
 			// The independent reference: one standalone call per query.
 			indep := make([]*core.Outcome, nq)
 			indepRec := make([]*boundRecorder, nq)
+			indepIO := make([]storage.Stats, nq)
 			logical := 0
+			var total storage.Tracker
 			for i := range queries {
 				rec := newBoundRecorder()
+				var tr storage.Tracker
 				o := opt()
 				o.K = ks[i]
 				o.Workers = 1
 				o.BoundTrace = rec.trace
+				o.Tracker = &tr
 				out, err := core.RSTkNN(tree, queries[i], o)
 				if err != nil {
 					t.Fatalf("independent query %d: %v", i, err)
 				}
 				indep[i] = out
 				indepRec[i] = rec
+				indepIO[i] = tr.Stats()
+				total.Add(tr.Stats())
 				logical += out.Metrics.NodesRead
 			}
 
@@ -112,8 +118,8 @@ func TestBatchSharedMatchesIndependent(t *testing.T) {
 					if got.Metrics != want.Metrics {
 						t.Errorf("%s: metrics %+v != independent %+v", tag, got.Metrics, want.Metrics)
 					}
-					if got, want := trackers[i].SharedReads(), int64(mo.Outcomes[i].Metrics.NodesRead); got != want {
-						t.Errorf("%s: %d shared reads, want one per logical read (%d)", tag, got, want)
+					if got := trackers[i].Stats(); got != indepIO[i] {
+						t.Errorf("%s: item tracker %+v != independent %+v", tag, got, indepIO[i])
 					}
 					if len(recs[i].bounds) != len(indepRec[i].bounds) {
 						t.Errorf("%s: %d object verdicts != independent %d",
@@ -130,24 +136,12 @@ func TestBatchSharedMatchesIndependent(t *testing.T) {
 						}
 					}
 				}
-				// The amortization accounting: the batch never fetches a
-				// node twice, every logical read beyond the first fetch is
-				// a shared hit, and the batch tracker carries exactly the
-				// physical fetches.
-				if mo.Batch.NodesRead > logical {
-					t.Errorf("workers=%d: %d physical reads exceed %d logical", workers, mo.Batch.NodesRead, logical)
+				// The batch totals are the sums of the items'.
+				if mo.Batch.NodesRead != logical || mo.Batch.SharedHits != 0 {
+					t.Errorf("workers=%d: batch metrics %+v, want %d reads and no shared hits", workers, mo.Batch, logical)
 				}
-				if mo.Batch.SharedHits != logical-mo.Batch.NodesRead {
-					t.Errorf("workers=%d: SharedHits %d != logical %d - physical %d",
-						workers, mo.Batch.SharedHits, logical, mo.Batch.NodesRead)
-				}
-				if mo.Batch.SharedHits <= 0 {
-					t.Errorf("workers=%d: no shared hits across %d overlapping queries", workers, nq)
-				}
-				phys := batchTracker.Reads() + batchTracker.CacheHits()
-				if phys != int64(mo.Batch.NodesRead) {
-					t.Errorf("workers=%d: batch tracker saw %d reads, table counted %d",
-						workers, phys, mo.Batch.NodesRead)
+				if got, want := batchTracker.Stats(), total.Stats(); got != want {
+					t.Errorf("workers=%d: batch tracker %+v != sum of independent %+v", workers, got, want)
 				}
 			}
 		})
@@ -171,9 +165,9 @@ func TestMultiRSTkNNValidation(t *testing.T) {
 	}
 }
 
-// TestMultiRSTkNNEdgeTrees pins the degenerate shapes: an empty batch, an
-// empty tree, and the single-object tree (whose sole object is always a
-// result, for every query of the batch, at one physical read total).
+// TestMultiRSTkNNEdgeTrees pins the degenerate shapes: an empty batch and
+// the single-object tree (whose sole object is always a result, for
+// every query of the batch, at one read per query).
 func TestMultiRSTkNNEdgeTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	objs := genObjects(rng, 40, 20, 4)
@@ -201,8 +195,9 @@ func TestMultiRSTkNNEdgeTrees(t *testing.T) {
 			t.Errorf("query %d: metrics %+v, want one read and one candidate", i, o.Metrics)
 		}
 	}
-	if mo.Batch.NodesRead != 1 || mo.Batch.SharedHits != 1 {
-		t.Errorf("single-object batch metrics %+v, want 1 physical read and 1 shared hit", mo.Batch)
+	if mo.Batch.NodesRead != 2 || mo.Batch.SharedHits != 0 || batchTracker.Reads() != 2 {
+		t.Errorf("single-object batch metrics %+v, tracker %+v, want 2 reads and no shared hits",
+			mo.Batch, batchTracker.Stats())
 	}
 }
 

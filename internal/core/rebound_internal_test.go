@@ -111,7 +111,7 @@ func (rk *reboundCheck) check(w *worker, e *iurtree.Entry, g *group, k int) erro
 // decides it, and returns the results.
 func searchChecked(t *testing.T, tree *iurtree.Snapshot, q Query, opt Options, rk *reboundCheck) []int32 {
 	t.Helper()
-	s := &searcher{tree: tree, opt: opt, items: []BatchItem{{Query: q, K: opt.K}}}
+	s := &searcher{tree: tree, opt: opt, q: q}
 	w := s.newWorker()
 	defer w.release()
 	round, err := s.seed(w)
@@ -121,14 +121,10 @@ func searchChecked(t *testing.T, tree *iurtree.Snapshot, q Query, opt Options, r
 	for len(round) > 0 {
 		var next []*candidate
 		for _, c := range round {
-			for _, aq := range c.active {
-				w.begin(aq.qi)
-				for _, g := range aq.groups {
-					if err := rk.check(w, c.entry, g, opt.K); err != nil {
-						t.Fatalf("entry %d cluster %d: %v", c.entry.Child, g.cluster, err)
-					}
+			for _, g := range c.groups {
+				if err := rk.check(w, c.entry, g, opt.K); err != nil {
+					t.Fatalf("entry %d cluster %d: %v", c.entry.Child, g.cluster, err)
 				}
-				w.end(aq.qi)
 			}
 			kids, err := w.process(c)
 			if err != nil {
@@ -138,7 +134,7 @@ func searchChecked(t *testing.T, tree *iurtree.Snapshot, q Query, opt Options, r
 		}
 		round = next
 	}
-	res := slices.Clone(w.lanes[0].results)
+	res := slices.Clone(w.results)
 	slices.Sort(res)
 	return res
 }

@@ -162,20 +162,12 @@ type group struct {
 	cl      contributionList
 }
 
-// candidate is one frontier slot: a tree entry plus the queries still
-// active on it, in ascending query order. Keeping every undecided group
-// of one entry together — across clusters and, in a batch, across
-// queries — means expansion reads the node exactly once. The entry
+// candidate is one frontier slot: a tree entry plus its still-undecided
+// groups. Keeping every undecided group of one entry together, across
+// clusters, means expansion reads the node exactly once. The entry
 // points into the expanded node's shared decode.
 type candidate struct {
 	entry  *iurtree.Entry
-	active []activeQuery
-}
-
-// activeQuery is one query's stake in a candidate: its index in the
-// batch plus its still-undecided groups below the candidate's entry.
-type activeQuery struct {
-	qi     int
 	groups []*group
 }
 
@@ -185,55 +177,37 @@ type activeQuery struct {
 // indexed object (excluding o itself). Objects with fewer than k
 // neighbors are always results.
 //
-// It is MultiRSTkNN's traversal over a one-item batch, run without the
-// batch node table: every node read goes to the store and is charged to
-// opt.Tracker, so the query's physical reads are the algorithm's own.
+// Every node read goes to the store and is charged to opt.Tracker.
 func RSTkNN(t *iurtree.Snapshot, q Query, opt Options) (*Outcome, error) {
 	if opt.K <= 0 {
 		return nil, fmt.Errorf("core: K must be positive, got %d", opt.K)
 	}
-	mo, err := search(t, []BatchItem{{Query: q, K: opt.K, BoundTrace: opt.BoundTrace}}, opt, false)
-	if err != nil {
-		return nil, err
-	}
-	return mo.Outcomes[0], nil
+	return search(t, q, opt)
 }
 
 // search is the one branch-and-bound loop behind RSTkNN and
 // MultiRSTkNN: it seeds the frontier with the root's children, drains it
-// in rounds, and sums the per-worker lanes into one Outcome per item.
-// With shared set, node reads go through a batch table that fetches each
-// node once for the whole batch.
-func search(t *iurtree.Snapshot, items []BatchItem, opt Options, shared bool) (*MultiOutcome, error) {
-	for i := range items {
-		if items[i].K <= 0 {
-			return nil, fmt.Errorf("core: item %d: K must be positive, got %d", i, items[i].K)
-		}
-	}
+// in rounds, and sums the workers' accumulators into the query's
+// Outcome.
+func search(t *iurtree.Snapshot, q Query, opt Options) (*Outcome, error) {
 	if opt.Alpha < 0 || opt.Alpha > 1 {
 		return nil, fmt.Errorf("core: Alpha must be in [0,1], got %g", opt.Alpha)
 	}
 	if err := checkCtx(opt.Ctx); err != nil {
 		return nil, err
 	}
-	mo := &MultiOutcome{Outcomes: make([]*Outcome, len(items))}
-	for i := range mo.Outcomes {
-		mo.Outcomes[i] = &Outcome{}
-	}
-	if len(items) == 0 || t.Len() == 0 {
-		return mo, nil
+	out := &Outcome{}
+	if t.Len() == 0 {
+		return out, nil
 	}
 
-	s := &searcher{tree: t, opt: opt, items: items}
-	if shared {
-		s.table = newBatchTable(t, opt.Tracker)
-	}
+	s := &searcher{tree: t, opt: opt, q: q}
 	ws := make([]*worker, effectiveWorkers(opt.Workers))
 	for i := range ws {
 		ws[i] = s.newWorker()
 	}
 	// Scratches are recycled only after the frontier is fully drained
-	// and every lane harvested: a candidate built by one worker may
+	// and every worker harvested: a candidate built by one worker may
 	// reference arena-backed bounds owned by another until it is decided.
 	defer func() {
 		for _, w := range ws {
@@ -249,59 +223,33 @@ func search(t *iurtree.Snapshot, items []BatchItem, opt Options, shared bool) (*
 		return nil, err
 	}
 
-	logical := 0
-	for qi, o := range mo.Outcomes {
-		for _, w := range ws {
-			o.Metrics.add(&w.lanes[qi].metrics)
-			o.Results = append(o.Results, w.lanes[qi].results...)
-		}
-		sort.Slice(o.Results, func(i, j int) bool { return o.Results[i] < o.Results[j] })
-		logical += o.Metrics.NodesRead
+	for _, w := range ws {
+		out.Metrics.add(&w.metrics)
+		out.Metrics.ExactSims += w.scorer.ExactCount
+		out.Metrics.BoundEvals += w.scorer.BoundCount
+		out.Results = append(out.Results, w.results...)
 	}
-	mo.Batch.NodesRead = logical
-	if s.table != nil {
-		mo.Batch.NodesRead = int(s.table.phys.Load())
-	}
-	mo.Batch.SharedHits = logical - mo.Batch.NodesRead
-	return mo, nil
+	sort.Slice(out.Results, func(i, j int) bool { return out.Results[i] < out.Results[j] })
+	return out, nil
 }
 
 // searcher is the read-only context of one traversal, shared by its
 // workers.
 type searcher struct {
-	tree  *iurtree.Snapshot
-	opt   Options
-	items []BatchItem
-	// table, when non-nil, routes every node read through the batch's
-	// once-per-node table instead of the store.
-	table *batchTable
+	tree *iurtree.Snapshot
+	opt  Options
+	q    Query
 }
 
 // worker owns everything one goroutine touches while deciding candidates:
 // a private Scorer (so similarity counters need no synchronization), a
-// pooled scratch, and one lane of result/metric accumulators per query.
-// All cross-worker aggregates are sums or sets, so the merge is
+// pooled scratch, and private result/metric accumulators. All
+// cross-worker aggregates are sums or sets, so the merge is
 // order-independent and the outcome identical at every worker count.
 type worker struct {
 	s       *searcher
 	scorer  Scorer
 	scratch *scratch
-	lanes   []lane
-
-	// The active query: begin loads item qi's lane into metrics and
-	// results and end parks them back.
-	qi      int
-	metrics Metrics
-	results []int32
-	// e0/b0 snapshot the scorer counters at begin so end can attribute
-	// the delta to the active lane.
-	e0, b0 int64
-}
-
-// lane is one worker's private accumulator for one query. Totals are
-// order-independent sums, so adding the lanes of all workers yields the
-// same Metrics at every worker count.
-type lane struct {
 	metrics Metrics
 	results []int32
 }
@@ -312,39 +260,11 @@ func (s *searcher) newWorker() *worker {
 		s:       s,
 		scorer:  *NewScorer(s.opt.Alpha, s.tree.MaxD(), s.opt.Sim),
 		scratch: getScratch(),
-		lanes:   make([]lane, len(s.items)),
 	}
 }
 
-// begin retargets the worker at query qi's lane.
-//
-//rstknn:hotpath per-query lane switch in the traversal inner loop
-func (w *worker) begin(qi int) {
-	w.qi = qi
-	ln := &w.lanes[qi]
-	w.metrics = ln.metrics
-	w.results = ln.results
-	w.e0 = w.scorer.ExactCount
-	w.b0 = w.scorer.BoundCount
-}
-
-// end parks the worker's accumulators back into query qi's lane,
-// folding the scorer-counter delta since begin into the lane's
-// similarity tallies.
-//
-//rstknn:hotpath per-query lane switch in the traversal inner loop
-func (w *worker) end(qi int) {
-	ln := &w.lanes[qi]
-	ln.metrics = w.metrics
-	ln.metrics.ExactSims += w.scorer.ExactCount - w.e0
-	ln.metrics.BoundEvals += w.scorer.BoundCount - w.b0
-	w.e0 = w.scorer.ExactCount
-	w.b0 = w.scorer.BoundCount
-	ln.results = w.results
-}
-
 // release recycles the worker's scratch. Call only after the frontier is
-// fully drained AND the lanes have been harvested.
+// fully drained AND the worker's accumulators have been harvested.
 func (w *worker) release() {
 	w.scratch.release()
 	w.scratch = nil
@@ -358,19 +278,6 @@ func (w *worker) readNode(id storage.NodeID) (*iurtree.Node, error) {
 	if err := checkCtx(w.s.opt.Ctx); err != nil {
 		return nil, err
 	}
-	if w.s.table != nil {
-		// The table fetches each node at most once per batch (charging
-		// the physical I/O to the batch tracker); this query records the
-		// logical read — NodesRead stays bit-identical to an independent
-		// run — plus one shared-read attribution on its own tracker.
-		n, err := w.s.table.load(id)
-		if err != nil {
-			return nil, err
-		}
-		w.s.items[w.qi].Tracker.ChargeSharedRead()
-		w.metrics.NodesRead++
-		return n, nil
-	}
 	n, err := w.s.tree.ReadSharedTracked(id, w.s.opt.Tracker)
 	if err != nil {
 		return nil, err
@@ -379,49 +286,24 @@ func (w *worker) readNode(id storage.NodeID) (*iurtree.Node, error) {
 	return n, nil
 }
 
-// readFor reads node id on behalf of every pending query: each charges
-// its own logical read, while the batch table (when there is one)
-// fetches the node at most once. Without a table there is one query, so
-// one read.
-func (w *worker) readFor(pending []activeQuery, id storage.NodeID) (*iurtree.Node, error) {
-	var n *iurtree.Node
-	for _, p := range pending {
-		w.begin(p.qi)
-		var err error
-		n, err = w.readNode(id)
-		w.end(p.qi)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return n, nil
-}
-
 // seed reads the root node and returns its children as the first
-// frontier, every cluster group of every query undecided, each child
-// contributing to the others.
+// frontier, every cluster group undecided, each child contributing to
+// the others.
 func (s *searcher) seed(w *worker) ([]*candidate, error) {
 	root := s.tree.RootEntry()
+	n, err := w.readNode(root.Child)
+	if err != nil {
+		return nil, err
+	}
 	if root.Count == 1 {
 		// A single object: it has no neighbors, so the k-th NN similarity
 		// is -Inf and the object is a result of every query.
-		for qi := range s.items {
-			w.begin(qi)
-			n, err := w.readNode(root.Child)
-			if err == nil {
-				w.metrics.Candidates++
-				w.results = append(w.results, n.Entries[0].ObjID)
-			}
-			w.end(qi)
-			if err != nil {
-				return nil, err
-			}
-		}
+		w.metrics.Candidates++
+		w.results = append(w.results, n.Entries[0].ObjID)
 		return nil, nil
 	}
 	// The pseudo parent groups carry empty contribution lists and are
-	// never mutated by buildChildren, so one seed slice serves every
-	// query.
+	// never mutated by expand.
 	seeds := make([]*group, 0, len(root.Clusters)+1)
 	if s.tree.Clustered() && len(root.Clusters) > 0 {
 		for _, cs := range root.Clusters {
@@ -430,15 +312,7 @@ func (s *searcher) seed(w *worker) ([]*candidate, error) {
 	} else {
 		seeds = append(seeds, &group{cluster: -1})
 	}
-	all := make([]activeQuery, len(s.items))
-	for qi := range all {
-		all[qi] = activeQuery{qi: qi, groups: seeds}
-	}
-	n, err := w.readFor(all, root.Child)
-	if err != nil {
-		return nil, err
-	}
-	return w.expand(&root, n, all), nil
+	return w.expand(&root, n, seeds), nil
 }
 
 // minFanoutRound is the smallest frontier size a round fans out across
@@ -522,35 +396,14 @@ func clusterGroupOf(e *iurtree.Entry, cluster int32) *iurtree.ClusterSummary {
 // contributor with a node's children) usually stay inside the carve.
 const contribHeadroom = 8
 
-// expand turns an expanded node into the next frontier: every pending
-// query's groups are projected onto the node's entries, and each child
-// entry gets one candidate holding its active queries in ascending query
-// order, whichever worker expanded the node. The candidates and the
-// contributors of every pending query point into the node's shared
-// entries.
-func (w *worker) expand(parent *iurtree.Entry, n *iurtree.Node, pending []activeQuery) []*candidate {
-	children := n.Entries
-	slots := make([]*candidate, len(children))
-	for _, p := range pending {
-		w.begin(p.qi)
-		w.buildChildren(parent, children, p, slots)
-		w.end(p.qi)
-	}
-	out := slots[:0]
-	for _, c := range slots {
-		if c != nil {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// buildChildren projects one query's pending groups onto the entries of
-// an expanded node, adding the query to slots[i] for every child i that
-// keeps a group. Each parent group is projected onto every child that
-// holds objects of its cluster; the child group inherits the parent
-// group's contribution list and gains the child's siblings as
-// contributors.
+// expand turns an expanded node into the next frontier: the parent's
+// undecided groups are projected onto the node's entries, and every
+// child entry that keeps a group becomes one candidate, in entry order.
+// Each parent group is projected onto every child that holds objects of
+// its cluster; the child group inherits the parent group's contribution
+// list and gains the child's siblings as contributors. The candidates
+// and the contributors point into the node's shared entries.
+//
 // Inherited and sibling bounds are kept at parent/node granularity and
 // marked stale — valid for the group because its objects are a subset of
 // what the bounds cover — and are tightened lazily when the group is
@@ -561,13 +414,15 @@ func (w *worker) expand(parent *iurtree.Entry, n *iurtree.Node, pending []active
 // The new groups (and the arena-backed bounds they reference) are only
 // published to other workers through the round barrier, so the
 // scratch-owning worker is the sole writer until then.
-func (w *worker) buildChildren(parent *iurtree.Entry, children []iurtree.Entry, p activeQuery, slots []*candidate) {
-	q := &w.s.items[p.qi].Query
+func (w *worker) expand(parent *iurtree.Entry, n *iurtree.Node, pending []*group) []*candidate {
+	q := &w.s.q
+	children := n.Entries
+	out := make([]*candidate, 0, len(children))
 	var sibParts [][]part // filled on first use, shared by all groups
 	for i := range children {
 		child := &children[i]
 		var groups []*group
-		for _, pg := range p.groups {
+		for _, pg := range pending {
 			cs := clusterGroupOf(child, pg.cluster)
 			if cs == nil || cs.Count == 0 {
 				continue
@@ -587,14 +442,11 @@ func (w *worker) buildChildren(parent *iurtree.Entry, children []iurtree.Entry, 
 			g.cl.inh = inherited{parent: pg.cl.contributors, siblings: children, sibParts: sibParts, own: i}
 			groups = append(groups, g)
 		}
-		if len(groups) == 0 {
-			continue
+		if len(groups) > 0 {
+			out = append(out, &candidate{entry: child, groups: groups})
 		}
-		if slots[i] == nil {
-			slots[i] = &candidate{entry: child}
-		}
-		slots[i].active = append(slots[i].active, activeQuery{qi: p.qi, groups: groups})
 	}
+	return out
 }
 
 // siblingParts bounds every entry of an expanded node against the parent
@@ -602,7 +454,7 @@ func (w *worker) buildChildren(parent *iurtree.Entry, children []iurtree.Entry, 
 // result is carved from the scratch arena: the child groups' inherited
 // lists reference it until the query ends.
 //
-//rstknn:hotpath one pass per expansion and pending query
+//rstknn:hotpath one pass per expansion
 func (w *worker) siblingParts(parent *iurtree.Entry, children []iurtree.Entry) [][]part {
 	parentSide := sideOf(parent)
 	out := w.scratch.sibParts.alloc(len(children))
@@ -623,35 +475,23 @@ const (
 	verdictExpand
 )
 
-// process drives every active query's groups of a candidate to a
-// decision, then — if any query still needs the subtree — expands the
-// entry once (one logical read per pending query) and returns the
-// resulting child candidates.
+// process drives a candidate's groups to a decision, then — if any
+// group still needs the subtree — expands the entry with one node read
+// and returns the resulting child candidates.
 func (w *worker) process(c *candidate) ([]*candidate, error) {
-	var pending []activeQuery
-	for _, aq := range c.active {
-		w.begin(aq.qi)
-		undecided, err := w.decideAll(c.entry, aq.groups)
-		w.end(aq.qi)
-		if err != nil {
-			return nil, err
-		}
-		if len(undecided) > 0 {
-			pending = append(pending, activeQuery{qi: aq.qi, groups: undecided})
-		}
+	undecided, err := w.decideAll(c.entry, c.groups)
+	if err != nil || len(undecided) == 0 {
+		return nil, err
 	}
-	if len(pending) == 0 {
-		return nil, nil
-	}
-	n, err := w.readFor(pending, c.entry.Child)
+	n, err := w.readNode(c.entry.Child)
 	if err != nil {
 		return nil, err
 	}
-	return w.expand(c.entry, n, pending), nil
+	return w.expand(c.entry, n, undecided), nil
 }
 
-// decideAll decides the active query's groups of entry e, settling every
-// pruned or reported group and returning the ones left to expand.
+// decideAll decides the groups of entry e, settling every pruned or
+// reported group and returning the ones left to expand.
 func (w *worker) decideAll(e *iurtree.Entry, groups []*group) ([]*group, error) {
 	var undecided []*group
 	for _, g := range groups {
@@ -703,16 +543,16 @@ func (w *worker) settle(e *iurtree.Entry, g *group, v verdict) error {
 // which is fixed for the whole loop: the list is counted once, and every
 // rebound and refinement then updates the counts by the parts it changes.
 func (w *worker) decideGroup(e *iurtree.Entry, g *group) (verdict, error) {
-	item := &w.s.items[w.qi]
+	k := w.s.opt.K
 	groupBudget := w.s.opt.GroupRefine
 	gSide := side{rect: e.Rect, env: &g.env, exact: e.IsObject()}
 	rc := g.cl.ruleCounts(g.q)
 	for {
-		if rc.prunes(item.K) {
+		if rc.prunes(k) {
 			w.traceBounds(e, g)
 			return verdictPruned, nil
 		}
-		if rc.reports(item.K) {
+		if rc.reports(k) {
 			w.traceBounds(e, g)
 			return verdictReported, nil
 		}
@@ -721,7 +561,7 @@ func (w *worker) decideGroup(e *iurtree.Entry, g *group) (verdict, error) {
 		// so they are tightened the first time the group turns out to
 		// be undecided, nearest contributors first, until the group is
 		// decided or none is left stale.
-		if w.reboundStale(gSide, &g.cl, &rc, item.K) {
+		if w.reboundStale(gSide, &g.cl, &rc, k) {
 			continue
 		}
 		if e.IsObject() {
@@ -731,7 +571,7 @@ func (w *worker) decideGroup(e *iurtree.Entry, g *group) (verdict, error) {
 			// exact, nlo == nhi, and the two rules are exhaustive.
 			idx := w.refinable(&g.cl)
 			if idx < 0 {
-				knnl, knnu := g.cl.knnBounds(w.scratch, item.K)
+				knnl, knnu := g.cl.knnBounds(w.scratch, k)
 				return 0, fmt.Errorf("core: undecidable object %d with exact bounds [%g, %g], query %g",
 					e.ObjID, knnl, knnu, g.q.lo)
 			}
@@ -753,13 +593,12 @@ func (w *worker) decideGroup(e *iurtree.Entry, g *group) (verdict, error) {
 	}
 }
 
-// traceBounds reports a decided object's final kNN bounds to the item's
-// BoundTrace, the one decision path that still selects them.
+// traceBounds reports a decided object's final kNN bounds to
+// Options.BoundTrace, the one decision path that still selects them.
 func (w *worker) traceBounds(e *iurtree.Entry, g *group) {
-	item := &w.s.items[w.qi]
-	if e.IsObject() && item.BoundTrace != nil {
-		knnl, knnu := g.cl.knnBounds(w.scratch, item.K)
-		item.BoundTrace(e.ObjID, knnl, knnu)
+	if e.IsObject() && w.s.opt.BoundTrace != nil {
+		knnl, knnu := g.cl.knnBounds(w.scratch, w.s.opt.K)
+		w.s.opt.BoundTrace(e.ObjID, knnl, knnu)
 	}
 }
 
@@ -768,7 +607,7 @@ func (w *worker) traceBounds(e *iurtree.Entry, g *group) {
 // list is materialized: decideGroup rebounds before it refines.
 func (w *worker) refinable(cl *contributionList) int {
 	if w.s.opt.Strategy == RefineByEntropy {
-		knnu := cl.knnu(w.scratch, w.s.items[w.qi].K)
+		knnu := cl.knnu(w.scratch, w.s.opt.K)
 		return cl.refinableByEntropy(w.scratch, w.s.tree.NumClusters(), knnu)
 	}
 	return cl.refinableByMaxUpper()

@@ -52,9 +52,15 @@ func genQuery(rng *rand.Rand, vocab, maxTerms int) core.Query {
 	}
 }
 
+// buildTree bulk-loads objs, as a CIUR-tree when clusters > 0, or grows
+// an IUR-tree from empty by one Insert per object when incremental is
+// set.
 func buildTree(t *testing.T, objs []iurtree.Object, clusters int, incremental bool) *iurtree.Snapshot {
 	t.Helper()
-	cfg := iurtree.Config{Store: storage.NewStore(), Incremental: incremental}
+	if incremental {
+		return growTree(t, objs)
+	}
+	cfg := iurtree.Config{Store: storage.NewStore()}
 	if clusters > 0 {
 		docs := make([]vector.Vector, len(objs))
 		for i, o := range objs {
@@ -65,6 +71,30 @@ func buildTree(t *testing.T, objs []iurtree.Object, clusters int, incremental bo
 	tr, err := iurtree.Build(objs, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return tr
+}
+
+// growTree grows an IUR-tree from empty by one Insert per object, the
+// path live updates take. Retired nodes go through a reclaimer whose
+// on-free hook drops them from the bound cache before a later insert
+// recycles their IDs.
+func growTree(t *testing.T, objs []iurtree.Object) *iurtree.Snapshot {
+	t.Helper()
+	store := storage.NewStore()
+	tr, err := iurtree.Build(nil, iurtree.Config{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := storage.NewReclaimer(store)
+	rec.SetOnFree(tr.InvalidateNode)
+	for _, o := range objs {
+		next, retired, err := tr.Insert(o, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.Retire(retired)
+		tr = next
 	}
 	return tr
 }

@@ -139,40 +139,6 @@ func TestBoundEvaluationWarmAllocFree(t *testing.T) {
 	}
 }
 
-// TestWorkerLaneSwitchWarmAllocFree covers the two hot-path roots the
-// other warm tests do not reach: worker.begin and worker.end, which move
-// a query's accumulators in and out of the worker between candidates.
-func TestWorkerLaneSwitchWarmAllocFree(t *testing.T) {
-	col := dataset.Generate(dataset.GN, dataset.Params{N: 200, Seed: 3})
-	tree, err := iurtree.Build(col.Objects, iurtree.Config{Store: storage.NewStore()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &searcher{tree: tree, opt: Options{K: 10, Alpha: 0.5, Workers: 1},
-		items: make([]BatchItem, 2)}
-	w := s.newWorker()
-	defer w.release()
-	for qi := range w.lanes {
-		w.lanes[qi].results = append(w.lanes[qi].results, int32(qi), 7, 9)
-	}
-	switchLanes := func() {
-		for qi := range w.lanes {
-			w.begin(qi)
-			w.metrics.Candidates++
-			w.scorer.ExactCount++
-			w.end(qi)
-		}
-	}
-	if allocs := testing.AllocsPerRun(100, switchLanes); allocs != 0 {
-		t.Errorf("worker.begin/end allocate %v per lane switch, want 0", allocs)
-	}
-	for qi := range w.lanes {
-		if got := w.lanes[qi].metrics.ExactSims; got != 101 {
-			t.Errorf("lane %d ExactSims = %d after 101 switches, want 101", qi, got)
-		}
-	}
-}
-
 // TestBoundPassChecksItsSide pins the kernel contract of
 // entryBoundsInto: a pass whose side was never scattered, or whose
 // kernel holds another side, panics instead of returning bounds built
@@ -321,8 +287,7 @@ func TestArenaRerunGrowsNoChunk(t *testing.T) {
 		q := Query{Loc: queries[qi].Loc, Doc: queries[qi].Doc}
 		sc := newScratch()
 		run := func() {
-			s := &searcher{tree: tree, opt: Options{K: 10, Alpha: 0.5, Workers: 1},
-				items: []BatchItem{{Query: q, K: 10}}}
+			s := &searcher{tree: tree, opt: Options{K: 10, Alpha: 0.5, Workers: 1}, q: q}
 			w := s.newWorker()
 			w.scratch.release()
 			w.scratch = sc

@@ -96,12 +96,6 @@ type Config struct {
 	// Clustering, when non-nil, builds a CIUR-tree: Of[i] must be the
 	// cluster of objects[i] and Clusters the total cluster count.
 	Clustering *cluster.Assignment
-	// Incremental grows the tree by one Snapshot.Insert per object, the
-	// path live updates take, instead of STR bulk loading. Slower; it
-	// mirrors a dynamically grown index. Clustered trees cannot be
-	// updated, so Build refuses Incremental with a Clustering
-	// (ErrClustered).
-	Incremental bool
 }
 
 // Snapshot is one immutable version of an IUR-tree or CIUR-tree over a
@@ -117,8 +111,8 @@ type Config struct {
 // included, returns the shared decode, which nobody edits. The lifetime
 // rule: once the NodeIDs an update retired are freed, the superseded
 // snapshots that referenced them must no longer be read, and each freed
-// ID must leave the bound cache first (InvalidateNode; the engine's
-// storage.Reclaimer hook and insertAll do this).
+// ID must leave the bound cache first (InvalidateNode, which the
+// engine's storage.Reclaimer calls from its on-free hook).
 type Snapshot struct {
 	store       storage.Blobs
 	rootID      storage.NodeID
@@ -138,9 +132,6 @@ func Build(objects []Object, cfg Config) (*Snapshot, error) {
 		return nil, errors.New("iurtree: Config.Store is required")
 	}
 	if cfg.Clustering != nil {
-		if cfg.Incremental {
-			return nil, ErrClustered
-		}
 		if err := checkNumClusters(cfg.Clustering.Clusters); err != nil {
 			return nil, fmt.Errorf("iurtree: clustering: %w", err)
 		}
@@ -167,9 +158,6 @@ func Build(objects []Object, cfg Config) (*Snapshot, error) {
 		store:      cfg.Store,
 		height:     1,
 		boundCache: newBoundCache(DefaultBoundCacheNodes),
-	}
-	if cfg.Incremental {
-		return t.insertAll(objects)
 	}
 	if cfg.Clustering != nil {
 		t.numClusters = cfg.Clustering.Clusters
@@ -219,32 +207,6 @@ func Build(objects []Object, cfg Config) (*Snapshot, error) {
 	}
 	t.size = len(objects)
 	t.setRoot(seal(root))
-	return t, nil
-}
-
-// insertAll grows the empty snapshot t one Insert per object, the path
-// live updates take. Nothing else has seen the nodes an insert retires,
-// so they are freed at once and their IDs recycled. The descents cached
-// those nodes' decodes, so each leaves the bound cache before its ID can
-// be recycled.
-func (t *Snapshot) insertAll(objects []Object) (*Snapshot, error) {
-	empty := &Node{Leaf: true}
-	id := t.store.Put(encodeNode(empty))
-	t.setRoot(summarize(empty, id))
-	for i := range objects {
-		next, retired, err := t.Insert(objects[i], nil)
-		if err != nil {
-			return nil, err
-		}
-		for _, id := range retired {
-			t.InvalidateNode(id)
-			if err := t.store.Free(id); err != nil {
-				return nil, err
-			}
-		}
-		t = next
-	}
-	t.setRoot(t.rootEntry)
 	return t, nil
 }
 

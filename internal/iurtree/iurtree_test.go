@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -31,16 +30,42 @@ func randObjects(rng *rand.Rand, n, vocab int) []Object {
 	return objs
 }
 
+// buildIUR bulk-loads objs, or grows the tree from empty by one Insert
+// per object when incremental is set.
 func buildIUR(t *testing.T, objs []Object, incremental bool) *Snapshot {
 	t.Helper()
-	tr, err := Build(objs, Config{
-		Store:       storage.NewStore(),
-		Incremental: incremental,
-	})
+	if incremental {
+		tr, _ := growIUR(t, storage.NewStore(), objs)
+		return tr
+	}
+	tr, err := Build(objs, Config{Store: storage.NewStore()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tr
+}
+
+// growIUR grows an IUR-tree on store from empty by one Insert per
+// object, the path live updates take. Retired nodes go through the
+// returned reclaimer, whose on-free hook drops them from the bound cache
+// before a later insert recycles their IDs.
+func growIUR(t *testing.T, store storage.Blobs, objs []Object) (*Snapshot, *storage.Reclaimer) {
+	t.Helper()
+	tr, err := Build(nil, Config{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := storage.NewReclaimer(store)
+	rec.SetOnFree(tr.InvalidateNode)
+	for _, o := range objs {
+		next, retired, err := tr.Insert(o, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.Retire(retired)
+		tr = next
+	}
+	return tr, rec
 }
 
 func TestBuildValidation(t *testing.T) {
@@ -54,13 +79,6 @@ func TestBuildValidation(t *testing.T) {
 	a := &cluster.Assignment{Clusters: 1, Of: []int{0}}
 	if _, err := Build(objs, Config{Store: storage.NewStore(), Clustering: a}); err == nil {
 		t.Error("clustering size mismatch should fail")
-	}
-	// Clustered trees cannot take live inserts, so they cannot be grown
-	// by them either.
-	one := []Object{{ID: 1}}
-	_, err := Build(one, Config{Store: storage.NewStore(), Clustering: a, Incremental: true})
-	if !errors.Is(err, ErrClustered) {
-		t.Errorf("incremental clustered build: err = %v, want ErrClustered", err)
 	}
 }
 

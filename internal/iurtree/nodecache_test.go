@@ -62,13 +62,7 @@ func TestBoundCacheHitStillPaysIO(t *testing.T) {
 func TestBoundCacheEvictedOnFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	objs := randObjects(rng, 120, 20)
-	store := storage.NewStore()
-	tr, err := Build(objs[:100], Config{Store: store, Incremental: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := storage.NewReclaimer(store)
-	rec.SetOnFree(tr.InvalidateNode)
+	tr, rec := growIUR(t, storage.NewStore(), objs[:100])
 
 	warmBoundCache(t, tr)
 	nt, retired, err := tr.Insert(objs[100], nil)
@@ -97,13 +91,7 @@ func TestBoundCacheEvictedOnFree(t *testing.T) {
 func TestBoundCacheSurvivesPinnedChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	objs := randObjects(rng, 120, 20)
-	store := storage.NewStore()
-	tr, err := Build(objs[:100], Config{Store: store, Incremental: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := storage.NewReclaimer(store)
-	rec.SetOnFree(tr.InvalidateNode)
+	tr, rec := growIUR(t, storage.NewStore(), objs[:100])
 
 	warmBoundCache(t, tr)
 	tok := rec.Pin() // a reader holding the pre-insert snapshot

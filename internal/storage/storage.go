@@ -99,7 +99,6 @@ type Tracker struct {
 	cacheHits    atomic.Int64
 	writes       atomic.Int64
 	pagesWritten atomic.Int64
-	sharedReads  atomic.Int64
 }
 
 // ChargeRead records one read transferring the given number of pages.
@@ -130,29 +129,24 @@ func (t *Tracker) ChargeCacheHit() {
 	t.cacheHits.Add(1)
 }
 
-// ChargeSharedRead records one logical node read served by a physical
-// read another consumer already paid for — the attribution used by
-// shared-traversal batch execution, where one fetched node is scored
-// against many queries. The physical I/O (ChargeRead/ChargeCacheHit) is
-// charged exactly once, to the batch-level tracker; every query that
-// consumes the node records one shared read here on its own tracker.
-// Shared reads deliberately stay out of Stats: they are attribution
-// bookkeeping, not additional I/O.
-func (t *Tracker) ChargeSharedRead() {
+// Add charges every counter of s to the tracker, folding one query's
+// I/O into a batch total.
+func (t *Tracker) Add(s Stats) {
 	if t == nil {
 		return
 	}
-	t.sharedReads.Add(1)
+	t.reads.Add(s.Reads)
+	t.pagesRead.Add(s.PagesRead)
+	t.cacheHits.Add(s.CacheHits)
+	t.writes.Add(s.Writes)
+	t.pagesWritten.Add(s.PagesWritten)
 }
 
-// SharedReads returns the logical reads served by batch-shared physical
-// reads (see ChargeSharedRead).
-func (t *Tracker) SharedReads() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.sharedReads.Load()
-}
+// SharedReads returns 0.
+//
+// Deprecated: it counted the node reads a shared batch traversal served
+// from one fetch, and batches no longer share a traversal.
+func (t *Tracker) SharedReads() int64 { return 0 }
 
 // Reads returns the number of reads that missed every cache.
 func (t *Tracker) Reads() int64 {
@@ -218,7 +212,6 @@ func (t *Tracker) Reset() {
 	t.cacheHits.Store(0)
 	t.writes.Store(0)
 	t.pagesWritten.Store(0)
-	t.sharedReads.Store(0)
 }
 
 // Blobs is the storage abstraction the index layers build on: a blob

@@ -68,30 +68,30 @@ func TestTrackerCountsPoolHits(t *testing.T) {
 	}
 }
 
-// TestTrackerSharedReads pins the batch-attribution counter: shared
-// reads are bookkeeping on the side (a query's logical reads served from
-// a batch-shared node), never part of the I/O Stats, and Reset clears
-// them with everything else.
-func TestTrackerSharedReads(t *testing.T) {
+// TestTrackerAdd pins the batch total: Add folds another tracker's
+// counters in, a nil tracker ignores it, and Reset clears the sum.
+func TestTrackerAdd(t *testing.T) {
+	var one Tracker
+	one.ChargeRead(2)
+	one.ChargeCacheHit()
+	one.ChargeWrite(3)
 	var nilTr *Tracker
-	nilTr.ChargeSharedRead()
-	if nilTr.SharedReads() != 0 {
-		t.Error("nil tracker must report zero shared reads")
+	nilTr.Add(one.Stats())
+	if nilTr.Stats() != (Stats{}) {
+		t.Error("nil tracker must stay empty")
 	}
 
-	var tr Tracker
-	tr.ChargeRead(2)
-	tr.ChargeSharedRead()
-	tr.ChargeSharedRead()
-	if tr.SharedReads() != 2 {
-		t.Errorf("SharedReads = %d, want 2", tr.SharedReads())
+	var sum Tracker
+	sum.ChargeRead(1)
+	sum.Add(one.Stats())
+	sum.Add(one.Stats())
+	want := Stats{Reads: 3, PagesRead: 5, CacheHits: 2, Writes: 2, PagesWritten: 6}
+	if got := sum.Stats(); got != want {
+		t.Errorf("Stats = %+v, want %+v", got, want)
 	}
-	if s := tr.Stats(); s.Reads != 1 || s.PagesRead != 2 {
-		t.Errorf("Stats = %+v; shared reads must not leak into I/O stats", s)
-	}
-	tr.Reset()
-	if tr.SharedReads() != 0 {
-		t.Errorf("SharedReads = %d after Reset, want 0", tr.SharedReads())
+	sum.Reset()
+	if got := sum.Stats(); got != (Stats{}) {
+		t.Errorf("Stats = %+v after Reset, want zero", got)
 	}
 }
 

@@ -83,9 +83,8 @@ type Options struct {
 	// rounds with fewer candidates than the fan-out threshold run inline,
 	// so low-core machines never pay goroutine overhead for tiny rounds.
 	// Results and QueryStats are identical at every
-	// setting — parallelism only changes wall-clock time. A
-	// multi-request BatchQuery sizes its shared traversal's pool with
-	// its own parallelism argument instead.
+	// setting — parallelism only changes wall-clock time. BatchQuery
+	// sizes each query's pool with its own parallelism argument instead.
 	Workers int
 	// Seed fixes clustering randomness.
 	Seed int64

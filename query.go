@@ -29,18 +29,16 @@ type Result struct {
 // deltas of store-global counters — so they are exact even when many
 // queries run concurrently.
 type QueryStats struct {
-	// Duration is the query's wall time. For queries answered by a
-	// shared batch traversal it is the whole batch's wall time — the
-	// per-query share of a fused traversal is not separable.
+	// Duration is the query's wall time. For a query answered by
+	// BatchQuery it is the wall time of the batch's searches.
 	Duration     time.Duration
 	NodesRead    int
 	PageAccesses int64
 	CacheHits    int64
-	// SharedReads counts the node reads served by a shared batch
-	// traversal's once-per-batch physical fetch (always 0 outside a
-	// multi-request BatchQuery; equal to NodesRead inside it). The
-	// physical I/O those reads amortize is reported on BatchStats, not
-	// here — see the tracker attribution rule in DESIGN.md §11.
+	// SharedReads is always 0.
+	//
+	// Deprecated: it counted the node reads a shared batch traversal
+	// served from one fetch, and batches no longer share a traversal.
 	SharedReads   int64
 	ExactSims     int64
 	BoundEvals    int64
@@ -51,13 +49,13 @@ type QueryStats struct {
 }
 
 // CacheHitRatio returns the fraction of this query's node reads that
-// paid no simulated page I/O — buffer-pool hits plus
-// batch-shared reads over all reads — or 0 when the query read nothing.
+// paid no simulated page I/O — buffer-pool hits over all reads — or 0
+// when the query read nothing.
 func (s QueryStats) CacheHitRatio() float64 {
 	if s.NodesRead == 0 {
 		return 0
 	}
-	return float64(s.CacheHits+s.SharedReads) / float64(s.NodesRead)
+	return float64(s.CacheHits) / float64(s.NodesRead)
 }
 
 // validateQuery rejects the inputs that would otherwise give undefined
@@ -130,7 +128,6 @@ func queryStats(m core.Metrics, tr *storage.Tracker, d time.Duration) QueryStats
 		NodesRead:     m.NodesRead,
 		PageAccesses:  tr.PagesRead(),
 		CacheHits:     tr.CacheHits(),
-		SharedReads:   tr.SharedReads(),
 		ExactSims:     m.ExactSims,
 		BoundEvals:    m.BoundEvals,
 		GroupPruned:   m.GroupPruned,
@@ -269,29 +266,28 @@ type BatchResult struct {
 	Err    error
 }
 
-// BatchStats describes one BatchQuery invocation as a whole: the
-// batch-level amortization numbers that per-request QueryStats cannot
-// express once one physical node read serves many queries.
+// BatchStats describes one BatchQuery invocation as a whole.
 type BatchStats struct {
-	// Requests is the batch size, Shared whether the shared-traversal
-	// path answered it (every multi-request batch; a one-request batch
-	// is a plain query).
+	// Requests is the batch size.
 	Requests int
-	Shared   bool
+	// Shared is always false.
+	//
+	// Deprecated: it told whether a shared batch traversal answered the
+	// batch, and batches no longer share a traversal.
+	Shared bool
 	// Duration is the whole batch's wall time.
 	Duration time.Duration
-	// NodesRead counts physical node fetches: each distinct node once in
-	// shared mode, the query's own NodesRead for a one-request batch —
-	// so the two compare directly on this field.
+	// NodesRead is the sum of the requests' NodesRead: every request
+	// reads its own nodes.
 	NodesRead int
-	// SharedHits counts per-query logical reads served by a node the
-	// batch had already fetched (0 for a one-request batch): the sum of
-	// per-query NodesRead minus the physical NodesRead above.
+	// SharedHits is always 0.
+	//
+	// Deprecated: it counted the reads a shared batch traversal saved,
+	// and batches no longer share a traversal.
 	SharedHits int
-	// NodesReadPerQuery is NodesRead divided by the number of requests —
-	// the amortized I/O the shared traversal optimizes.
+	// NodesReadPerQuery is NodesRead divided by the number of requests.
 	NodesReadPerQuery float64
-	// PageAccesses is the simulated page I/O the physical reads paid.
+	// PageAccesses is the sum of the requests' PageAccesses.
 	PageAccesses int64
 }
 
@@ -300,15 +296,11 @@ type BatchStats struct {
 // every request sees the same index version. Results are returned in
 // request order, each with its own per-query QueryStats.
 //
-// A multi-request batch runs as ONE shared branch-and-bound traversal:
-// each tree node is physically read at most once per batch and scored
-// against every query still active on it, so I/O per query shrinks as
-// the batch grows while per-request results and QueryStats counters
-// stay bit-identical to independent QueryCtx calls. parallelism bounds
-// the traversal's worker pool (values <= 0 default to
-// runtime.GOMAXPROCS(0), values above it are clamped). A one-request
-// batch is answered exactly as QueryCtx answers it, with
-// Options.Workers.
+// The requests are answered one after another, each by the same search
+// QueryCtx runs, so per-request results and QueryStats counters equal
+// those of QueryCtx calls in request order. parallelism sizes each
+// search's worker pool, as Options.Workers does for QueryCtx (values
+// <= 0 default to runtime.GOMAXPROCS(0), values above it are clamped).
 func (e *Engine) BatchQuery(reqs []QueryRequest, parallelism int) []BatchResult {
 	return e.BatchQueryCtx(context.Background(), reqs, parallelism)
 }
@@ -321,9 +313,9 @@ func (e *Engine) BatchQueryCtx(ctx context.Context, reqs []QueryRequest, paralle
 	return out
 }
 
-// BatchQueryStatsCtx is BatchQueryCtx plus the batch-level BatchStats:
-// the physical node reads, the shared-read amortization, and the
-// per-query average that per-request QueryStats cannot express.
+// BatchQueryStatsCtx is BatchQueryCtx plus the batch-level BatchStats.
+// Invalid requests fail individually and are left out of the batch; an
+// error from the searches (cancellation, I/O) fails every valid request.
 func (e *Engine) BatchQueryStatsCtx(ctx context.Context, reqs []QueryRequest, parallelism int) ([]BatchResult, BatchStats) {
 	out := make([]BatchResult, len(reqs))
 	if len(reqs) == 0 {
@@ -332,11 +324,7 @@ func (e *Engine) BatchQueryStatsCtx(ctx context.Context, reqs []QueryRequest, pa
 	start := time.Now()
 	var bs BatchStats
 	_ = e.snap.Read(func(st *engineState) error {
-		if len(reqs) == 1 {
-			bs = e.batchOne(ctx, st, reqs[0], out)
-		} else {
-			bs = e.batchShared(ctx, st, reqs, parallelism, out)
-		}
+		bs = e.batch(ctx, st, reqs, parallelism, out)
 		return nil
 	})
 	bs.Requests = len(reqs)
@@ -345,17 +333,13 @@ func (e *Engine) BatchQueryStatsCtx(ctx context.Context, reqs []QueryRequest, pa
 	return out, bs
 }
 
-// batchShared answers the batch with one shared traversal (see
-// core.MultiRSTkNN). Invalid requests fail individually and are excluded
-// from the traversal; a traversal error (cancellation, I/O) fails every
-// participating request.
-func (e *Engine) batchShared(ctx context.Context, st *engineState, reqs []QueryRequest, parallelism int, out []BatchResult) BatchStats {
-	bs := BatchStats{Shared: true}
+// batch answers the valid requests with one core.MultiRSTkNN call.
+func (e *Engine) batch(ctx context.Context, st *engineState, reqs []QueryRequest, parallelism int, out []BatchResult) BatchStats {
 	if err := ctx.Err(); err != nil {
 		for i := range out {
 			out[i] = BatchResult{Err: err}
 		}
-		return bs
+		return BatchStats{}
 	}
 	items := make([]core.BatchItem, 0, len(reqs))
 	idxs := make([]int, 0, len(reqs))
@@ -373,10 +357,9 @@ func (e *Engine) batchShared(ctx context.Context, st *engineState, reqs []QueryR
 		idxs = append(idxs, i)
 	}
 	if len(items) == 0 {
-		return bs
+		return BatchStats{}
 	}
-	// batchTracker is the batch's execution context: the once-per-node
-	// physical I/O of the whole traversal — and only it — lands here.
+	// batchTracker receives the sum of the requests' I/O.
 	var batchTracker storage.Tracker
 	start := time.Now()
 	mo, err := core.MultiRSTkNN(st.tree, items, e.coreOptions(ctx, parallelism, &batchTracker))
@@ -384,32 +367,14 @@ func (e *Engine) batchShared(ctx context.Context, st *engineState, reqs []QueryR
 		for _, i := range idxs {
 			out[i] = BatchResult{Err: err}
 		}
-		return bs
+		return BatchStats{}
 	}
 	elapsed := time.Since(start)
 	for j, i := range idxs {
 		o := mo.Outcomes[j]
 		out[i] = BatchResult{Result: &Result{IDs: o.Results, Stats: queryStats(o.Metrics, &trackers[i], elapsed)}}
 	}
-	bs.NodesRead = mo.Batch.NodesRead
-	bs.SharedHits = mo.Batch.SharedHits
-	bs.PageAccesses = batchTracker.PagesRead()
-	return bs
-}
-
-// batchOne answers a one-request batch as a plain query: there is
-// nothing to share, so its physical reads are the query's own.
-func (e *Engine) batchOne(ctx context.Context, st *engineState, r QueryRequest, out []BatchResult) BatchStats {
-	if err := validateQuery(r.X, r.Y, r.K); err != nil {
-		out[0] = BatchResult{Err: err}
-		return BatchStats{}
-	}
-	res, err := e.queryVector(ctx, st, r.X, r.Y, e.vectorize(r.Text), r.K)
-	out[0] = BatchResult{Result: res, Err: err}
-	if err != nil {
-		return BatchStats{}
-	}
-	return BatchStats{NodesRead: res.Stats.NodesRead, PageAccesses: res.Stats.PageAccesses}
+	return BatchStats{NodesRead: mo.Batch.NodesRead, PageAccesses: batchTracker.PagesRead()}
 }
 
 // NaiveQuery answers the same reverse query by exhaustive scan — the
